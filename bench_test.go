@@ -362,7 +362,7 @@ func BenchmarkEngineTT(b *testing.B) {
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tab := gametree.NewTranspositionTable(1 << 16)
-			r, err := gametree.SearchTT(context.Background(), pos, depth, gametree.EngineOptions{Table: tab})
+			r, err := gametree.SearchOpt(context.Background(), pos, depth, gametree.EngineOptions{Table: tab, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -375,7 +375,7 @@ func BenchmarkDomineering(b *testing.B) {
 	pos := gametree.NewDomineering(4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := gametree.SearchTT(context.Background(), pos, 9, gametree.EngineOptions{Table: gametree.NewTranspositionTable(1 << 14)})
+		r, err := gametree.SearchOpt(context.Background(), pos, 9, gametree.EngineOptions{Table: gametree.NewTranspositionTable(1 << 14), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

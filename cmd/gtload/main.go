@@ -324,7 +324,7 @@ func (b *baselineIssuer) issue(ctx context.Context, position string) outcome {
 		}
 		return out
 	}
-	res, err := engine.SearchParallelTT(sctx, pos, b.cfg.depth, engine.SearchOptions{
+	res, err := engine.SearchOpt(sctx, pos, b.cfg.depth, engine.SearchOptions{
 		Workers: b.cfg.workers,
 		Table:   table,
 	})

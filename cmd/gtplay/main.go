@@ -158,7 +158,7 @@ func selfplayGame(start gametree.Position, workers int, rec *gametree.TelemetryR
 			fmt.Fprintf(out, "\nplayer to move has no moves after %d plies - they lose\n", moveNo-1)
 			return nil
 		}
-		r, err := gametree.SearchParallelOpt(context.Background(), pos, 40,
+		r, err := gametree.SearchOpt(context.Background(), pos, 40,
 			gametree.EngineOptions{Workers: workers, Telemetry: rec})
 		if err != nil {
 			return err
@@ -173,7 +173,7 @@ func selfplayGame(start gametree.Position, workers int, rec *gametree.TelemetryR
 
 func engineMove(pos gametree.Position, depth, workers int, rec *gametree.TelemetryRecorder, out *bufio.Writer) (int, error) {
 	start := time.Now()
-	r, err := gametree.SearchParallelOpt(context.Background(), pos, depth,
+	r, err := gametree.SearchOpt(context.Background(), pos, depth,
 		gametree.EngineOptions{Workers: workers, Telemetry: rec})
 	if err != nil {
 		return -1, err

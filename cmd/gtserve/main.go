@@ -68,8 +68,6 @@ type options struct {
 	deadline     time.Duration
 	maxDeadline  time.Duration
 	maxDepth     int
-	horizon      int
-	spineOnly    bool
 	drainGrace   time.Duration
 	solveNodes   int64
 	solveStore   int
@@ -103,8 +101,6 @@ func main() {
 	flag.DurationVar(&o.deadline, "deadline", 2*time.Second, "default per-request deadline")
 	flag.DurationVar(&o.maxDeadline, "maxdeadline", 30*time.Second, "cap on client-requested deadlines")
 	flag.IntVar(&o.maxDepth, "maxdepth", 16, "maximum request depth")
-	flag.IntVar(&o.horizon, "split-horizon", 0, "sequential split horizon in plies (0 = engine default)")
-	ybwc := flag.Bool("ybwc", true, "recursive YBWC splitting inside speculative subtrees (false = spine-only splits)")
 	flag.DurationVar(&o.drainGrace, "drain-grace", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 	flag.Int64Var(&o.solveNodes, "solve-max-nodes", 0, "per-request /v1/solve expansion budget cap (0 = server default)")
 	flag.IntVar(&o.solveStore, "solve-store", 0, "parked partial solvers kept for resume (0 = server default)")
@@ -133,7 +129,6 @@ func main() {
 	if o.cacheEntries < 0 {
 		o.cacheEntries = -1 // Config: negative = disabled
 	}
-	o.spineOnly = !*ybwc
 
 	switch o.role {
 	case "single":
@@ -168,8 +163,6 @@ func runSingle(o options) int {
 		DefaultDeadline:   o.deadline,
 		MaxDeadline:       o.maxDeadline,
 		MaxDepth:          o.maxDepth,
-		SplitHorizon:      o.horizon,
-		SpineOnly:         o.spineOnly,
 		SolveMaxNodes:     o.solveNodes,
 		SolveStoreEntries: o.solveStore,
 		Telemetry:         rec,

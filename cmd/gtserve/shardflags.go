@@ -144,7 +144,7 @@ func runCoordinator(o options) int {
 	// in-flight local searches at Close), so its defer registers first.
 	var fallback *engine.Pool
 	if o.localFallback {
-		fallback = engine.NewPoolOpt(engine.SearchOptions{Workers: o.workers}, 0)
+		fallback = engine.NewPool(o.workers, nil, nil)
 		defer fallback.Close()
 	}
 	coord := shard.NewCoordinator(shard.Config{
@@ -225,8 +225,6 @@ func runWorker(o options) int {
 		Workers:       procs,
 		PoolWorkers:   o.workers,
 		TableEntries:  o.tableSize,
-		SplitHorizon:  o.horizon,
-		SpineOnly:     o.spineOnly,
 		AdvertiseAddr: tr.Addr(),
 		Telemetry:     rec,
 		Tracer:        tracer,

@@ -310,8 +310,9 @@ type MoveAppender = engine.MoveAppender
 // SearchResult reports an engine search.
 type SearchResult = engine.Result
 
-// ErrSearchCancelled is returned by the engine searches when their
-// context is cancelled mid-search.
+// ErrSearchCancelled is returned (with a zero SearchResult) by every
+// engine search whose context ends it; when the context's deadline did,
+// the error additionally wraps context.DeadlineExceeded.
 var ErrSearchCancelled = engine.ErrCancelled
 
 // ErrSearchPanic is returned (wrapped, carrying the recovered value) when
@@ -323,9 +324,18 @@ var ErrSearchPanic = engine.ErrSearchPanic
 func Search(pos Position, depth int) SearchResult { return engine.Search(pos, depth) }
 
 // SearchParallel evaluates pos using the width-style cascade over up to
-// `workers` goroutines; it returns exactly Search's value.
+// `workers` goroutines (0 = GOMAXPROCS); it returns exactly Search's value.
 func SearchParallel(ctx context.Context, pos Position, depth, workers int) (SearchResult, error) {
-	return engine.SearchParallel(ctx, pos, depth, workers)
+	return engine.SearchOpt(ctx, pos, depth, EngineOptions{Workers: workers})
+}
+
+// SearchOpt is the one options entry point of the engine: the same search
+// as Search and SearchParallel with an optional shared transposition
+// table, a worker count (0 = GOMAXPROCS; 1 runs on the calling goroutine
+// and visits exactly the sequential node set) and an optional telemetry
+// recorder.
+func SearchOpt(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
+	return engine.SearchOpt(ctx, pos, depth, opt)
 }
 
 // Play returns the index of the best root move.
@@ -420,26 +430,19 @@ type TranspositionTable = engine.Table
 // transposition table.
 type Hasher = engine.Hasher
 
-// SearchOptions configures the table-driven searches, including the
-// recursive-splitting knobs: SplitHorizon (remaining depth at and below
-// which a worker searches sequentially in place; 0 = the default two
-// ply) and SpineOnly (true restores the pre-YBWC discipline where only
-// the leftmost spine opens split points and speculative subtrees run
-// sequentially).
+// EngineOptions configures SearchOpt and the three drivers over it
+// (SearchIterative, MTDF, SearchPVS): Table, Workers and Telemetry. How
+// the engine splits work is not configurable — subtrees of two ply or
+// less are searched in place, and a worker opens a split point only when
+// its own deque has drained.
 type EngineOptions = engine.SearchOptions
 
 // NewTranspositionTable allocates a table with at least the given number
 // of entries (rounded up to a power of two).
 func NewTranspositionTable(entries int) *TranspositionTable { return engine.NewTable(entries) }
 
-// SearchTT is Search with a transposition table. Cancelling ctx aborts
-// the search with ErrSearchCancelled and a zero Result.
-func SearchTT(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
-	return engine.SearchTT(ctx, pos, depth, opt)
-}
-
 // EnginePool is a resident work-stealing search pool: the worker set of
-// SearchParallelTT kept alive across searches, so a long-lived caller
+// SearchOpt kept alive across searches, so a long-lived caller
 // (such as the gtserve service) pays pool construction once instead of
 // per request. One pool runs one search at a time; several pools may
 // share one TranspositionTable.
@@ -455,12 +458,6 @@ func NewEnginePool(workers int, table *TranspositionTable, rec *TelemetryRecorde
 // and returns the final result plus the principal variation.
 func SearchIterative(ctx context.Context, pos Position, maxDepth int, opt EngineOptions) (SearchResult, []int, error) {
 	return engine.SearchIterative(ctx, pos, maxDepth, opt)
-}
-
-// SearchParallelTT combines the parallel cascade with a shared lock-free
-// transposition table.
-func SearchParallelTT(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
-	return engine.SearchParallelTT(ctx, pos, depth, opt)
 }
 
 // StationaryBias returns the fixed point of the NOR level map
@@ -509,9 +506,10 @@ func SearchPVS(ctx context.Context, pos Position, depth int, opt EngineOptions) 
 }
 
 // MTDF evaluates pos with Plaat's MTD(f) — zero-window searches driven by
-// the transposition table, the depth-first reformulation of SSS*.
-func MTDF(pos Position, depth int, first int32, opt EngineOptions) SearchResult {
-	return engine.MTDF(pos, depth, first, opt)
+// the transposition table, the depth-first reformulation of SSS*. first
+// is the initial guess of the value.
+func MTDF(ctx context.Context, pos Position, depth int, first int32, opt EngineOptions) (SearchResult, error) {
+	return engine.MTDF(ctx, pos, depth, first, opt)
 }
 
 // WidthProcessorBound returns sum_{k<=w} C(n,k)(d-1)^k, the maximum
@@ -539,16 +537,6 @@ func ProfileOf(m Metrics) Profile { return sched.FromMetrics(m) }
 // evaluation phases); returns the value and leaf evaluations used.
 func RScout(t *Tree, seed int64) (int32, int64) { return randomized.RScout(t, seed) }
 
-// SearchRootSplit is the classical root-splitting parallel search (the
-// paper's references [2,4] era baseline): root moves distributed across
-// workers with a shared atomically-tightened alpha. It now runs as a
-// special case of the pooled searcher — one split point at the root,
-// sequential subtrees below — kept as a baseline for the cascade; same
-// value as Search.
-func SearchRootSplit(ctx context.Context, pos Position, depth, workers int) (SearchResult, error) {
-	return engine.SearchRootSplit(ctx, pos, depth, workers)
-}
-
 // ---------------------------------------------------------------------------
 // Search telemetry (internal/telemetry)
 
@@ -568,12 +556,6 @@ type TelemetryReport = telemetry.Report
 
 // NewTelemetryRecorder returns an empty recorder with tracing off.
 func NewTelemetryRecorder() *TelemetryRecorder { return telemetry.NewRecorder() }
-
-// SearchParallelOpt is SearchParallel with the full option set: optional
-// transposition table and optional telemetry recorder.
-func SearchParallelOpt(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
-	return engine.SearchParallelOpt(ctx, pos, depth, opt)
-}
 
 // ---------------------------------------------------------------------------
 // Proof-number solver (internal/pns)

@@ -247,7 +247,7 @@ func TestPublicNewSurface(t *testing.T) {
 	tab := gametree.NewTranspositionTable(1 << 14)
 	pos := gametree.NewDomineering(4, 3)
 	plain := gametree.Search(pos, 7)
-	tt, err := gametree.SearchTT(context.Background(), pos, 7, gametree.EngineOptions{Table: tab})
+	tt, err := gametree.SearchOpt(context.Background(), pos, 7, gametree.EngineOptions{Table: tab, Workers: 1})
 	if err != nil || tt.Value != plain.Value {
 		t.Errorf("SearchTT %d != %d (err %v)", tt.Value, plain.Value, err)
 	}
@@ -255,7 +255,7 @@ func TestPublicNewSurface(t *testing.T) {
 	if err != nil || it.Value != plain.Value || len(pv) == 0 {
 		t.Errorf("iterative: %+v %v %v", it, pv, err)
 	}
-	pt, err := gametree.SearchParallelTT(context.Background(), pos, 7, gametree.EngineOptions{Workers: 4})
+	pt, err := gametree.SearchOpt(context.Background(), pos, 7, gametree.EngineOptions{Workers: 4})
 	if err != nil || pt.Value != plain.Value {
 		t.Errorf("parallel tt: %+v %v", pt, err)
 	}
@@ -310,10 +310,10 @@ func TestPublicSurfaceRemainder(t *testing.T) {
 		t.Errorf("msgpass ab zones: %+v %v", mp, err)
 	}
 
-	// Root splitting and the team variants through the facade.
-	rs, err := gametree.SearchRootSplit(context.Background(), gametree.NewNim(2, 3), 6, 2)
-	if err != nil || (rs.Value > 0) != (gametree.NewNim(2, 3).XorValue() != 0) {
-		t.Errorf("root split: %+v %v", rs, err)
+	// The zero-window driver and the team variants through the facade.
+	md, err := gametree.MTDF(context.Background(), gametree.NewNim(2, 3), 6, 0, gametree.EngineOptions{})
+	if err != nil || (md.Value > 0) != (gametree.NewNim(2, 3).XorValue() != 0) {
+		t.Errorf("mtdf: %+v %v", md, err)
 	}
 	ta, err := gametree.TeamAlphaBeta(mm, 3, gametree.Options{})
 	if err != nil || ta.Value != mm.Evaluate() {

@@ -1,7 +1,7 @@
 package engine
 
-// Benchmarks of the execution substrate swap: the pooled work-stealing
-// cascade against the original goroutine-per-sibling spawn path. The
+// Benchmarks of the execution substrate: the search body on the pooled
+// work-stealing cascade against the same body on a bare searcher. The
 // workload is a pessimally-ordered tree (every child improves on its
 // predecessor, so alpha-beta prunes little and almost every interior node
 // above the sequential horizon becomes a split point) — the regime where
@@ -28,30 +28,16 @@ func reportNodes(b *testing.B, nodes int64) {
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/sec")
 }
 
-// BenchmarkEnginePooled compares the substrates at GOMAXPROCS workers and
-// sweeps the pooled worker count. "spawn" is the seed engine (goroutine +
-// channel + context per split, positions without AppendMoves); "pooled" is
-// the new substrate with per-worker deques and recycled move buffers.
+// BenchmarkEnginePooled compares sequential and pooled at GOMAXPROCS
+// workers and sweeps the pooled worker count, every row on the
+// MoveAppender view of the tree (recycled move buffers).
 func BenchmarkEnginePooled(b *testing.B) {
-	plain := benchRoot
 	appender := (*BenchTreeAppender)(benchRoot)
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			nodes += Search(plain, benchDepth).Nodes
-		}
-		reportNodes(b, nodes)
-	})
-	b.Run("spawn", func(b *testing.B) {
-		b.ReportAllocs()
-		var nodes int64
-		for i := 0; i < b.N; i++ {
-			r, err := searchParallelSpawn(context.Background(), plain, benchDepth, runtime.GOMAXPROCS(0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes += r.Nodes
+			nodes += Search(appender, benchDepth).Nodes
 		}
 		reportNodes(b, nodes)
 	})
@@ -59,7 +45,7 @@ func BenchmarkEnginePooled(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			r, err := SearchParallel(context.Background(), appender, benchDepth, runtime.GOMAXPROCS(0))
+			r, err := SearchOpt(context.Background(), appender, benchDepth, SearchOptions{Workers: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +62,7 @@ func BenchmarkEnginePooled(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				r, err := SearchParallel(context.Background(), appender, benchDepth, w)
+				r, err := SearchOpt(context.Background(), appender, benchDepth, SearchOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,19 +73,20 @@ func BenchmarkEnginePooled(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePooledTT is the pooled substrate with a shared 4-way
-// bucketed transposition table in the loop (hashed positions).
+// BenchmarkEnginePooledTT is the pooled substrate with the 4-way bucketed
+// transposition table in the loop, on a tree in which every node hashes.
+// Each iteration gets a fresh table: the root probes like every other
+// node, so a table kept across iterations would answer from one root hit.
 func BenchmarkEnginePooledTT(b *testing.B) {
 	rng := rand.New(rand.NewSource(78))
 	var next uint64
-	pos := buildHashed(rng, 8, 4, &next)
+	pos := buildDeepHashed(rng, 8, 4, &next)
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
-		table := NewTable(1 << 16)
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			r, err := SearchParallelTT(context.Background(), pos, 8,
-				SearchOptions{Table: table, Workers: runtime.GOMAXPROCS(0)})
+			r, err := SearchOpt(context.Background(), pos, 8,
+				SearchOptions{Table: NewTable(1 << 16), Workers: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,10 +11,13 @@
 // speculative sibling search is aborted when a cutoff is found, mirroring
 // the pre-emption rule of Section 7.
 //
-// Execution happens on a fixed pool of worker goroutines with per-worker
-// work-stealing deques (see pool.go), not a goroutine per speculative
-// sibling; the original spawn-based implementation is kept below
-// (parallelSpawn) as a measurable baseline.
+// There is one recursive search body (searcher.search). Search runs it on
+// a bare searcher; every other entry point runs it on a fixed pool of
+// worker goroutines with per-worker work-stealing deques (see pool.go),
+// where the same body turns a node's younger brothers into one split
+// point when thieves are hungry. SearchIterative, MTDF and SearchPVS are
+// drivers over that body (drivers.go), in the sense of Plaat et al.:
+// loops of windowed calls to one memory-enhanced alpha-beta.
 package engine
 
 import (
@@ -23,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"gametree/internal/telemetry"
@@ -69,36 +71,77 @@ const (
 	winScore  = int32(1 << 24) // larger than any heuristic score
 	scoreInf  = int64(math.MaxInt32)
 	checkMask = 255 // interrupt poll frequency in nodes
+
+	// splitHorizon is the remaining depth at or below which a subtree is
+	// always searched in place: scheduling a task costs more than
+	// searching a 2-ply subtree.
+	splitHorizon = 2
 )
 
+// SearchOptions configures every search entry point but Search.
+type SearchOptions struct {
+	// Table, when non-nil, enables transposition-table probing and
+	// storing. Positions must implement Hasher for it to take effect.
+	Table *Table
+	// Workers is the size of the worker pool; 0 means GOMAXPROCS. With 1
+	// the whole search runs on the calling goroutine and, table or not,
+	// visits exactly the nodes a sequential search visits.
+	Workers int
+	// Telemetry, when non-nil, attaches the search to a telemetry
+	// recorder: per-worker counters (tasks, steals, splits, aborts, TT
+	// traffic, deque depth) and — if the recorder has tracing enabled —
+	// split-point lifetime spans. Nil keeps the hot path uninstrumented
+	// (one nil-check branch per event).
+	Telemetry *telemetry.Recorder
+}
+
 // Search evaluates the position to the given depth with sequential
-// fail-hard alpha-beta (negamax form). depth < 0 means no horizon.
+// alpha-beta (negamax form): the search body on a bare searcher, with no
+// table, no pool and no context. depth < 0 means no horizon.
 func Search(pos Position, depth int) Result {
-	e := &searcher{ctx: context.Background()}
-	v, best := e.negamax(pos, depth, -scoreInf, scoreInf, true)
+	e := &searcher{}
+	v, best := e.search(pos, depth, -scoreInf, scoreInf)
 	return Result{Value: int32(v), Best: best, Nodes: e.nodes}
 }
 
-// SearchParallel evaluates the position to the given depth on a pool of
-// up to `workers` worker goroutines (0 means GOMAXPROCS) with per-worker
-// work-stealing deques. It returns the same value as Search.
-func SearchParallel(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	return searchPooled(ctx, pos, depth, workers, nil, nil, poolConfig{})
+// SearchOpt evaluates the position to the given depth on a one-shot pool
+// of opt.Workers workers, with the calling goroutine as worker 0, and
+// returns the same value as Search. With a table, Best among equal-valued
+// root moves may be the table's move rather than the leftmost.
+//
+// Error contract, shared by the drivers and Pool.Search: a search cut
+// short by ctx never returns a partial Result as if complete — the Result
+// is the zero value and the error is ErrCancelled, wrapping
+// context.DeadlineExceeded when the ctx deadline (rather than an explicit
+// cancel) ended the search; a panicking Position surfaces as
+// ErrSearchPanic. Long-lived callers should hold a Pool instead and
+// amortize the pool construction.
+func SearchOpt(ctx context.Context, pos Position, depth int, opt SearchOptions) (Result, error) {
+	return opt.searchOnce(ctx, pos, depth, false)
 }
 
-// searcher is the sequential search state of one goroutine: the node
-// counter is a plain per-worker integer (summed by the pool at the end,
-// never contended), free recycles move buffers for MoveAppender
-// positions, and stop/sp carry the pool's cancellation flag and the abort
-// chain of the current speculative task.
+// searchOnce is one full-window search on a one-shot pool.
+func (opt SearchOptions) searchOnce(ctx context.Context, pos Position, depth int, pvs bool) (Result, error) {
+	p := opt.newPool()
+	defer p.close()
+	opt.Table.Advance() // nil-safe
+	return p.search(ctx, pos, depth, -scoreInf, scoreInf, pvs)
+}
+
+// searcher is the search state of one goroutine: the node counter is a
+// plain per-worker integer (summed by the pool at the end, never
+// contended), free recycles move buffers for MoveAppender positions, and
+// stop/sp carry the pool's cancellation flag and the abort chain of the
+// current speculative task. A searcher with no worker behind it (own ==
+// nil, the bare searcher of Search) never splits and is never interrupted.
 type searcher struct {
-	ctx   context.Context
-	sem   chan struct{}    // bounds concurrency of the legacy spawn path
+	own   *worker          // the pool worker embedding this searcher, if any
 	table *Table           // optional shared transposition table
-	stop  *atomic.Bool     // pooled: set when the search context is cancelled
+	stop  *atomic.Bool     // pooled: set when the search is cancelled or a worker panicked
 	sp    *splitPoint      // pooled: abort chain of the current task
 	tm    *telemetry.Shard // optional telemetry shard (this worker's, single-writer)
 	nodes int64
+	pvs   bool         // null-window test + re-search on every child but the eldest
 	halt  bool         // latched by interrupted(): unwind every node, not 1-in-256
 	free  [][]Position // recycled move buffers (MoveAppender positions)
 }
@@ -106,15 +149,14 @@ type searcher struct {
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // interrupted reports whether this searcher should unwind: the pool's
-// cancellation flag (one uncontended atomic load), an aborted enclosing
-// split, or — for non-pooled searches — the context. It is polled every
-// checkMask nodes; global triggers (stop flag, context) latch e.halt so
-// that once tripped, EVERY subsequent node entry returns immediately.
-// Without the latch a poll only prunes the single node it fires on and
-// the siblings keep expanding — on a deep lazily-generated tree the
-// unwind would take longer than the search it is cancelling. Split
-// aborts are deliberately not latched: they end one speculative subtree,
-// not the whole search.
+// cancellation flag (one uncontended atomic load) or an aborted enclosing
+// split. Below the split horizon it is polled every checkMask nodes; the
+// stop flag latches e.halt so that once tripped, EVERY subsequent node
+// entry returns immediately. Without the latch a poll only prunes the
+// single node it fires on and the siblings keep expanding — on a deep
+// lazily-generated tree the unwind would take longer than the search it
+// is cancelling. Split aborts are deliberately not latched: they end one
+// speculative subtree, not the whole search.
 func (e *searcher) interrupted() bool {
 	if e.halt {
 		return true
@@ -123,18 +165,7 @@ func (e *searcher) interrupted() bool {
 		e.halt = true
 		return true
 	}
-	if e.sp != nil && e.sp.aborted() {
-		return true
-	}
-	if e.ctx != nil {
-		select {
-		case <-e.ctx.Done():
-			e.halt = true
-			return true
-		default:
-		}
-	}
-	return false
+	return e.sp.aborted()
 }
 
 // genMoves returns the successors of pos, through a recycled per-worker
@@ -162,14 +193,40 @@ func (e *searcher) putMoves(moves []Position, scratch bool) {
 	e.free = append(e.free, moves[:0])
 }
 
-// negamax is the sequential fail-hard search. wantBest selects whether the
-// best-move index is tracked (only needed at the root). When the searcher
-// carries a transposition table and the position implements Hasher,
-// sufficient-depth entries cut off immediately and stored best moves are
-// tried first.
-func (e *searcher) negamax(pos Position, depth int, alpha, beta int64, wantBest bool) (int64, int) {
+// hasher reports whether pos takes part in the transposition table: the
+// searcher has one and the position can hash itself. The table is checked
+// first so a table-less search pays no interface assertion per node.
+func (e *searcher) hasher(pos Position) (Hasher, bool) {
+	if e.table == nil {
+		return nil, false
+	}
+	h, ok := pos.(Hasher)
+	return h, ok
+}
+
+// search is the one search body: alpha-beta in negamax form, returning
+// the value of pos and the index (in pos's own move order) of the move
+// that achieved it. When the searcher carries a transposition table and
+// the position implements Hasher, sufficient-depth entries cut off
+// immediately and the stored best move is tried first. The eldest child
+// is always searched in place; the younger brothers follow in place too,
+// unless this is a pool worker above the split horizon whose own deque
+// has drained, in which case they become one split point that idle
+// workers steal from and this worker joins (pool.go). With e.pvs every
+// child but the eldest is first tested with a null window and re-searched
+// only if the test fails high inside an open window.
+//
+// A subtree that was interrupted — the pool stopped, or an enclosing split
+// was aborted — returns garbage and stores nothing in the table; whoever
+// started it discards the value (runTask completes with ok=false,
+// runSearch returns the zero Result).
+func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, int) {
 	e.nodes++
-	if (e.halt || e.nodes&checkMask == 0) && e.interrupted() {
+	// A pool worker above the horizon may turn this node into a split
+	// point. Such nodes are few and each is a whole subtree, so they also
+	// poll for interruption on every visit rather than 1 in checkMask.
+	split := depth > splitHorizon && e.own != nil
+	if (split || e.halt || e.nodes&checkMask == 0) && e.interrupted() {
 		return alpha, -1
 	}
 	if depth == 0 {
@@ -183,63 +240,90 @@ func (e *searcher) negamax(pos Position, depth int, alpha, beta int64, wantBest 
 
 	var hash uint64
 	hashed := false
-	ttBest := -1
-	if e.table != nil {
-		if h, ok := pos.(Hasher); ok {
-			hash, hashed = h.Hash(), true
+	first := 0 // the eldest child: the table's best move, else the leftmost
+	if h, ok := e.hasher(pos); ok {
+		hash, hashed = h.Hash(), true
+		if e.tm != nil {
+			e.tm.TTProbes.Add(1)
+			e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
+		}
+		if v, d, flag, tb, hit := e.table.ProbeAt(hash, depth); hit {
 			if e.tm != nil {
-				e.tm.TTProbes.Add(1)
-				e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
+				e.tm.TTHits.Add(1)
 			}
-			if v, d, flag, tb, hit := e.table.ProbeAt(hash, depth); hit {
-				if e.tm != nil {
-					e.tm.TTHits.Add(1)
+			ttBest := -1
+			if tb >= 0 && tb < len(moves) {
+				ttBest, first = tb, tb
+			}
+			if d >= depth {
+				switch flag {
+				case BoundExact:
+					alpha, beta = int64(v), int64(v)
+				case BoundLower:
+					alpha = max(alpha, int64(v))
+				case BoundUpper:
+					beta = min(beta, int64(v))
 				}
-				if tb >= 0 && tb < len(moves) {
-					ttBest = tb
-				}
-				if d >= depth {
-					switch flag {
-					case BoundExact:
-						e.putMoves(moves, scratch)
-						return int64(v), ttBest
-					case BoundLower:
-						if int64(v) > alpha {
-							alpha = int64(v)
-						}
-					case BoundUpper:
-						if int64(v) < beta {
-							beta = int64(v)
-						}
-					}
-					if alpha >= beta {
-						e.putMoves(moves, scratch)
-						return int64(v), ttBest
-					}
+				if alpha >= beta {
+					e.putMoves(moves, scratch)
+					return int64(v), ttBest
 				}
 			}
 		}
 	}
 	alpha0 := alpha
 
-	best := int64(-scoreInf)
-	bestIdx := -1
+	best, bestIdx := -scoreInf, -1
 	for j := 0; j < len(moves); j++ {
-		// Visit the stored best move first, then the rest in order.
+		// A pool worker above the horizon, before each younger brother:
+		// unwind if the previous child was interrupted (its value is
+		// garbage), and, once the eldest is back, decide whether the brothers
+		// become a split point.
+		//
+		// Splitting pays deque, join and merge machinery per sibling, so it
+		// is demand-driven: a worker opens a split point only when its own
+		// deque has drained — thieves took everything queued (or nothing was
+		// ever queued: the spine). A worker still holding queued tasks has
+		// already exposed unclaimed parallelism, so it searches the siblings
+		// in place instead; the recursion re-checks at every node, so the
+		// subtree starts splitting again the moment the queue empties.
+		// Without this gate every interior node above the horizon pays the
+		// split overhead and recursive splitting loses ~30% wall clock to
+		// splitting on the spine alone; with it, split points track steal
+		// demand.
+		if split && j > 0 {
+			if e.interrupted() {
+				break
+			}
+			if j == 1 && e.own.hungry() {
+				best, bestIdx = e.own.split(moves, first, depth-1, alpha, beta, best)
+				break
+			}
+		}
+		// Visit the eldest first, then the rest in the position's order.
+		// The mapping never reorders moves, which the position may own.
 		i := j
-		if ttBest >= 0 {
+		if first > 0 {
 			switch {
 			case j == 0:
-				i = ttBest
-			case j <= ttBest:
+				i = first
+			case j <= first:
 				i = j - 1
 			}
 		}
-		v, _ := e.negamax(moves[i], depth-1, -beta, -alpha, false)
+		lo := -beta
+		if e.pvs && j > 0 {
+			lo = -alpha - 1 // null-window test: is this move better than alpha?
+		}
+		v, _ := e.search(moves[i], depth-1, lo, -alpha)
 		v = -v
+		if e.pvs && j > 0 && v > alpha && v < beta {
+			// Fail high inside an open window: re-search exactly.
+			v, _ = e.search(moves[i], depth-1, -beta, -v)
+			v = -v
+		}
 		if v > best {
-			best = v
-			bestIdx = i
+			best, bestIdx = v, i
 		}
 		if best > alpha {
 			alpha = best
@@ -265,128 +349,14 @@ func (e *searcher) negamax(pos Position, depth int, alpha, beta int64, wantBest 
 		}
 	}
 	e.putMoves(moves, scratch)
-	if !wantBest {
-		return best, -1
-	}
 	return best, bestIdx
-}
-
-// parallelSpawn is the original cascade implementation — a goroutine,
-// channel and searcher struct per speculative sibling, bounded by a
-// semaphore — retained as the measurable baseline the pooled substrate is
-// benchmarked against (BenchmarkEnginePooled/spawn).
-func (e *searcher) parallelSpawn(pos Position, depth int, alpha, beta int64, wantBest bool) (int64, int) {
-	e.nodes++
-	if e.interrupted() {
-		return alpha, -1
-	}
-	if depth == 0 {
-		return int64(pos.Evaluate()), -1
-	}
-	moves := pos.Moves()
-	if len(moves) == 0 {
-		return int64(pos.Evaluate()), -1
-	}
-	// Shallow subtrees are cheaper to search in place than to schedule.
-	if depth <= 2 || len(moves) == 1 {
-		return e.negamax(pos, depth, alpha, beta, wantBest)
-	}
-
-	// Phase 1: the leftmost child establishes the window, exactly as the
-	// sequential algorithm would.
-	v0, _ := e.parallelSpawn(moves[0], depth-1, -beta, -alpha, false)
-	best := -v0
-	bestIdx := 0
-	if best > alpha {
-		alpha = best
-	}
-	if alpha >= beta || e.interrupted() {
-		return best, bestIdx
-	}
-
-	// Phase 2: speculative siblings. Each runs with the spawn-time
-	// window; a wider (stale) alpha only loses sharpness, never
-	// correctness.
-	type sibling struct {
-		idx int
-		val int64
-	}
-	subCtx, cancel := context.WithCancel(e.ctx)
-	defer cancel()
-	results := make(chan sibling, len(moves)-1)
-	var extra atomic.Int64
-	var wg sync.WaitGroup
-	a0 := atomic.Int64{}
-	a0.Store(alpha)
-	for i := 1; i < len(moves); i++ {
-		wg.Add(1)
-		go func(i int, m Position) {
-			defer wg.Done()
-			if e.sem != nil {
-				select {
-				case e.sem <- struct{}{}:
-					defer func() { <-e.sem }()
-				case <-subCtx.Done():
-					results <- sibling{i, -scoreInf}
-					return
-				}
-			}
-			sub := &searcher{ctx: subCtx, sem: e.sem, table: e.table}
-			v, _ := sub.negamax(m, depth-1, -beta, -a0.Load(), false)
-			extra.Add(sub.nodes)
-			results <- sibling{i, -v}
-		}(i, moves[i])
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	cut := false
-	for r := range results {
-		if cut || e.interrupted() {
-			continue // drain
-		}
-		if r.val > best {
-			best = r.val
-			bestIdx = r.idx
-		}
-		if best > alpha {
-			alpha = best
-			a0.Store(alpha)
-		}
-		if alpha >= beta {
-			cut = true
-			cancel() // abort remaining speculative siblings
-		}
-	}
-	e.nodes += extra.Load()
-	return best, bestIdx
-}
-
-// SearchParallelSpawn is the pre-pool SearchParallel (a goroutine, channel
-// and context per split point), kept as the A/B baseline for benchmarking
-// the substrates — gtbench -enginebench records it in BENCH_engine.json.
-//
-// Deprecated: use SearchParallel; this exists only to measure it against.
-func SearchParallelSpawn(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	return searchParallelSpawn(ctx, pos, depth, workers)
-}
-
-func searchParallelSpawn(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	e := &searcher{ctx: ctx, sem: make(chan struct{}, workers)}
-	v, best := e.parallelSpawn(pos, depth, -scoreInf, scoreInf, true)
-	if ctx.Err() != nil {
-		return Result{}, ErrCancelled
-	}
-	return Result{Value: int32(v), Best: best, Nodes: e.nodes}, nil
 }
 
 // Play returns the index of the best move at the root, or an error if the
 // position is terminal. The root move list is generated once, inside the
 // search — not pre-checked and recomputed.
 func Play(ctx context.Context, pos Position, depth, workers int) (int, error) {
-	r, err := SearchParallel(ctx, pos, depth, workers)
+	r, err := SearchOpt(ctx, pos, depth, SearchOptions{Workers: workers})
 	if err != nil {
 		return -1, err
 	}

@@ -72,7 +72,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		p := buildRandomPos(rng, depth, 4)
 		seq := Search(p, depth)
 		for _, workers := range []int{1, 2, 4, 8} {
-			par, err := SearchParallel(context.Background(), p, depth, workers)
+			par, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestBestMoveIsOptimal(t *testing.T) {
 		if len(p.kids) < 2 {
 			continue
 		}
-		r, err := SearchParallel(context.Background(), p, depth, 4)
+		r, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,6 +114,16 @@ func TestDepthZeroAndTerminal(t *testing.T) {
 	if r := Search(deep, 0); r.Value != deep.val || r.Best != -1 {
 		t.Errorf("depth 0: %+v", r)
 	}
+	// The pooled entry point runs the same body: same answers, no split.
+	for _, workers := range []int{1, 2} {
+		opt := SearchOptions{Workers: workers}
+		if r, err := SearchOpt(context.Background(), leaf, 5, opt); err != nil || r.Value != 7 || r.Best != -1 {
+			t.Errorf("terminal, %d workers: %+v %v", workers, r, err)
+		}
+		if r, err := SearchOpt(context.Background(), deep, 0, opt); err != nil || r.Value != deep.val || r.Best != -1 {
+			t.Errorf("depth 0, %d workers: %+v %v", workers, r, err)
+		}
+	}
 }
 
 func TestCancellation(t *testing.T) {
@@ -121,14 +131,14 @@ func TestCancellation(t *testing.T) {
 	p := buildRandomPos(rng, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SearchParallel(ctx, p, 10, 4); err != ErrCancelled {
+	if _, err := SearchOpt(ctx, p, 10, SearchOptions{Workers: 4}); err != ErrCancelled {
 		t.Errorf("want ErrCancelled, got %v", err)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	big := buildRandomPos(rand.New(rand.NewSource(6)), 14, 4)
 	start := time.Now()
-	_, err := SearchParallel(ctx2, big, 14, 4)
+	_, err := SearchOpt(ctx2, big, 14, SearchOptions{Workers: 4})
 	if err != ErrCancelled && time.Since(start) > 5*time.Second {
 		t.Errorf("cancellation did not stop the search (err=%v)", err)
 	}
@@ -152,64 +162,11 @@ func TestNodeCounting(t *testing.T) {
 	if seq.Nodes <= 0 {
 		t.Error("no nodes counted")
 	}
-	par, err := SearchParallel(context.Background(), p, 4, 4)
+	par, err := SearchOpt(context.Background(), p, 4, SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Nodes <= 0 {
 		t.Error("no parallel nodes counted")
-	}
-}
-
-func TestRootSplitMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 25; trial++ {
-		depth := 2 + rng.Intn(4)
-		p := buildRandomPos(rng, depth, 4)
-		seq := Search(p, depth)
-		for _, workers := range []int{1, 2, 4} {
-			rs, err := SearchRootSplit(context.Background(), p, depth, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.Value != seq.Value {
-				t.Fatalf("trial %d workers %d: root-split %d != sequential %d",
-					trial, workers, rs.Value, seq.Value)
-			}
-		}
-	}
-}
-
-func TestRootSplitTerminalAndCancel(t *testing.T) {
-	leaf := &treePos{val: 3}
-	r, err := SearchRootSplit(context.Background(), leaf, 4, 2)
-	if err != nil || r.Value != 3 || r.Best != -1 {
-		t.Errorf("terminal: %+v %v", r, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	big := buildRandomPos(rand.New(rand.NewSource(9)), 10, 3)
-	if _, err := SearchRootSplit(ctx, big, 10, 2); err != ErrCancelled {
-		t.Errorf("want ErrCancelled, got %v", err)
-	}
-}
-
-// Root splitting wastes work relative to the cascade: on positions where
-// the first move is best (good ordering), the speculative siblings search
-// with a stale alpha and visit more nodes in total.
-func TestRootSplitVisitsMoreNodesThanSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	var seqTotal, rsTotal int64
-	for trial := 0; trial < 10; trial++ {
-		p := buildRandomPos(rng, 5, 4)
-		seqTotal += Search(p, 5).Nodes
-		rs, err := SearchRootSplit(context.Background(), p, 5, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsTotal += rs.Nodes
-	}
-	if rsTotal < seqTotal {
-		t.Errorf("root split %d nodes < sequential %d — speculation should cost work", rsTotal, seqTotal)
 	}
 }

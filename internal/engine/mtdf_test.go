@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -13,7 +14,10 @@ func TestMTDFMatchesSearchOnHashedTrees(t *testing.T) {
 		pos := buildHashed(rng, depth, 3, &next)
 		plain := Search(pos, depth)
 		for _, guess := range []int32{0, plain.Value, plain.Value + 50, plain.Value - 50} {
-			r := MTDF(pos, depth, guess, SearchOptions{Table: NewTable(1 << 12)})
+			r, err := MTDF(context.Background(), pos, depth, guess, SearchOptions{Table: NewTable(1 << 12)})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if r.Value != plain.Value {
 				t.Fatalf("trial %d guess %d: MTDF %d != search %d", trial, guess, r.Value, plain.Value)
 			}
@@ -21,14 +25,22 @@ func TestMTDFMatchesSearchOnHashedTrees(t *testing.T) {
 	}
 }
 
+// One worker, so the node counts being compared are deterministic.
 func TestMTDFGoodGuessIsCheap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var next uint64
 	depth := 6
 	pos := buildHashed(rng, depth, 3, &next)
 	plain := Search(pos, depth)
-	exact := MTDF(pos, depth, plain.Value, SearchOptions{Table: NewTable(1 << 14)})
-	far := MTDF(pos, depth, plain.Value+1000, SearchOptions{Table: NewTable(1 << 14)})
+	ctx := context.Background()
+	exact, err := MTDF(ctx, pos, depth, plain.Value, SearchOptions{Table: NewTable(1 << 14), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := MTDF(ctx, pos, depth, plain.Value+1000, SearchOptions{Table: NewTable(1 << 14), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if exact.Value != plain.Value || far.Value != plain.Value {
 		t.Fatal("wrong values")
 	}
@@ -44,14 +56,14 @@ func TestMTDFWithoutTable(t *testing.T) {
 	var next uint64
 	pos := buildHashed(rng, 4, 3, &next)
 	plain := Search(pos, 4)
-	if r := MTDF(pos, 4, 0, SearchOptions{}); r.Value != plain.Value {
-		t.Errorf("MTDF %d != %d", r.Value, plain.Value)
+	if r, err := MTDF(context.Background(), pos, 4, 0, SearchOptions{}); err != nil || r.Value != plain.Value {
+		t.Errorf("MTDF %d != %d (err %v)", r.Value, plain.Value, err)
 	}
 }
 
 func TestMTDFTerminal(t *testing.T) {
 	leaf := &treePos{val: 5}
-	if r := MTDF(leaf, 4, 0, SearchOptions{}); r.Value != 5 {
-		t.Errorf("terminal: %+v", r)
+	if r, err := MTDF(context.Background(), leaf, 4, 0, SearchOptions{}); err != nil || r.Value != 5 {
+		t.Errorf("terminal: %+v (err %v)", r, err)
 	}
 }

@@ -68,7 +68,7 @@ func runTrapped(t *testing.T, spec *trapSpec, depth, workers int) error {
 	root := &trapPos{trap: spec, depth: 0, index: 0, maxDepth: depth, fanout: 4}
 	done := make(chan error, 1)
 	go func() {
-		_, err := SearchParallel(context.Background(), root, depth, workers)
+		_, err := SearchOpt(context.Background(), root, depth, SearchOptions{Workers: workers})
 		done <- err
 	}()
 	select {
@@ -126,23 +126,37 @@ func TestSearchPanicMessage(t *testing.T) {
 	}
 }
 
-// TestSearchPanicRootSplit covers the root-splitting baseline, whose
-// tasks all run under helper joins.
-func TestSearchPanicRootSplit(t *testing.T) {
-	spec := &trapSpec{depth: 3, index: 1}
-	root := &trapPos{trap: spec, depth: 0, index: 0, maxDepth: 5, fanout: 4}
-	done := make(chan error, 1)
-	go func() {
-		_, err := SearchRootSplit(context.Background(), root, 5, 4)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrSearchPanic) {
-			t.Fatalf("want ErrSearchPanic, got %v", err)
+// TestSearchPanicDrivers: the drivers run on the same pool as SearchOpt,
+// so a panicking Position surfaces from each of them as ErrSearchPanic
+// with a zero Result, whether it fires on the spine or in a stolen task.
+func TestSearchPanicDrivers(t *testing.T) {
+	drivers := map[string]func(Position, SearchOptions) (Result, error){
+		"SearchIterative": func(p Position, opt SearchOptions) (Result, error) {
+			r, _, err := SearchIterative(context.Background(), p, 5, opt)
+			return r, err
+		},
+		"MTDF": func(p Position, opt SearchOptions) (Result, error) {
+			return MTDF(context.Background(), p, 5, 0, opt)
+		},
+		"SearchPVS": func(p Position, opt SearchOptions) (Result, error) {
+			return SearchPVS(context.Background(), p, 5, opt)
+		},
+	}
+	for name, run := range drivers {
+		for _, workers := range []int{1, 4} {
+			for _, trapIdx := range []int{0, 1} {
+				spec := &trapSpec{depth: 1, index: trapIdx}
+				root := &trapPos{trap: spec, depth: 0, index: 0, maxDepth: 5, fanout: 4}
+				r, err := run(root, SearchOptions{Workers: workers})
+				if !spec.tripped.Load() {
+					continue // a zero-window pass may cut off before the trap
+				}
+				if !errors.Is(err, ErrSearchPanic) || r != (Result{}) {
+					t.Errorf("%s(w=%d, trap index %d): want zero Result and ErrSearchPanic, got %+v, %v",
+						name, workers, trapIdx, r, err)
+				}
+			}
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("watchdog: root-split trapped search did not return")
 	}
 }
 
@@ -151,7 +165,7 @@ func TestSearchPanicRootSplit(t *testing.T) {
 func TestNoPanicNoError(t *testing.T) {
 	spec := &trapSpec{depth: -1, index: -1}
 	root := &trapPos{trap: spec, depth: 0, index: 0, maxDepth: 6, fanout: 4}
-	r, err := SearchParallel(context.Background(), root, 6, 4)
+	r, err := SearchOpt(context.Background(), root, 6, SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

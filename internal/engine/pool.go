@@ -19,8 +19,9 @@ package engine
 // child is searched first with the full window ("young brothers wait"),
 // the remaining siblings run speculatively with the window sharpened by
 // completed siblings, and sibling results are merged in completion order
-// until a cutoff — exactly the discipline of the goroutine-per-sibling
-// implementation this replaces (kept as parallelSpawn for comparison).
+// until a cutoff. The search itself is searcher.search (engine.go), the
+// same body Search runs on a bare searcher; this file only supplies what
+// it needs to split: the deque, the split point, and the join.
 
 import (
 	"context"
@@ -33,41 +34,6 @@ import (
 
 	"gametree/internal/telemetry"
 )
-
-// seqSplitDepth is the default horizon below which subtrees are searched in
-// place: scheduling a task costs more than searching a 2-ply subtree.
-const seqSplitDepth = 2
-
-// poolConfig shapes how a pool splits work. The zero value is not used
-// directly — constructors pass it through normalize, which applies the
-// default horizon — so a zero SplitHorizon always means seqSplitDepth.
-type poolConfig struct {
-	// horizon is the remaining depth at or below which a subtree is
-	// searched sequentially in place rather than split into tasks.
-	horizon int
-	// spineOnly restores the pre-YBWC behaviour: stolen tasks run plain
-	// negamax and never open split points of their own, so splits exist
-	// only on the leftmost spine walked by worker 0.
-	spineOnly bool
-	// noYBW is the root-split baseline: every root move becomes a task
-	// with the full window and there is no young-brothers phase 1. Only
-	// meaningful together with a depth-1 horizon and spineOnly.
-	noYBW bool
-	// watermark is the demand-driven split gate: a worker opens a split
-	// point only while its own deque holds at most this many queued
-	// tasks (default 0 — split only when the queue has drained, i.e.
-	// thieves are actually hungry). Tests raise it to force eager
-	// splitting; production code leaves it at zero.
-	watermark int
-}
-
-// normalize applies the default horizon.
-func (c poolConfig) normalize() poolConfig {
-	if c.horizon <= 0 {
-		c.horizon = seqSplitDepth
-	}
-	return c
-}
 
 // task is one speculative sibling search, embedded in its split point's
 // task slab so a split costs O(1) allocations, not O(branching).
@@ -121,10 +87,9 @@ func (sp *splitPoint) aborted() bool {
 }
 
 // complete merges one finished sibling. Results are merged in completion
-// order and ignored once a cutoff has been found — the same discipline as
-// the channel-draining loop of the spawn-based implementation, so the
-// returned values are identical. ok is false for siblings that were
-// skipped or interrupted; their (partial) values must not be merged.
+// order and ignored once a cutoff has been found. ok is false for
+// siblings that were skipped or interrupted; their (partial) values must
+// not be merged.
 func (sp *splitPoint) complete(idx int, v int64, ok bool) {
 	if ok {
 		sp.mu.Lock()
@@ -243,9 +208,9 @@ func (d *deque) steal() (t *task, sawWork bool, retries int64) {
 // ---------------------------------------------------------------------------
 // Worker pool
 
-// worker is one pool member. It embeds a searcher, so the sequential
-// negamax (with its transposition table, scratch move buffers and plain
-// node counter) runs unchanged on pool workers; the pad keeps the thief-
+// worker is one pool member. It embeds a searcher, so the one search body
+// (with its transposition table, scratch move buffers and plain node
+// counter) runs unchanged on pool workers; the pad keeps the thief-
 // contended deque words off the cache line of the owner-hot counter.
 type worker struct {
 	searcher
@@ -260,12 +225,12 @@ type worker struct {
 // pool is a resident worker set. The goroutine calling runSearch becomes
 // worker 0 for that search; workers 1..n-1 run idleLoop for the pool's
 // whole lifetime, parking on a condition variable between searches so an
-// idle resident pool costs nothing. One-shot callers (searchPooled) build
-// a pool, run one search and close it — the construction cost they pay is
-// exactly what the exported Pool amortizes across requests.
+// idle resident pool costs nothing. One-shot callers (SearchOpt and the
+// drivers) build a pool, search and close it — the construction cost they
+// pay is exactly what the exported Pool amortizes across requests.
 type pool struct {
 	workers []*worker
-	cfg     poolConfig          // split-shaping knobs, fixed at construction
+	eager   bool                // tests only: split at every node, ignoring the demand gate
 	rec     *telemetry.Recorder // nil when the search is uninstrumented
 	stop    atomic.Bool         // current search cancelled or a worker panicked
 	active  atomic.Bool         // a search is in flight; helpers spin, not park
@@ -306,14 +271,15 @@ func (p *pool) err() error {
 // offsets the telemetry shard indices so several pools can share one
 // recorder without overlapping single-writer shards (the serve layer runs
 // pool k on shards [k*workers, (k+1)*workers)).
-func newPool(workers int, table *Table, rec *telemetry.Recorder, shardBase int, cfg poolConfig) *pool {
+func newPool(workers int, table *Table, rec *telemetry.Recorder, shardBase int) *pool {
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	p := &pool{workers: make([]*worker, workers), cfg: cfg.normalize(), rec: rec}
+	p := &pool{workers: make([]*worker, workers), rec: rec}
 	p.parkCond = sync.NewCond(&p.parkMu)
 	for i := range p.workers {
 		w := &worker{pool: p, id: i, rng: uint64(shardBase+i)*0x9e3779b97f4a7c15 + 1}
+		w.own = w
 		w.table = table
 		w.stop = &p.stop
 		w.tm = rec.Shard(shardBase + i) // nil when rec is nil
@@ -331,10 +297,10 @@ func newPool(workers int, table *Table, rec *telemetry.Recorder, shardBase int, 
 }
 
 // runSearch executes one search on the resident pool, with the calling
-// goroutine as worker 0 driving body (the phase-1 spine, or the root
-// split of the tree-splitting baseline). Calls must be serialized by the
-// owner — the exported Pool holds a mutex across it; the one-shot entry
-// points call it exactly once.
+// goroutine as worker 0 driving body (the spine of the cascade, or a
+// fanout). Calls must be serialized by the owner — the exported Pool
+// holds a mutex across it; the one-shot entry points and the drivers call
+// it from one goroutine.
 //
 // Reading the per-worker node counters here without waiting for the
 // helpers is safe: body returns only after every split point it opened
@@ -373,10 +339,10 @@ func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)
 	var v int64
 	var best int
 	// Worker 0's spine runs on the caller's stack, outside runTask's
-	// recover, so a phase-1 panic unwinds to here. Splits are opened and
-	// joined within a single search frame, so at any point of the phase-1
-	// descent no ancestor frame holds an undrained split — failing the
-	// pool and returning is a clean teardown.
+	// recover, so a panic under an eldest child unwinds to here. Splits are
+	// opened and joined within a single search frame, so at any point of
+	// the eldest-first descent no ancestor frame holds an undrained split —
+	// failing the pool and returning is a clean teardown.
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -518,12 +484,11 @@ func (w *worker) nextRand() uint64 {
 
 // runTask executes one speculative sibling, reading the freshest shared
 // alpha at start (a stale, wider window only loses sharpness, never
-// correctness). Above the sequential horizon the sibling re-enters the
-// splittable searcher with the split as its enclosing abort scope, so
-// helpers working a stolen subtree open split points of their own
-// (recursive YBWC); at or below the horizon — or in spine-only mode — it
-// runs the plain sequential negamax. Siblings cut or interrupted on the
-// way report ok=false so their partial values are never merged.
+// correctness). The sibling re-enters the search body with the split as
+// its enclosing abort scope, so a beta cutoff anywhere above pre-empts
+// it, and helpers working a stolen subtree open split points of their own
+// (recursive YBWC). Siblings cut or interrupted on the way report
+// ok=false so their partial values are never merged.
 func (w *worker) runTask(t *task) {
 	if t.fn != nil {
 		w.runFn(t)
@@ -559,14 +524,18 @@ func (w *worker) runTask(t *task) {
 			sp.complete(t.idx, 0, false)
 		}
 	}()
-	var v int64
-	if !w.pool.cfg.spineOnly && t.depth > w.pool.cfg.horizon {
-		// Recursive YBWC: the stolen subtree runs the full cascade and may
-		// split again. The enclosing split chains the abort scopes, so a
-		// beta cutoff anywhere above pre-empts every nested split here.
-		v, _ = w.search(t.pos, t.depth, -sp.beta, -sp.shared.Load(), sp, false)
-	} else {
-		v, _ = w.negamax(t.pos, t.depth, -sp.beta, -sp.shared.Load(), false)
+	// The child step of the search body's loop, on the split's window. A
+	// younger brother is never the eldest, so under pvs it is always
+	// tested with a null window first.
+	alpha, lo := sp.shared.Load(), -sp.beta
+	if w.pvs {
+		lo = -alpha - 1
+	}
+	v, _ := w.search(t.pos, t.depth, lo, -alpha)
+	v = -v
+	if w.pvs && v > alpha && v < sp.beta {
+		v, _ = w.search(t.pos, t.depth, -sp.beta, -v)
+		v = -v
 	}
 	ok := !w.pool.stop.Load() && !sp.aborted()
 	if w.tm != nil {
@@ -575,7 +544,7 @@ func (w *worker) runTask(t *task) {
 			w.noteAbort(t) // pre-empted mid-search
 		}
 	}
-	sp.complete(t.idx, -v, ok)
+	sp.complete(t.idx, v, ok)
 }
 
 // runFn executes one fanout task with the same panic isolation as the
@@ -684,11 +653,31 @@ func (w *worker) join(sp *splitPoint) {
 	}
 }
 
-// newSplit readies a split point over moves[1:] (or all moves when
-// firstIncluded) and pushes the sibling tasks in reverse, so the owner's
-// LIFO pops visit them in the sequential move order while thieves take the
-// most speculative ones from the far end.
-func (w *worker) newSplit(up *splitPoint, alpha, beta, best int64, bestIdx int, moves []Position, depth, from int) *splitPoint {
+// hungry is the demand gate of the search body: the worker's own deque
+// has drained, so whatever it queued has been claimed and a new split
+// point would feed a thief rather than sit behind unclaimed tasks.
+func (w *worker) hungry() bool {
+	return w.pool.eager || w.dq.bottom.Load() <= w.dq.top.Load()
+}
+
+// split searches every child of a node but its eldest (already searched in
+// place, with value best) as one split point under the current task's
+// abort scope, helps until the join drains, and returns the merged best
+// value and move index.
+func (w *worker) split(moves []Position, eldest, depth int, alpha, beta, best int64) (int64, int) {
+	sp := w.newSplit(alpha, beta, best, eldest, moves, depth)
+	w.join(sp)
+	best, bestIdx := sp.best, sp.bestIdx
+	w.releaseSplit(sp)
+	return best, bestIdx
+}
+
+// newSplit readies a split point over every move but the eldest and pushes
+// the sibling tasks in reverse, so the owner's LIFO pops visit them in the
+// sequential move order while thieves take the most speculative ones from
+// the far end. Tasks hold their own Position copies and the move index in
+// the position's own order.
+func (w *worker) newSplit(alpha, beta, best int64, eldest int, moves []Position, depth int) *splitPoint {
 	var sp *splitPoint
 	if n := len(w.spFree); n > 0 {
 		sp = w.spFree[n-1]
@@ -696,11 +685,11 @@ func (w *worker) newSplit(up *splitPoint, alpha, beta, best int64, bestIdx int, 
 	} else {
 		sp = new(splitPoint)
 	}
-	sp.up = up
+	sp.up = w.sp
 	sp.beta = beta
 	sp.alpha = alpha
 	sp.best = best
-	sp.bestIdx = bestIdx
+	sp.bestIdx = eldest
 	sp.abort.Store(false)
 	sp.shared.Store(alpha)
 	sp.rec = w.pool.rec
@@ -708,20 +697,25 @@ func (w *worker) newSplit(up *splitPoint, alpha, beta, best int64, bestIdx int, 
 	if sp.rec.TraceEnabled() {
 		sp.openNs = sp.rec.Now()
 	}
-	n := len(moves) - from
+	n := len(moves) - 1
 	if cap(sp.tasks) < n {
 		sp.tasks = make([]task, n)
 	} else {
 		sp.tasks = sp.tasks[:n]
 	}
 	sp.pending.Store(int32(n))
-	for i := len(moves) - 1; i >= from; i-- {
-		sp.tasks[i-from] = task{sp: sp, pos: moves[i], idx: i, depth: depth}
-		w.dq.push(&sp.tasks[i-from])
+	k := n
+	for i := len(moves) - 1; i >= 0; i-- {
+		if i == eldest {
+			continue
+		}
+		k--
+		sp.tasks[k] = task{sp: sp, pos: moves[i], idx: i, depth: depth}
+		w.dq.push(&sp.tasks[k])
 	}
 	if w.tm != nil {
 		w.tm.Splits.Add(1)
-		if up != nil {
+		if sp.up != nil {
 			w.tm.NestedSplits.Add(1)
 		}
 		// depth is the remaining depth of the sibling subtrees; the split
@@ -755,131 +749,20 @@ func (w *worker) releaseSplit(sp *splitPoint) {
 	}
 }
 
-// search is the pooled cascade: leftmost child first (recursively, exactly
-// as the sequential search would), then the remaining children as
-// stealable speculative tasks with the window established by the first.
-// With recursive YBWC (the default), stolen tasks re-enter this function
-// and the cascade repeats inside the speculative subtree, down to the
-// configured horizon.
-func (w *worker) search(pos Position, depth int, alpha, beta int64, encl *splitPoint, wantBest bool) (int64, int) {
-	if w.pool.stop.Load() || (encl != nil && encl.aborted()) {
-		return alpha, -1
+// search runs the search body once on the pool, on the window (alpha,
+// beta), with worker 0 — the calling goroutine — walking the spine. The
+// pvs flag is written before runSearch wakes the helpers and read by them
+// only inside tasks, which they reach through the deque's atomics.
+func (p *pool) search(ctx context.Context, pos Position, depth int, alpha, beta int64, pvs bool) (Result, error) {
+	for _, w := range p.workers {
+		w.pvs = pvs
 	}
-	// Shallow (or horizonless) subtrees are cheaper in place than scheduled.
-	if depth <= w.pool.cfg.horizon {
-		prev := w.sp
-		w.sp = encl
-		v, b := w.negamax(pos, depth, alpha, beta, wantBest)
-		w.sp = prev
-		return v, b
-	}
-	w.nodes++
-	moves, scratch := w.genMoves(pos)
-	if len(moves) == 0 {
-		w.putMoves(moves, scratch)
-		return int64(pos.Evaluate()), -1
-	}
-
-	// Root-split baseline: all children become tasks with the caller's
-	// (full) window and no phase-1 eldest brother. With the depth-1 horizon
-	// SearchRootSplit configures, the root is the only node above the
-	// horizon, so this reproduces classical tree splitting exactly.
-	if w.pool.cfg.noYBW {
-		sp := w.newSplit(encl, alpha, beta, -scoreInf, -1, moves, depth-1, 0)
-		w.putMoves(moves, scratch)
-		w.join(sp)
-		best, bestIdx := sp.best, sp.bestIdx
-		w.releaseSplit(sp)
-		if !wantBest {
-			return best, -1
-		}
-		return best, bestIdx
-	}
-
-	// Phase 1: the leftmost child establishes the window, exactly as the
-	// sequential algorithm would.
-	v0, _ := w.search(moves[0], depth-1, -beta, -alpha, encl, false)
-	best := -v0
-	bestIdx := 0
-	if best > alpha {
-		alpha = best
-	}
-	if alpha >= beta || len(moves) == 1 ||
-		w.pool.stop.Load() || (encl != nil && encl.aborted()) {
-		w.putMoves(moves, scratch)
-		return best, bestIdx
-	}
-
-	// Splitting pays deque, join and merge machinery per sibling, so it
-	// is demand-driven: a worker opens a split point only when its own
-	// deque has drained — thieves took everything queued (or nothing was
-	// ever queued: the spine). A worker still holding queued tasks has
-	// already exposed unclaimed parallelism, so it searches the siblings
-	// in place instead; the recursion re-checks at every node, so the
-	// subtree starts splitting again the moment the queue empties.
-	// Without this gate every interior node above the horizon pays the
-	// split overhead and recursive YBWC loses ~30% wall clock to
-	// spine-only splitting; with it, split points track steal demand.
-	if w.dq.bottom.Load()-w.dq.top.Load() > int64(w.pool.cfg.watermark) {
-		for i := 1; i < len(moves); i++ {
-			v, _ := w.search(moves[i], depth-1, -beta, -alpha, encl, false)
-			if -v > best {
-				best = -v
-				bestIdx = i
-			}
-			if best > alpha {
-				alpha = best
-			}
-			if alpha >= beta || w.pool.stop.Load() ||
-				(encl != nil && encl.aborted()) {
-				break
-			}
-		}
-		w.putMoves(moves, scratch)
-		if !wantBest {
-			return best, -1
-		}
-		return best, bestIdx
-	}
-
-	// Phase 2: speculative siblings as tasks; help until the join drains.
-	sp := w.newSplit(encl, alpha, beta, best, bestIdx, moves, depth-1, 1)
-	w.putMoves(moves, scratch) // tasks hold their own Position copies
-	w.join(sp)
-	best, bestIdx = sp.best, sp.bestIdx
-	w.releaseSplit(sp)
-	if !wantBest {
-		return best, -1
-	}
-	return best, bestIdx
-}
-
-// searchPooled runs the cascade on a fresh one-shot pool, with the
-// calling goroutine as worker 0 (zero handoff cost: with one worker the
-// search is plainly sequential). Long-lived callers should hold a Pool
-// instead and amortize the construction.
-func searchPooled(ctx context.Context, pos Position, depth, workers int, table *Table, rec *telemetry.Recorder, cfg poolConfig) (Result, error) {
-	p := newPool(workers, table, rec, 0, cfg)
-	defer p.close()
 	return p.runSearch(ctx, func(w0 *worker) (int64, int) {
-		return w0.search(pos, depth, -scoreInf, scoreInf, nil, true)
+		return w0.search(pos, depth, alpha, beta)
 	})
 }
 
-// SearchRootSplit is the classical tree-splitting baseline: every root
-// move is a task, searched with the shared, atomically tightened alpha; no
-// phase-1 spine, no cutoffs (the root window stays full), so its
-// speculation waste is preserved for comparison. It is the pooled cascade
-// configured with a depth-1 horizon — the root is the only split node —
-// rather than a separate entry point.
-func SearchRootSplit(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	horizon := depth - 1
-	if horizon < 1 {
-		horizon = 1
-	}
-	return searchPooled(ctx, pos, depth, workers, nil, nil, poolConfig{
-		horizon:   horizon,
-		spineOnly: true,
-		noYBW:     true,
-	})
+// newPool builds the one-shot pool of a non-resident search.
+func (opt SearchOptions) newPool() *pool {
+	return newPool(opt.Workers, opt.Table, opt.Telemetry, 0)
 }

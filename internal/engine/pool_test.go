@@ -69,27 +69,23 @@ func TestDequeOwnerThieves(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesSpawnAndSequential pins the substrate swap: the pooled
-// cascade, the legacy goroutine-per-sibling cascade and the sequential
-// search must agree on every value.
-func TestPooledMatchesSpawnAndSequential(t *testing.T) {
+// TestPooledMatchesSequential pins the substrate: the pooled cascade and
+// the sequential search must agree on every value, up to heavy
+// oversubscription.
+func TestPooledMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
 		depth := 3 + rng.Intn(4)
 		p := buildRandomPos(rng, depth, 4)
 		seq := Search(p, depth)
 		for _, workers := range []int{1, 2, 4, 16} {
-			pooled, err := SearchParallel(context.Background(), p, depth, workers)
+			pooled, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			spawn, err := searchParallelSpawn(context.Background(), p, depth, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pooled.Value != seq.Value || spawn.Value != seq.Value {
-				t.Fatalf("trial %d workers %d: pooled %d spawn %d sequential %d",
-					trial, workers, pooled.Value, spawn.Value, seq.Value)
+			if pooled.Value != seq.Value {
+				t.Fatalf("trial %d workers %d: pooled %d sequential %d",
+					trial, workers, pooled.Value, seq.Value)
 			}
 		}
 	}
@@ -105,7 +101,7 @@ func TestPooledNodeParityOneWorker(t *testing.T) {
 		depth := 4 + rng.Intn(3)
 		p := buildRandomPos(rng, depth, 4)
 		seq := Search(p, depth)
-		pooled, err := SearchParallel(context.Background(), p, depth, 1)
+		pooled, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +127,7 @@ func TestSearchParallelRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				r, err := SearchParallelTT(context.Background(), pos, 7,
+				r, err := SearchOpt(context.Background(), pos, 7,
 					SearchOptions{Table: table, Workers: 8})
 				if err != nil {
 					t.Error(err)
@@ -155,7 +151,7 @@ func TestPooledCancellationMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := SearchParallel(ctx, p, 12, 8)
+		_, err := SearchOpt(ctx, p, 12, SearchOptions{Workers: 8})
 		done <- err
 	}()
 	cancel()
@@ -178,7 +174,7 @@ func TestScratchBufferReuse(t *testing.T) {
 		if plain.Value != viaAppend.Value || plain.Nodes != viaAppend.Nodes {
 			t.Fatalf("trial %d: append path %v != plain %v", trial, viaAppend, plain)
 		}
-		par, err := SearchParallel(context.Background(), a, depth, 4)
+		par, err := SearchOpt(context.Background(), a, depth, SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

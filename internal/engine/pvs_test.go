@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestPVSCancellation(t *testing.T) {
 	defer cancel2()
 	big := buildRandomPos(rand.New(rand.NewSource(10)), 14, 4)
 	start := time.Now()
-	if _, err := SearchPVS(ctx2, big, 14, SearchOptions{}); err != ErrCancelled {
+	if _, err := SearchPVS(ctx2, big, 14, SearchOptions{}); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("timeout: want ErrCancelled, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

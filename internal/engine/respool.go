@@ -1,13 +1,13 @@
 package engine
 
-// Resident search pool: the work-stealing worker set of searchPooled kept
-// alive across searches. A one-shot SearchParallelTT pays pool
-// construction — worker structs, deque rings, helper goroutine spawns —
-// on every call; a service handling sustained traffic pays it once per
-// Pool and runs each request as a park/wake cycle on warm workers. The
-// transposition table is shared by reference, so several Pools over one
-// Table give concurrent searches that cross-seed each other's move
-// ordering (the serve layer's core configuration).
+// Resident search pool: the work-stealing worker set of SearchOpt kept
+// alive across searches. A one-shot SearchOpt pays pool construction —
+// worker structs, deque rings, helper goroutine spawns — on every call; a
+// service handling sustained traffic pays it once per Pool and runs each
+// request as a park/wake cycle on warm workers. The transposition table
+// is shared by reference, so several Pools over one Table give concurrent
+// searches that cross-seed each other's move ordering (the serve layer's
+// core configuration).
 
 import (
 	"context"
@@ -41,18 +41,7 @@ func NewPool(workers int, table *Table, rec *telemetry.Recorder) *Pool {
 // of a set sharing one Recorder should pass base k*workers so every
 // worker keeps a private single-writer shard.
 func NewPoolShards(workers int, table *Table, rec *telemetry.Recorder, shardBase int) *Pool {
-	return NewPoolOpt(SearchOptions{Workers: workers, Table: table, Telemetry: rec}, shardBase)
-}
-
-// NewPoolOpt is NewPoolShards taking the full option set, so resident
-// pools honour the split-shaping knobs (SplitHorizon, SpineOnly) in
-// addition to Workers, Table and Telemetry. The knobs are fixed for the
-// pool's lifetime; every Search runs under them.
-func NewPoolOpt(opt SearchOptions, shardBase int) *Pool {
-	return &Pool{
-		p:     newPool(opt.Workers, opt.Table, opt.Telemetry, shardBase, opt.poolConfig()),
-		table: opt.Table,
-	}
+	return &Pool{p: newPool(workers, table, rec, shardBase), table: table}
 }
 
 // Workers reports the pool's worker count (after the 0 = GOMAXPROCS
@@ -61,11 +50,10 @@ func (rp *Pool) Workers() int { return len(rp.p.workers) }
 
 // Search runs one search on the resident workers, with the calling
 // goroutine as worker 0. The table generation is advanced per search,
-// mirroring SearchParallelTT. Cancellation follows the pooled contract:
-// ErrCancelled on ctx cancel, additionally wrapping
-// context.DeadlineExceeded when the deadline expired — in both cases the
-// Result is the zero value, never a partial search passed off as
-// complete.
+// mirroring SearchOpt, whose error contract it shares: ErrCancelled on
+// ctx cancel, additionally wrapping context.DeadlineExceeded when the
+// deadline expired — in both cases the Result is the zero value, never a
+// partial search passed off as complete.
 func (rp *Pool) Search(ctx context.Context, pos Position, depth int) (Result, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
@@ -73,9 +61,7 @@ func (rp *Pool) Search(ctx context.Context, pos Position, depth int) (Result, er
 		return Result{}, ErrPoolClosed
 	}
 	rp.table.Advance() // nil-safe
-	return rp.p.runSearch(ctx, func(w0 *worker) (int64, int) {
-		return w0.search(pos, depth, -scoreInf, scoreInf, nil, true)
-	})
+	return rp.p.search(ctx, pos, depth, -scoreInf, scoreInf, false)
 }
 
 // Fanout runs fn concurrently on the resident workers — the hook that

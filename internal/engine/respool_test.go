@@ -80,29 +80,29 @@ func TestResidentPoolClosed(t *testing.T) {
 	}
 }
 
-// TestSearchTTCancellation: SearchTT honours its context — both when the
-// context is dead on arrival and when it expires mid-search. The error
-// is the bare ErrCancelled sentinel (sequential path, no deadline
-// wrapping).
+// TestSearchTTCancellation: the one-worker table search (the calling
+// goroutine alone, no helpers) honours its context — both when the
+// context is dead on arrival and when it expires mid-search — under the
+// same error contract as every other width.
 func TestSearchTTCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if r, err := SearchTT(ctx, lazyDeep{}, 3, SearchOptions{}); err != ErrCancelled {
+	if r, err := SearchOpt(ctx, lazyDeep{}, 3, SearchOptions{Workers: 1}); err != ErrCancelled {
 		t.Fatalf("pre-cancelled: want ErrCancelled, got %v (result %+v)", err, r)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	if _, err := SearchTT(ctx2, lazyDeep{}, 30, SearchOptions{Table: NewTable(1 << 10)}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("timeout: want ErrCancelled, got %v", err)
+	if _, err := SearchOpt(ctx2, lazyDeep{}, 30, SearchOptions{Table: NewTable(1 << 10), Workers: 1}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timeout: want ErrCancelled wrapping DeadlineExceeded, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
 }
 
-// TestDeadlineNoPartialResult pins the SearchParallelOpt deadline
+// TestDeadlineNoPartialResult pins the SearchOpt deadline
 // contract: a timed-out search returns the zero Result — never a partial
 // value passed off as complete — and an error matching both ErrCancelled
 // and context.DeadlineExceeded, so callers can tell a timeout from an
@@ -110,7 +110,7 @@ func TestSearchTTCancellation(t *testing.T) {
 func TestDeadlineNoPartialResult(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	res, err := SearchParallelOpt(ctx, lazyDeep{}, 30, SearchOptions{
+	res, err := SearchOpt(ctx, lazyDeep{}, 30, SearchOptions{
 		Workers: 2,
 		Table:   NewTable(1 << 10),
 	})
@@ -128,7 +128,7 @@ func TestDeadlineNoPartialResult(t *testing.T) {
 	// existing callers, and DeadlineExceeded must not match.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	res2, err2 := SearchParallelOpt(ctx2, lazyDeep{}, 30, SearchOptions{Workers: 2})
+	res2, err2 := SearchOpt(ctx2, lazyDeep{}, 30, SearchOptions{Workers: 2})
 	if err2 != ErrCancelled {
 		t.Fatalf("explicit cancel: want bare ErrCancelled, got %v", err2)
 	}
@@ -141,7 +141,7 @@ func TestDeadlineNoPartialResult(t *testing.T) {
 }
 
 // TestConcurrentSearchesSharedTable: several goroutines hammer one
-// shared Table — via SearchParallelTT and via resident Pools — on
+// shared Table — via one-shot SearchOpt calls and via resident Pools — on
 // distinct positions with unique hashes. Every value must match the
 // isolated sequential search: a torn or misattributed TT entry surfaces
 // as a wrong root value, and the data paths run under -race in CI. The
@@ -171,7 +171,7 @@ func TestConcurrentSearchesSharedTable(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*nFix*rounds*2)
 
-	// Path 1: concurrent one-shot SearchParallelTT calls on the shared
+	// Path 1: concurrent one-shot SearchOpt calls on the shared
 	// table, each goroutine walking the fixtures in a different rotation.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -179,7 +179,7 @@ func TestConcurrentSearchesSharedTable(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				f := fixtures[(g+r)%nFix]
-				res, err := SearchParallelTT(context.Background(), f.pos, f.depth, SearchOptions{
+				res, err := SearchOpt(context.Background(), f.pos, f.depth, SearchOptions{
 					Workers: 2,
 					Table:   shared,
 				})

@@ -62,12 +62,12 @@ func TestSearchTTDepthUnlimited(t *testing.T) {
 		pos := buildHashed(rng, 3+rng.Intn(3), 3, &next)
 		plain := Search(pos, -1)
 		tab := NewTable(1 << 12)
-		tt, err := SearchTT(context.Background(), pos, -1, SearchOptions{Table: tab})
+		tt, err := SearchOpt(context.Background(), pos, -1, SearchOptions{Table: tab, Workers: 1})
 		if err != nil || plain.Value != tt.Value {
 			t.Fatalf("trial %d: plain %d != tt %d (err %v)", trial, plain.Value, tt.Value, err)
 		}
 		// A second pass over the warm table must agree as well.
-		if again, err := SearchTT(context.Background(), pos, -1, SearchOptions{Table: tab}); err != nil || again.Value != plain.Value {
+		if again, err := SearchOpt(context.Background(), pos, -1, SearchOptions{Table: tab, Workers: 1}); err != nil || again.Value != plain.Value {
 			t.Fatalf("trial %d: warm tt %d != plain %d (err %v)", trial, again.Value, plain.Value, err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestSearchTTMatchesPlain(t *testing.T) {
 		depth := 2 + rng.Intn(4)
 		pos := buildHashed(rng, depth, 4, &next)
 		plain := Search(pos, depth)
-		tt, err := SearchTT(context.Background(), pos, depth, SearchOptions{Table: NewTable(1 << 12)})
+		tt, err := SearchOpt(context.Background(), pos, depth, SearchOptions{Table: NewTable(1 << 12), Workers: 1})
 		if err != nil || plain.Value != tt.Value {
 			t.Fatalf("trial %d: plain %d != tt %d (err %v)", trial, plain.Value, tt.Value, err)
 		}
@@ -267,7 +267,7 @@ func TestSearchParallelTTMatchesPlain(t *testing.T) {
 		depth := 4 + rng.Intn(3)
 		pos := buildHashed(rng, depth, 3, &next)
 		plain := Search(pos, depth)
-		par, err := SearchParallelTT(context.Background(), pos, depth,
+		par, err := SearchOpt(context.Background(), pos, depth,
 			SearchOptions{Table: NewTable(1 << 12), Workers: 4})
 		if err != nil {
 			t.Fatal(err)

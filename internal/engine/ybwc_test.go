@@ -19,9 +19,8 @@ import (
 // sequential loop's, so the YBWC path must visit exactly the sequential
 // node count and return identical values and best moves — on the random
 // fixture suite and on the pessimal tree. The windows are finite inside
-// speculative subtrees (unlike the old spine-only splitter's full-window
-// tasks), so nested beta cutoffs fire even with no concurrency; the test
-// also pins that those cutoffs happen at all.
+// speculative subtrees, so nested beta cutoffs fire even with no
+// concurrency; the test also pins that those cutoffs happen at all.
 func TestYBWCNodeParityOneWorker(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(77))
@@ -32,7 +31,7 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 		seq := Search(p, depth)
 
 		rec := telemetry.NewRecorder()
-		par, err := SearchParallelOpt(ctx, p, depth,
+		par, err := SearchOpt(ctx, p, depth,
 			SearchOptions{Workers: 1, Telemetry: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,7 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 	const depth, branch = 7, 4
 	tree := (*BenchTreeAppender)(NewPessimalTree(depth, branch, 0))
 	seq := Search(tree, depth)
-	par, err := SearchParallel(ctx, tree, depth, 1)
+	par, err := SearchOpt(ctx, tree, depth, SearchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +66,19 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 
 // TestYBWCNestedAccounting pins the split accounting of the recursive
 // discipline on the pessimal tree at one worker, where scheduling is
-// deterministic: the phase-1 spine opens exactly depth-horizon splits
+// deterministic: the eldest-first spine opens exactly depth-horizon splits
 // with no enclosing split (up == nil), and every other split opens inside
 // a speculative subtree and must be counted as nested.
 func TestYBWCNestedAccounting(t *testing.T) {
 	const depth, branch = 6, 4
 	tree := NewPessimalTree(depth, branch, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchParallelOpt(context.Background(), (*BenchTreeAppender)(tree), depth,
+	if _, err := SearchOpt(context.Background(), (*BenchTreeAppender)(tree), depth,
 		SearchOptions{Workers: 1, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
 	c := rec.Snapshot().Total
-	spine := int64(depth - seqSplitDepth)
+	spine := int64(depth - splitHorizon)
 	if c.Splits-c.NestedSplits != spine {
 		t.Fatalf("splits %d, nested %d: want exactly %d non-nested spine splits",
 			c.Splits, c.NestedSplits, spine)
@@ -165,13 +164,15 @@ func TestYBWCNestedAbortDrain(t *testing.T) {
 	root := &node{kids: []Position{leaf(-10), x}}
 
 	// Hand-computed minimax: X1 = 12, X = max(-20,-12,-8,-50) = -8,
-	// R = max(10, 8) = 10 with best move 0. The raised watermark forces
-	// eager splitting — the demand-driven gate would otherwise keep the
-	// owner sequential while X2/X3 sit queued, and this test is about
-	// the abort machinery, not the gate policy.
+	// R = max(10, 8) = 10 with best move 0. The pool's test-only eager
+	// flag forces a split at every node — the demand-driven gate would
+	// otherwise keep the owner sequential while X2/X3 sit queued, and this
+	// test is about the abort machinery, not the gate policy.
 	rec := telemetry.NewRecorder()
-	r, err := searchPooled(context.Background(), root, 5, 4, nil, rec,
-		poolConfig{watermark: 64})
+	p := newPool(4, nil, rec, 0)
+	p.eager = true
+	defer p.close()
+	r, err := p.search(context.Background(), root, 5, -scoreInf, scoreInf, false)
 	if err != nil {
 		t.Fatal(err)
 	}

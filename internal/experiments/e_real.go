@@ -83,7 +83,7 @@ func E12MessagePassing(cfg Config) []*stats.Table {
 	tb3.AddRow("sequential", seq.Nodes, seqTime.Round(time.Millisecond).String(), 1.0)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		start = time.Now()
-		par, err := engine.SearchParallel(context.Background(), pos, depth, w)
+		par, err := engine.SearchOpt(context.Background(), pos, depth, engine.SearchOptions{Workers: w})
 		el := time.Since(start)
 		if err != nil {
 			panic(err)
@@ -93,17 +93,7 @@ func E12MessagePassing(cfg Config) []*stats.Table {
 		}
 		tb3.AddRow(w, par.Nodes, el.Round(time.Millisecond).String(), float64(seqTime)/float64(el))
 	}
-	start = time.Now()
-	rs, err := engine.SearchRootSplit(context.Background(), pos, depth, runtime.GOMAXPROCS(0))
-	if err != nil {
-		panic(err)
-	}
-	rsTime := time.Since(start)
-	if rs.Value != seq.Value {
-		panic("root-split value mismatch")
-	}
-	tb3.AddRow("root-split", rs.Nodes, rsTime.Round(time.Millisecond).String(), float64(seqTime)/float64(rsTime))
-	tb3.AddNote("root-split is the classical references-[2,4] baseline: more speculative nodes than the cascade")
+	tb3.AddNote("the classical root-split baseline of references [2,4] is retired; its last row is on file in EXPERIMENTS.md §E12c")
 	tb3.AddNote("GOMAXPROCS=%d; on a single-CPU host the parallel cascade can only match the sequential wall", runtime.GOMAXPROCS(0))
 	tb3.AddNote("clock (the value is still exact); on a multicore host the speculative siblings run concurrently")
 	tb3.AddNote("and the wall clock drops while node counts rise slightly (speculation)")

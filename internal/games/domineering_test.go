@@ -76,14 +76,14 @@ func TestDomineeringParallelAndTT(t *testing.T) {
 	p := NewDomineering(4, 3)
 	depth := p.MaxMoves() + 1
 	seq := engine.Search(p, depth)
-	par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+	par, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Value != seq.Value {
 		t.Errorf("parallel %d != sequential %d", par.Value, seq.Value)
 	}
-	tt, err := engine.SearchTT(context.Background(), p, depth, engine.SearchOptions{Table: engine.NewTable(1 << 16)})
+	tt, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Table: engine.NewTable(1 << 16), Workers: 1})
 	if err != nil || tt.Value != seq.Value {
 		t.Errorf("tt %d != sequential %d (err %v)", tt.Value, seq.Value, err)
 	}

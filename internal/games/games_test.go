@@ -23,7 +23,7 @@ func TestTTTIsADraw(t *testing.T) {
 
 func TestTTTParallelAgrees(t *testing.T) {
 	seq := engine.Search(TTT{}, 9)
-	par, err := engine.SearchParallel(context.Background(), TTT{}, 9, 4)
+	par, err := engine.SearchOpt(context.Background(), TTT{}, 9, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestConnect4EngineFindsImmediateWin(t *testing.T) {
 	for _, c := range []int{0, 6, 1, 6, 2, 5} {
 		cur = cur.Drop(c)
 	}
-	r, err := engine.SearchParallel(context.Background(), cur, 4, 4)
+	r, err := engine.SearchOpt(context.Background(), cur, 4, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestConnect4ParallelAgreesWithSequential(t *testing.T) {
 	p := NewConnect4(5, 4, 3)
 	for depth := 1; depth <= 6; depth++ {
 		seq := engine.Search(p, depth)
-		par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+		par, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestTranspositionTableHelpsOnConnect4(t *testing.T) {
 	const depth = 7
 	plain := engine.Search(pos, depth)
 	tab := engine.NewTable(1 << 16)
-	first, err := engine.SearchTT(context.Background(), pos, depth, engine.SearchOptions{Table: tab})
+	first, err := engine.SearchOpt(context.Background(), pos, depth, engine.SearchOptions{Table: tab, Workers: 1})
 	if err != nil || first.Value != plain.Value {
 		t.Fatalf("tt value %d != plain %d (err %v)", first.Value, plain.Value, err)
 	}
@@ -401,7 +401,7 @@ func TestTranspositionTableHelpsOnConnect4(t *testing.T) {
 		t.Errorf("tt search visited %d nodes, plain %d", first.Nodes, plain.Nodes)
 	}
 	// A repeated search on the warm table is nearly free.
-	second, err := engine.SearchTT(context.Background(), pos, depth, engine.SearchOptions{Table: tab})
+	second, err := engine.SearchOpt(context.Background(), pos, depth, engine.SearchOptions{Table: tab, Workers: 1})
 	if err != nil || second.Value != plain.Value {
 		t.Fatalf("warm tt value %d (err %v)", second.Value, err)
 	}

@@ -46,7 +46,7 @@ func TestKaylesEngineMatchesGrundyTheory(t *testing.T) {
 	for _, rows := range cases {
 		p := NewKayles(rows...)
 		depth := p.TotalPins() + 1
-		r, err := engine.SearchTT(context.Background(), p, depth, engine.SearchOptions{Table: tab})
+		r, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Table: tab, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestKaylesParallelAgrees(t *testing.T) {
 	p := NewKayles(4, 3)
 	depth := p.TotalPins() + 1
 	seq := engine.Search(p, depth)
-	par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+	par, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

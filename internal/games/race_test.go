@@ -23,7 +23,7 @@ func TestSearchParallelRaceConnect4(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
-				r, err := engine.SearchParallelTT(context.Background(), pos, 6,
+				r, err := engine.SearchOpt(context.Background(), pos, 6,
 					engine.SearchOptions{Table: table, Workers: 8})
 				if err != nil {
 					t.Error(err)
@@ -41,19 +41,11 @@ func TestSearchParallelRaceConnect4(t *testing.T) {
 
 func TestSearchParallelRaceTicTacToe(t *testing.T) {
 	var pos TTT // empty board: draw under perfect play
-	r, err := engine.SearchParallel(context.Background(), pos, 9, 8)
+	r, err := engine.SearchOpt(context.Background(), pos, 9, engine.SearchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Value != 0 {
 		t.Errorf("tic-tac-toe value %d, want 0 (draw)", r.Value)
-	}
-	// Root split on the same substrate, many workers.
-	rs, err := engine.SearchRootSplit(context.Background(), pos, 9, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Value != 0 {
-		t.Errorf("tic-tac-toe root-split value %d, want 0 (draw)", rs.Value)
 	}
 }

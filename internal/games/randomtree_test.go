@@ -66,14 +66,14 @@ func TestRandomTreeEngineAgreement(t *testing.T) {
 		p := NewRandomTree(seed, 4)
 		const depth = 6
 		seq := engine.Search(p, depth)
-		par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+		par, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if par.Value != seq.Value {
 			t.Errorf("seed %d: parallel %d != sequential %d", seed, par.Value, seq.Value)
 		}
-		tt, err := engine.SearchParallelTT(context.Background(), p, depth,
+		tt, err := engine.SearchOpt(context.Background(), p, depth,
 			engine.SearchOptions{Table: engine.NewTable(1 << 12), Workers: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -75,14 +75,6 @@ type Config struct {
 	SolveStoreEntries int
 	// RetryAfter is the hint attached to 429/503 responses (0 = 1s).
 	RetryAfter time.Duration
-	// SplitHorizon is the engine's sequential horizon: subtrees at or
-	// below this remaining depth run in place instead of splitting into
-	// stealable tasks (0 = the engine default, 2 ply).
-	SplitHorizon int
-	// SpineOnly disables recursive YBWC splitting in the engine pools:
-	// stolen tasks run plain sequential negamax (the pre-YBWC engine).
-	// The default (false) lets speculative subtrees split recursively.
-	SpineOnly bool
 	// Telemetry receives the engine counters of all pools (on disjoint
 	// shard ranges) and the serve counter section for /metrics. Nil
 	// creates a private recorder so /metrics always works.
@@ -246,10 +238,7 @@ func New(cfg Config) *Server {
 		s.table = engine.NewTable(cfg.TableEntries)
 		workers := 0
 		for i := 0; i < cfg.Pools; i++ {
-			p := engine.NewPoolOpt(engine.SearchOptions{
-				Workers: cfg.Workers, Table: s.table, Telemetry: cfg.Telemetry,
-				SplitHorizon: cfg.SplitHorizon, SpineOnly: cfg.SpineOnly,
-			}, i*workers)
+			p := engine.NewPoolShards(cfg.Workers, s.table, cfg.Telemetry, i*workers)
 			workers = p.Workers() // resolve the 0 = GOMAXPROCS default once
 			s.free <- p
 		}

@@ -156,7 +156,7 @@ func TestShardChaosMatrix(t *testing.T) {
 					w.Start()
 					workers = append(workers, w)
 				}
-				pool := engine.NewPoolOpt(engine.SearchOptions{Workers: 2}, 0)
+				pool := engine.NewPool(2, nil, nil)
 				coord := NewCoordinator(Config{
 					Net:         hub.view(0),
 					Self:        0,

@@ -148,7 +148,7 @@ func TestEpochFencing(t *testing.T) {
 // stale tasks to local compute — exact answer, degraded counters up —
 // rather than retrying into the void until quarantine.
 func TestReissueStaleDeadRingFallsBackLocal(t *testing.T) {
-	pool := engine.NewPoolOpt(engine.SearchOptions{Workers: 2}, 0)
+	pool := engine.NewPool(2, nil, nil)
 	defer pool.Close()
 	fn := &fakeNet{}
 	coord := NewCoordinator(Config{
@@ -321,7 +321,7 @@ func TestShardWorkerRejoinNewAddress(t *testing.T) {
 // keep answering exactly from the fallback pool with the degraded gauge
 // up; a replacement worker brings the tier back to healthy routing.
 func TestShardDegradedEmptyRingThenRecover(t *testing.T) {
-	pool := engine.NewPoolOpt(engine.SearchOptions{Workers: 2}, 0)
+	pool := engine.NewPool(2, nil, nil)
 	t.Cleanup(pool.Close) // registered before the cluster's: closes after the coordinator
 	cl := newCluster(t, 1, func(c *Config) { c.Fallback = pool })
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

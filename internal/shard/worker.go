@@ -36,11 +36,13 @@ type WorkerConfig struct {
 	// TableEntries sizes the local transposition table (0 disables it,
 	// which also disables the remote tier).
 	TableEntries int
-	// SplitHorizon and SpineOnly pass through to the search pool.
-	SplitHorizon int
-	SpineOnly    bool
 	// RemoteMinDepth gates the two-level table: probes and stores with
-	// remaining depth below it stay local (default 4).
+	// remaining depth below it stay local (default 8). Every interior
+	// node of a search probes and stores, so the gate is what keeps
+	// remote traffic rare: an envelope costs ~10µs of codec and socket
+	// work on each side, which is under 1% of a subtree only once that
+	// subtree runs to milliseconds — depth 8 on the cheapest game served
+	// (the hash-mix random tree, ~70ns/node).
 	RemoteMinDepth int
 	// RemoteWindow bounds in-flight remote probes; beyond it probes are
 	// skipped, never queued (default 256).
@@ -67,7 +69,7 @@ type WorkerConfig struct {
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.RemoteMinDepth <= 0 {
-		c.RemoteMinDepth = 4
+		c.RemoteMinDepth = 8
 	}
 	if c.RemoteWindow <= 0 {
 		c.RemoteWindow = 256
@@ -170,13 +172,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.TableEntries > 0 {
 		table = engine.NewTable(cfg.TableEntries)
 	}
-	pool := engine.NewPoolOpt(engine.SearchOptions{
-		Workers:      cfg.PoolWorkers,
-		Table:        table,
-		Telemetry:    cfg.Telemetry,
-		SplitHorizon: cfg.SplitHorizon,
-		SpineOnly:    cfg.SpineOnly,
-	}, 0)
+	pool := engine.NewPool(cfg.PoolWorkers, table, cfg.Telemetry)
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{
 		cfg:         cfg,

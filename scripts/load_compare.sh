@@ -4,7 +4,7 @@
 # Four runs of the identical deterministic workload (random game,
 # duplicate-heavy mix) land in one benchfmt document:
 #   run 1  label=baseline  gtload -baseline: one independent
-#                          SearchParallelTT per request over a shared
+#                          engine.SearchOpt per request over a shared
 #                          table — no pool residency, no coalescing, no
 #                          result cache;
 #   run 2  label=shard1    a distributed ring of one coordinator + one
