@@ -30,14 +30,20 @@ chaos:
 	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC' \
 		./internal/faultnet/ ./internal/msgpass/ ./internal/engine/
 
-# Frame-codec fuzzing on a bounded budget: the length-prefixed TCP
-# frame reader must never panic or over-allocate on arbitrary bytes.
-# The seeded unit form of FuzzFrameRoundTrip already rides in `test`
-# and `race`; this throws randomized mutations at it for FUZZTIME
-# (default 30s) and is wired into the CI race matrix.
+# Fuzzing on a bounded budget, split evenly between the two parsers of
+# outside input: the length-prefixed TCP frame reader must never panic or
+# over-allocate on arbitrary bytes, and the serving layer's position
+# parsers (all five registered games) must never panic, must re-parse
+# their own canonical forms to themselves, and must expand only to
+# positions that parse. The seeded unit forms of both already ride in
+# `test` and `race`; this throws randomized mutations at them for
+# FUZZTIME in total (whole seconds, default 30s) and is wired into the CI
+# race matrix.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$(FUZZTIME) ./internal/transport/
+	each=$$(( $(FUZZTIME:s=) / 2 ))s; \
+	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$$each ./internal/transport/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -60,9 +60,10 @@ func (p *Connect4) Drop(c int) *Connect4 {
 	return q
 }
 
-// lastWon reports whether the player who made the last move completed a
-// line through the last-dropped disc.
-func (p *Connect4) lastWon() bool {
+// Won reports whether the player who made the last move completed a
+// line through the last-dropped disc: the game is over and the position
+// has no successors.
+func (p *Connect4) Won() bool {
 	if p.LastCol < 0 {
 		return false
 	}
@@ -96,7 +97,7 @@ func (p *Connect4) Moves() []engine.Position {
 // appended to dst, so the engine can recycle per-worker move buffers.
 func (p *Connect4) AppendMoves(dst []engine.Position) []engine.Position {
 	dst = dst[:0]
-	if p.lastWon() {
+	if p.Won() {
 		return dst
 	}
 	mid := p.W / 2
@@ -120,7 +121,7 @@ func (p *Connect4) AppendMoves(dst []engine.Position) []engine.Position {
 // Evaluate scores the position for the side to move: loss if the opponent
 // just won; otherwise a heuristic counting open lines.
 func (p *Connect4) Evaluate() int32 {
-	if p.lastWon() {
+	if p.Won() {
 		return -engine.WinScore()
 	}
 	me := p.Mover

@@ -115,11 +115,11 @@ func TestConnect4WinDetection(t *testing.T) {
 		if cur == nil {
 			t.Fatalf("drop %d failed", c)
 		}
-		if i < len(seq)-1 && cur.lastWon() {
+		if i < len(seq)-1 && cur.Won() {
 			t.Fatalf("premature win after move %d", i)
 		}
 	}
-	if !cur.lastWon() {
+	if !cur.Won() {
 		t.Fatal("X should have won")
 	}
 	if len(cur.Moves()) != 0 {
@@ -137,7 +137,7 @@ func TestConnect4VerticalDiagonalWins(t *testing.T) {
 	for _, c := range []int{0, 1, 0, 1, 0} {
 		cur = cur.Drop(c)
 	}
-	if !cur.lastWon() {
+	if !cur.Won() {
 		t.Error("vertical win missed")
 	}
 	// Diagonal: build a staircase.
@@ -148,7 +148,7 @@ func TestConnect4VerticalDiagonalWins(t *testing.T) {
 			t.Fatal("drop failed")
 		}
 	}
-	if !cur.lastWon() {
+	if !cur.Won() {
 		t.Errorf("diagonal win missed:\n%s", cur)
 	}
 }

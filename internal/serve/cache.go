@@ -1,124 +1,141 @@
 package serve
 
-// Two layers of duplicate suppression sit in front of the engine pools:
+// Two layers of duplicate suppression sit in front of the engine pools,
+// each written once and instantiated per result type (a search result, a
+// solve verdict):
 //
-//   - flightGroup coalesces identical *in-flight* searches: the first
-//     request for a key becomes the leader and runs the search, later
-//     arrivals block on its completion and share the Result. Coalesced
-//     joiners never enter the admission queue, so a duplicate-heavy burst
-//     costs one queue slot, not N.
-//   - resultCache is a bounded LRU of *completed* searches keyed by
-//     (position key, depth): repeats after completion are served without
-//     touching a pool at all. It memoizes exact root results — distinct
-//     from the shared transposition table, which memoizes interior bounds
-//     and survives eviction churn.
+//   - flights coalesces identical *in-flight* requests: the first request
+//     for a key becomes the leader and runs the work, later arrivals block
+//     on its completion and share the result. Coalesced joiners never
+//     enter the admission queue, so a duplicate-heavy burst costs one
+//     queue slot, not N.
+//   - lru is a bounded LRU of *completed* results keyed by canonical
+//     request: repeats after completion are served without touching a pool
+//     at all. It memoizes exact root results — distinct from the shared
+//     transposition table, which memoizes interior bounds and survives
+//     eviction churn. The same type, through take, is the checkout store
+//     for parked partial solvers.
 
 import (
 	"container/list"
 	"sync"
-
-	"gametree/internal/engine"
 )
 
-// flightCall is one in-flight search: joiners block on done and read
-// res/err afterwards (the channel close is the happens-before edge).
-type flightCall struct {
-	done     chan struct{}
-	res      engine.Result
-	err      error
-	degraded bool // backend answered in degraded mode (set before done closes)
+// flight is one in-flight request: joiners block on done and read res/err
+// afterwards (the channel close is the happens-before edge).
+type flight[R any] struct {
+	done chan struct{}
+	res  R
+	err  error
 }
 
-// flightGroup indexes in-flight searches by full request key.
-type flightGroup struct {
+func newFlight[R any]() *flight[R] { return &flight[R]{done: make(chan struct{})} }
+
+// flights indexes in-flight requests by full request key.
+type flights[R any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[string]*flight[R]
 }
 
-// join returns the call for key, creating it when absent. leader reports
-// whether this caller created it — the leader must eventually settle the
-// call with finish.
-func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
+// join returns the flight for key, creating it when absent. leader reports
+// whether this caller created it — the leader must eventually settle it
+// with finish.
+func (g *flights[R]) join(key string) (c *flight[R], leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[string]*flight[R])
 	}
 	if c := g.calls[key]; c != nil {
 		return c, false
 	}
-	c = &flightCall{done: make(chan struct{})}
+	c = newFlight[R]()
 	g.calls[key] = c
 	return c, true
 }
 
-// finish settles a call: the key is unregistered first, so requests
-// arriving after this point start a fresh flight (and will normally hit
-// the result cache instead), then the waiters are released.
-func (g *flightGroup) finish(key string, c *flightCall, res engine.Result, err error) {
+// finish settles a flight. If it is the one joined under key it is
+// unregistered first, so requests arriving after this point start a fresh
+// flight (and will normally hit the cache instead); a private flight that
+// was never joined leaves the index alone. Then the waiters are released.
+func (g *flights[R]) finish(key string, c *flight[R], res R, err error) {
 	g.mu.Lock()
-	delete(g.calls, key)
+	if g.calls[key] == c {
+		delete(g.calls, key)
+	}
 	g.mu.Unlock()
 	c.res, c.err = res, err
 	close(c.done)
 }
 
-// resultCache is a bounded LRU over completed search results. A zero or
-// negative capacity disables it (get always misses, put is a no-op).
-type resultCache struct {
+// lru is a bounded least-recently-used map. A zero or negative capacity
+// disables it (get and take always miss, put is a no-op).
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key string
-	res engine.Result
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
+func newLRU[V any](capacity int) *lru[V] {
 	if capacity <= 0 {
-		return &resultCache{}
+		return &lru[V]{}
 	}
-	return &resultCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	return &lru[V]{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *resultCache) get(key string) (engine.Result, bool) {
+// get returns the value for key and marks it most recently used.
+func (c *lru[V]) get(key string) (v V, ok bool) { return c.find(key, false) }
+
+// take removes and returns the value for key — checkout semantics: two
+// concurrent takers can never both hold one value.
+func (c *lru[V]) take(key string) (v V, ok bool) { return c.find(key, true) }
+
+func (c *lru[V]) find(key string, remove bool) (v V, ok bool) {
 	if c.cap == 0 {
-		return engine.Result{}, false
+		return v, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return engine.Result{}, false
+		return v, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	if remove {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	} else {
+		c.ll.MoveToFront(el)
+	}
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-func (c *resultCache) put(key string, res engine.Result) {
+func (c *lru[V]) put(key string, v V) {
 	if c.cap == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*lruEntry[V]).val = v
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
 	}
 }
 
-// len reports the live entry count (for tests and /healthz).
-func (c *resultCache) len() int {
+// len reports the live entry count (for tests, Stats and /healthz).
+func (c *lru[V]) len() int {
 	if c.cap == 0 {
 		return 0
 	}

@@ -1,120 +1,62 @@
 package serve
 
-// Position expansion for the shard tier: an ExpandFunc names the
+// Position expansion for the shard tier: a Game's Expand names the
 // children of a position *as canonical position strings*, in exactly the
 // order the game's Moves() generates them. The coordinator expands the
 // root a bounded number of plies, ships the frontier to workers as
 // independent (position, depth) tasks, and folds the results back up
 // with the negamax rule — so move-index answers (Result.Best) stay
 // byte-identical to a sequential search, which requires the expansion
-// order to match Moves() exactly. The test suite cross-checks every
+// order to match Moves() exactly: the board-game expanders walk Moves()
+// itself and name each successor, and the test suite cross-checks every
 // registered expander against the parser and Moves() for that game.
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"gametree/internal/games"
 )
 
-// ExpandFunc returns the canonical child position strings of a canonical
-// position, in Moves() order. Terminal positions return an empty slice.
-type ExpandFunc func(position string) ([]string, error)
-
-var (
-	expandersMu sync.RWMutex
-	expanders   = map[string]ExpandFunc{
-		"ttt":      expandTTT,
-		"connect4": expandConnect4,
-		"random":   expandRandom,
-	}
-)
-
-// RegisterExpander adds (or replaces) a game expander. Games without an
-// expander can still be served, just not sharded at the root.
-func RegisterExpander(name string, expand ExpandFunc) {
-	expandersMu.Lock()
-	defer expandersMu.Unlock()
-	expanders[name] = expand
-}
-
-// Expand resolves a game's expander and applies it. The position must
-// already be canonical (as returned by ParsePosition).
+// Expand applies a game's registered expander: the canonical child
+// position strings of a canonical position (as returned by ParsePosition),
+// in Moves() order. Terminal positions return an empty slice.
 func Expand(game, position string) ([]string, error) {
-	expandersMu.RLock()
-	expand := expanders[game]
-	expandersMu.RUnlock()
-	if expand == nil {
-		return nil, fmt.Errorf("game %q has no expander", game)
-	}
-	return expand(position)
-}
-
-// expandTTT mirrors games.TTT.AppendMoves: ascending cell order, mover's
-// mark placed, no children once somebody has three in a row.
-func expandTTT(position string) ([]string, error) {
-	pos, canon, err := parseTTTPosition(position)
+	g, err := lookupGame(game)
 	if err != nil {
 		return nil, err
 	}
-	p := pos.(games.TTT)
-	if p.Winner() != 0 {
-		return nil, nil
+	if g.Expand == nil {
+		return nil, fmt.Errorf("game %q has no expander", game)
 	}
-	// The mover follows from piece counts, as in ParseTTT.
-	mark := byte('X')
-	x, o := 0, 0
-	for _, c := range p.Cells {
-		switch c {
-		case 1:
-			x++
-		case 2:
-			o++
-		}
-	}
-	if x > o {
-		mark = 'O'
+	return g.Expand(position)
+}
+
+// expandTTT renders each successor board: ascending cell order, mover's
+// mark placed, no children once somebody has three in a row.
+func expandTTT(position string) ([]string, error) {
+	pos, _, err := parseTTTPosition(position)
+	if err != nil {
+		return nil, err
 	}
 	var out []string
-	for i := 0; i < 9; i++ {
-		if canon[i] != '.' {
-			continue
-		}
-		child := []byte(canon)
-		child[i] = mark
-		out = append(out, string(child))
+	for _, m := range pos.Moves() {
+		out = append(out, tttCanon(m.(games.TTT)))
 	}
 	return out, nil
 }
 
-// expandConnect4 mirrors games.Connect4.AppendMoves: center column
-// first, then alternating outward, skipping full columns; no children
-// after a win. The child canonical form is the parent move string plus
-// the column digit.
+// expandConnect4 names each successor by the parent move string plus the
+// column it dropped in: center column first, then alternating outward,
+// skipping full columns; no children after a win.
 func expandConnect4(position string) ([]string, error) {
 	pos, canon, err := parseConnect4Position(position)
 	if err != nil {
 		return nil, err
 	}
-	p := pos.(*games.Connect4)
-	if len(p.Moves()) == 0 {
-		return nil, nil // won (or full) position: terminal
-	}
-	mid := p.W / 2
 	var out []string
-	for off := 0; off < p.W; off++ {
-		for i, c := range [2]int{mid - off, mid + off} {
-			if i == 1 && off == 0 {
-				break
-			}
-			if c < 0 || c >= p.W {
-				continue
-			}
-			if p.Drop(c) != nil {
-				out = append(out, canon+strconv.Itoa(c))
-			}
-		}
+	for _, m := range pos.Moves() {
+		out = append(out, canon+strconv.Itoa(int(m.(*games.Connect4).LastCol)))
 	}
 	return out, nil
 }

@@ -29,6 +29,8 @@ func TestExpandersMatchMoves(t *testing.T) {
 		{"connect4", "333"},     // stacked center
 		{"connect4", "3344"},    // midgame
 		{"connect4", "3434343"}, // vertical win for player 1: terminal
+		{"connect4", "0101010"}, // the same on the edge column
+		{"ttt", "xox .o. .x."},  // non-canonical spelling of a midgame board
 		{"random", "42"},
 		{"random", "7:3"},
 		{"random", "18446744073709551615:16"}, // max seed, max branch
@@ -39,7 +41,7 @@ func TestExpandersMatchMoves(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			canon := key[len(tc.game)+1:]
+			canon := keyPosition(key)
 			children, err := Expand(tc.game, canon)
 			if err != nil {
 				t.Fatalf("expand: %v", err)
@@ -77,4 +79,55 @@ func TestExpandErrors(t *testing.T) {
 	if _, err := Expand("random", "notanumber"); err == nil {
 		t.Error("bad random seed expanded")
 	}
+	if _, err := Expand("connect4", "01010102"); err == nil {
+		t.Error("connect4 position past a win expanded")
+	}
+	if _, err := Expand("nim", "1,2"); err == nil {
+		t.Error("game without an expander expanded")
+	}
+}
+
+// FuzzParsePosition throws arbitrary position strings at every registered
+// game: parsing never panics, the canonical form is a fixed point of the
+// parser, and every child an expander names is itself a canonical
+// position — one per move, so the shard tier's fold indexes line up.
+func FuzzParsePosition(f *testing.F) {
+	fuzzGames := []string{"ttt", "connect4", "random", "nim", "kayles"}
+	for i, seeds := range [][]string{
+		{"", "XOX.O..X.", "xox .o. .x.", "XXXOO....", "XX"},
+		{"", "333", "3434343", "01010102", "7", "3333333"},
+		{"42", "7:3", "18446744073709551615:16", "042:7", "nan"},
+		{"3,5,7", "1 2 3", "0", "64,64", "x,2", ""},
+		{"5,6", "1", "3 2 1", "1,-2", "9999"},
+	} {
+		for _, seed := range seeds {
+			f.Add(uint8(i), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, g uint8, position string) {
+		game := fuzzGames[int(g)%len(fuzzGames)]
+		pos, key, err := ParsePosition(game, position)
+		if err != nil {
+			return
+		}
+		canon := keyPosition(key)
+		if _, again, err := ParsePosition(game, canon); err != nil || again != key {
+			t.Fatalf("%s %q: canonical form %q re-parses to %q, %v", game, position, canon, again, err)
+		}
+		children, err := Expand(game, canon)
+		if game == "nim" || game == "kayles" {
+			return // served, not sharded: no expander
+		}
+		if err != nil {
+			t.Fatalf("%s %q: expand: %v", game, canon, err)
+		}
+		if moves := pos.Moves(); len(children) != len(moves) {
+			t.Fatalf("%s %q: %d children for %d moves", game, canon, len(children), len(moves))
+		}
+		for _, c := range children {
+			if _, childKey, err := ParsePosition(game, c); err != nil || childKey != game+"|"+c {
+				t.Fatalf("%s %q: child %q parses to %q, %v", game, canon, c, childKey, err)
+			}
+		}
+	})
 }

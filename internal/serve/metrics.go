@@ -37,30 +37,38 @@ type serveStats struct {
 	latencyNs   metrics.Histogram // full request latency, all outcomes
 }
 
-// writeProm writes the gametree_serve_* families. The fixed order keeps
-// the exposition deterministic (and therefore diffable in CI artifacts).
-func (s *serveStats) writeProm(w io.Writer) error {
-	counters := []struct {
-		name, help string
-		v          *atomic.Int64
-	}{
-		{"gametree_serve_requests_total", "Search requests received.", &s.requests},
-		{"gametree_serve_admitted_total", "Leader searches granted an engine pool.", &s.admitted},
-		{"gametree_serve_rejected_queue_total", "Requests shed with 429: admission queue full.", &s.rejectedQueue},
-		{"gametree_serve_rejected_draining_total", "Requests shed with 503: server draining.", &s.rejectedDraining},
-		{"gametree_serve_coalesced_total", "Requests coalesced onto an identical in-flight search.", &s.coalesced},
-		{"gametree_serve_cache_hits_total", "Requests served from the result cache.", &s.cacheHits},
-		{"gametree_serve_cache_misses_total", "Requests that missed the result cache.", &s.cacheMisses},
-		{"gametree_serve_deadline_exceeded_total", "Requests that exceeded their deadline (504).", &s.deadlineExceeded},
-		{"gametree_serve_completed_total", "Requests answered 200.", &s.completed},
-		{"gametree_serve_degraded_total", "Requests answered 200 in degraded mode (shard ring empty, local fallback).", &s.degraded},
-		{"gametree_serve_failed_total", "Requests answered 500 (search error).", &s.failed},
-		{"gametree_serve_solve_requests_total", "Solve requests received.", &s.solveRequests},
-		{"gametree_serve_solve_partial_total", "Solves stopped before a verdict and parked for resume.", &s.solvePartial},
-		{"gametree_serve_solve_resumed_total", "Solves that continued a parked partial tree.", &s.solveResumed},
+// counters is the one list of request-path counters: Stats reports each
+// under its key, /metrics as gametree_serve_<key>_total. The fixed order
+// keeps the exposition deterministic (and therefore diffable in CI
+// artifacts).
+func (s *serveStats) counters() []counter {
+	return []counter{
+		{"requests", "Search requests received.", &s.requests},
+		{"admitted", "Leader searches granted an engine pool.", &s.admitted},
+		{"rejected_queue", "Requests shed with 429: admission queue full.", &s.rejectedQueue},
+		{"rejected_draining", "Requests shed with 503: server draining.", &s.rejectedDraining},
+		{"coalesced", "Requests coalesced onto an identical in-flight search.", &s.coalesced},
+		{"cache_hits", "Requests served from the result cache.", &s.cacheHits},
+		{"cache_misses", "Requests that missed the result cache.", &s.cacheMisses},
+		{"deadline_exceeded", "Requests that exceeded their deadline (504).", &s.deadlineExceeded},
+		{"completed", "Requests answered 200.", &s.completed},
+		{"degraded", "Requests answered 200 in degraded mode (shard ring empty, local fallback).", &s.degraded},
+		{"failed", "Requests answered 500 (search error).", &s.failed},
+		{"solve_requests", "Solve requests received.", &s.solveRequests},
+		{"solve_partial", "Solves stopped before a verdict and parked for resume.", &s.solvePartial},
+		{"solve_resumed", "Solves that continued a parked partial tree.", &s.solveResumed},
 	}
-	for _, c := range counters {
-		if err := telemetry.PromCounter(w, c.name, c.help, c.v.Load()); err != nil {
+}
+
+type counter struct {
+	key, help string
+	v         *atomic.Int64
+}
+
+// writeProm writes the gametree_serve_* families.
+func (s *serveStats) writeProm(w io.Writer) error {
+	for _, c := range s.counters() {
+		if err := telemetry.PromCounter(w, "gametree_serve_"+c.key+"_total", c.help, c.v.Load()); err != nil {
 			return err
 		}
 	}

@@ -16,39 +16,53 @@ import (
 	"gametree/internal/games"
 )
 
-// ParseFunc maps a position string to an engine Position and its
-// canonical form (the position part of the cache/coalescing key).
-type ParseFunc func(position string) (engine.Position, string, error)
+// Game is one registered game: Parse maps a request's position string to
+// an engine Position and its canonical form (the position part of the
+// cache/coalescing key); Expand, for the shard tier, names the children of
+// a canonical position — see expand.go. A game with a nil Expand is still
+// served, just not sharded at the root.
+type Game struct {
+	Parse  func(position string) (engine.Position, string, error)
+	Expand func(position string) ([]string, error)
+}
 
 var (
-	parsersMu sync.RWMutex
-	parsers   = map[string]ParseFunc{
-		"ttt":      parseTTTPosition,
-		"connect4": parseConnect4Position,
-		"random":   parseRandomPosition,
-		"nim":      parseNimPosition,
-		"kayles":   parseKaylesPosition,
+	registryMu sync.RWMutex
+	registry   = map[string]Game{
+		"ttt":      {parseTTTPosition, expandTTT},
+		"connect4": {parseConnect4Position, expandConnect4},
+		"random":   {parseRandomPosition, expandRandom},
+		"nim":      {Parse: parseNimPosition},
+		"kayles":   {Parse: parseKaylesPosition},
 	}
 )
 
-// RegisterGame adds (or replaces) a game parser. Tests use it to inject
+// RegisterGame adds (or replaces) a game. Tests use it to inject
 // controllable positions; embedders can use it to serve their own games.
-func RegisterGame(name string, parse ParseFunc) {
-	parsersMu.Lock()
-	defer parsersMu.Unlock()
-	parsers[name] = parse
+func RegisterGame(name string, g Game) {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	registry[name] = g
+}
+
+func lookupGame(name string) (Game, error) {
+	registryMu.RLock()
+	g, ok := registry[name]
+	registryMu.RUnlock()
+	if !ok {
+		return Game{}, fmt.Errorf("unknown game %q (want ttt, connect4, random, nim or kayles)", name)
+	}
+	return g, nil
 }
 
 // ParsePosition resolves a request's (game, position) pair. The returned
 // key is "<game>|<canonical position>", unique across games.
 func ParsePosition(game, position string) (engine.Position, string, error) {
-	parsersMu.RLock()
-	parse := parsers[game]
-	parsersMu.RUnlock()
-	if parse == nil {
-		return nil, "", fmt.Errorf("unknown game %q (want ttt, connect4, random, nim or kayles)", game)
+	g, err := lookupGame(game)
+	if err != nil {
+		return nil, "", err
 	}
-	pos, canon, err := parse(position)
+	pos, canon, err := g.Parse(position)
 	if err != nil {
 		return nil, "", fmt.Errorf("game %s: %w", game, err)
 	}
@@ -57,29 +71,42 @@ func ParsePosition(game, position string) (engine.Position, string, error) {
 
 // parseTTTPosition accepts the 9-character board form of games.ParseTTT
 // ("XOX.O..X.", row-major); "" is the empty board. The canonical form is
-// the upper-cased board, so case variants coalesce.
+// the board re-rendered from the parsed cells, so case variants and the
+// separators ParseTTT skips coalesce.
 func parseTTTPosition(position string) (engine.Position, string, error) {
 	if position == "" {
 		position = "........."
 	}
-	canon := strings.ToUpper(position)
-	p, err := games.ParseTTT(canon)
+	p, err := games.ParseTTT(position)
 	if err != nil {
 		return nil, "", err
 	}
-	return p, canon, nil
+	return p, tttCanon(p), nil
+}
+
+func tttCanon(p games.TTT) string {
+	var b [9]byte
+	for i, c := range p.Cells {
+		b[i] = ".XO"[c]
+	}
+	return string(b[:])
 }
 
 // parseConnect4Position accepts a sequence of 0-based column digits
 // played from the standard 7x6 board ("334" = center, center, col 4); ""
 // is the empty board. The move string itself is the canonical form:
 // transposed move orders reaching the same grid get distinct keys and
-// rely on the shared transposition table, not the result cache.
+// rely on the shared transposition table, not the result cache. A move
+// after a completed four-in-a-row is rejected: the game cannot reach that
+// grid, and a search of it would treat a decided game as live.
 func parseConnect4Position(position string) (engine.Position, string, error) {
 	p := games.StandardConnect4()
 	for i, r := range position {
 		if r < '0' || r > '9' {
 			return nil, "", fmt.Errorf("move %d: column %q is not a digit", i, string(r))
+		}
+		if p.Won() {
+			return nil, "", fmt.Errorf("move %d: game already won", i)
 		}
 		next := p.Drop(int(r - '0'))
 		if next == nil {

@@ -1,15 +1,16 @@
 // Package serve is the resident search service behind cmd/gtserve: an
 // HTTP JSON layer that holds a set of resident engine pools over one
-// shared transposition table and multiplexes concurrent search requests
-// onto them.
+// shared transposition table and multiplexes concurrent search and solve
+// requests onto them.
 //
-// Request path:
+// Request path — one, for /v1/search and /v1/solve alike (pipeline.go):
 //
-//	decode → admission check (503 while draining) → result cache →
-//	singleflight join (duplicates of an in-flight search wait for the
-//	leader) → bounded admission queue (429 + Retry-After when full) →
-//	acquire a resident pool → search under the request deadline →
-//	cache + respond
+//	begin (trace id, access record) → decode/validate (per endpoint) →
+//	drain gate (503 while draining) → result cache → singleflight join
+//	(duplicates of an in-flight request wait for the leader) → bounded
+//	admission queue (429 + Retry-After when full) → acquire a resident
+//	pool → run under the request deadline → settle + cache → respond
+//	(one error→status table)
 //
 // The pools are built once at New and reused for every request — the
 // whole point of the engine's resident-pool refactor: a request costs a
@@ -29,8 +30,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,6 +39,7 @@ import (
 	"time"
 
 	"gametree/internal/engine"
+	"gametree/internal/pns"
 	"gametree/internal/reqtrace"
 	"gametree/internal/telemetry"
 )
@@ -121,9 +121,6 @@ func (c *Config) applyDefaults() {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
-	if c.CacheEntries < 0 {
-		c.CacheEntries = 0
-	}
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 2 * time.Second
 	}
@@ -141,9 +138,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SolveStoreEntries == 0 {
 		c.SolveStoreEntries = 32
-	}
-	if c.SolveStoreEntries < 0 {
-		c.SolveStoreEntries = 0
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRecorder()
@@ -184,9 +178,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// errOverloaded settles a flight whose leader was shed before searching;
-// joiners translate it back to 429.
-var errOverloaded = errors.New("serve: overloaded")
+// searchOutcome is the settled state of one search flight. degraded is
+// the backend's mark on the producing search (see degraded.go); a replay
+// from the cache does not repeat it.
+type searchOutcome struct {
+	engine.Result
+	degraded bool
+}
 
 // Server is the resident search service. Construct with New, mount
 // Handler, and call Drain on shutdown.
@@ -195,14 +193,11 @@ type Server struct {
 	table *engine.Table
 	free  chan *engine.Pool // resident pools not currently searching
 
-	queued  atomic.Int64 // leaders waiting for a pool
-	flights flightGroup
-	cache   *resultCache
-	stats   serveStats
-
-	solves     solveFlights // in-flight /v1/solve leaders
-	solveCache *solveCache  // completed solve verdicts
-	partials   *solverStore // parked partial solvers awaiting resume
+	queued atomic.Int64 // leaders and streams waiting for a pool
+	search endpoint[searchOutcome]
+	solve  endpoint[solveOutcome]
+	parked *lru[*pns.Solver] // partial solvers awaiting resume, keyed by position
+	stats  serveStats
 
 	drainMu  sync.RWMutex // guards draining vs inflight.Add
 	draining bool
@@ -223,9 +218,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{cfg: cfg, start: time.Now()}
-	s.cache = newResultCache(cfg.CacheEntries)
-	s.solveCache = newSolveCache(cfg.CacheEntries)
-	s.partials = newSolverStore(cfg.SolveStoreEntries)
+	s.search = endpoint[searchOutcome]{noun: "search", cache: newLRU[searchOutcome](cfg.CacheEntries)}
+	s.solve = endpoint[solveOutcome]{noun: "solve", cache: newLRU[solveOutcome](cfg.CacheEntries),
+		keep: func(out solveOutcome) bool { return !out.partial }}
+	s.parked = newLRU[*pns.Solver](cfg.SolveStoreEntries)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.free = make(chan *engine.Pool, cfg.Pools)
 	if cfg.Backend != nil {
@@ -255,8 +251,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the HTTP handler tree (POST /v1/search, GET /healthz,
-// GET /metrics).
+// Handler returns the HTTP handler tree (POST /v1/search, POST /v1/solve,
+// GET /healthz, GET /metrics, GET /debug/gttrace).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Table exposes the shared transposition table (for load harnesses that
@@ -265,35 +261,10 @@ func (s *Server) Table() *engine.Table { return s.table }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
-	start := time.Now()
-
-	// Trace selection: an inbound X-GT-Trace header is always honoured,
-	// otherwise the tracer's sampler picks 1-in-N. trace == "" means the
-	// request is unsampled and every recording site below no-ops on it —
-	// the unsampled path allocates nothing (no wrapper, no context node)
-	// unless the access log needs the status anyway.
-	trace := r.Header.Get("X-GT-Trace")
-	if trace == "" && s.cfg.Tracer.SampleNext() {
-		trace = reqtrace.MintID()
-	}
-	var rec *accessRecord
-	if trace != "" || s.cfg.AccessLog != nil {
-		sw := &statusWriter{ResponseWriter: w}
-		w = sw
-		rec = &accessRecord{sw: sw, trace: trace}
-		if trace != "" {
-			w.Header().Set("X-GT-Trace", trace)
-		}
-		defer s.finishRequest(rec, start)
-	}
-
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
-		return
-	}
+	w, rq := s.begin(w, r)
+	defer s.end(&rq)
 	var req SearchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	if !decode(w, r, &req) {
 		return
 	}
 	pos, posKey, err := ParsePosition(req.Game, req.Position)
@@ -306,321 +277,50 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			errorResponse{fmt.Sprintf("depth %d out of range [0, %d]", req.Depth, s.cfg.MaxDepth)})
 		return
 	}
-	if rec != nil {
-		rec.game, rec.pos, rec.depth = req.Game, keyPosition(posKey), req.Depth
-	}
-
-	// Admission gate: no new work once draining. The RLock pairs with
-	// Drain's Lock so a request either sees draining (shed here) or has
-	// joined the inflight group before Drain starts waiting — never the
-	// gap in between, which would let Drain return with this request
-	// unanswered.
-	s.drainMu.RLock()
-	if s.draining {
-		s.drainMu.RUnlock()
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "draining")
+	rq.log.Game, rq.log.Pos, rq.log.Depth = req.Game, keyPosition(posKey), req.Depth
+	if !s.enter(&rq) {
+		s.respondErr(w, "search", nil, errDraining)
 		return
-	}
-	s.inflight.Add(1)
-	s.drainMu.RUnlock()
-	defer s.inflight.Done()
-	s.stats.inflight.Add(1)
-	defer s.stats.inflight.Add(-1)
-	defer func() { s.stats.latencyNs.Observe(time.Since(start).Nanoseconds()) }()
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
 	}
 
 	key := posKey + "/d" + strconv.Itoa(req.Depth)
-	resp := SearchResponse{Game: req.Game, Position: keyPosition(posKey), Depth: req.Depth}
-
-	if res, ok := s.cache.get(key); ok {
-		s.stats.cacheHits.Add(1)
-		s.stats.completed.Add(1)
-		if rec != nil {
-			rec.outcome = "cache-hit"
-		}
-		resp.fill(res, start, 0)
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.stats.cacheMisses.Add(1)
-
-	call, leader := s.flights.join(key)
-	if !leader {
-		// Coalesce: wait for the leader's search under this request's own
-		// deadline. The search itself keeps running on the leader's ctx —
-		// one slow joiner times out alone, it does not cancel the others.
-		s.stats.coalesced.Add(1)
-		if rec != nil {
-			rec.outcome = "coalesced"
-		}
-		select {
-		case <-call.done:
-		case <-time.After(deadline):
-			s.stats.deadlineExceeded.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{"deadline exceeded waiting for coalesced search"})
-			return
-		case <-s.baseCtx.Done():
-			s.stats.rejectedDraining.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "cancelled by shutdown")
-			return
-		case <-r.Context().Done():
-			return // client went away; nothing to answer
-		}
-		s.respondSettled(w, resp, call, start, 0, true)
-		return
-	}
-
-	// Leader path: bounded admission queue, then a resident pool.
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.flights.finish(key, call, engine.Result{}, errOverloaded)
-		s.stats.rejectedQueue.Add(1)
-		s.shed(w, http.StatusTooManyRequests, "admission queue full")
-		return
-	}
-	waitStart := time.Now()
-	var pool *engine.Pool
-	select {
-	case pool = <-s.free:
-	case <-time.After(deadline):
-		s.queued.Add(-1)
-		s.flights.finish(key, call, engine.Result{}, errOverloaded)
-		s.stats.deadlineExceeded.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "deadline exceeded waiting for a pool")
-		return
-	case <-s.baseCtx.Done():
-		s.queued.Add(-1)
-		s.flights.finish(key, call, engine.Result{}, errOverloaded)
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	s.queued.Add(-1)
-	queueWait := time.Since(waitStart)
-	s.stats.queueWaitNs.Observe(queueWait.Nanoseconds())
-	s.stats.admitted.Add(1)
-	if rec != nil {
-		rec.outcome = "search"
-		rec.queueNs = queueWait.Nanoseconds()
-	}
-	if trace != "" {
-		s.cfg.Tracer.Record(reqtrace.Span{
-			Trace: trace, Stage: reqtrace.StageQueue,
-			StartNs: waitStart.UnixNano(), DurNs: queueWait.Nanoseconds(),
-		})
-	}
-
-	// The search runs detached, under the server's lifetime plus the
-	// remaining request budget — decoupled from the leader's connection,
-	// so a leader disconnect (or backstop timeout below) does not strand
-	// the coalesced joiners, and the pool is reclaimed by this goroutine
-	// no matter how the leader's response went.
-	budget := deadline - queueWait
-	sctx, cancel := context.WithTimeout(s.baseCtx, budget)
-	// The trace rides the search context into the backend (the shard
-	// coordinator reads it there); coalesced joiners see the leader's
-	// trace on the spans, which is where the work actually ran.
-	sctx = reqtrace.NewContext(sctx, trace)
-	// The degraded flag lets the backend mark an exact-but-degraded
-	// answer (coordinator-local compute on an empty worker ring); it is
-	// copied onto the flight before it settles so joiners see it too.
-	sctx, degradedFlag := WithDegraded(sctx)
-	go func() {
-		defer cancel()
-		var res engine.Result
-		var err error
-		searchStart := time.Now()
-		if pool != nil {
-			res, err = pool.Search(sctx, pos, req.Depth)
-		} else {
-			res, err = s.cfg.Backend.Search(sctx, req.Game, req.Position, req.Depth)
-		}
-		if trace != "" {
-			note := "ok"
-			if err != nil {
-				note = "err: " + err.Error()
+	var coalesced bool
+	out, cached := lookup(s, &s.search, &rq, key)
+	if !cached {
+		run := func(ctx context.Context, pool *engine.Pool) (searchOutcome, error) {
+			if pool != nil {
+				res, err := pool.Search(ctx, pos, req.Depth)
+				return searchOutcome{Result: res}, err
 			}
-			s.cfg.Tracer.Record(reqtrace.Span{
-				Trace: trace, Stage: reqtrace.StageSearch,
-				StartNs: searchStart.UnixNano(), DurNs: time.Since(searchStart).Nanoseconds(),
-				Note: note,
-			})
+			// The degraded flag lets the backend mark an exact-but-degraded
+			// answer (coordinator-local compute on an empty worker ring); it
+			// settles with the flight, so joiners see it too.
+			ctx, degraded := WithDegraded(ctx)
+			res, err := s.cfg.Backend.Search(ctx, req.Game, req.Position, req.Depth)
+			return searchOutcome{res, degraded.Get()}, err
 		}
-		s.free <- pool
-		if err == nil {
-			s.cache.put(key, res)
+		out, coalesced, err = execute(s, &s.search, r, &rq, job[searchOutcome]{key: key, deadline: s.deadline(req.DeadlineMs), run: run})
+		if err != nil {
+			s.respondErr(w, "search", nil, err)
+			return
 		}
-		call.degraded = degradedFlag.Get() // before finish: done's close publishes it
-		s.flights.finish(key, call, res, err)
-	}()
-	select {
-	case <-call.done:
-		if call.degraded && rec != nil {
-			rec.outcome = "degraded"
-		}
-		s.respondSettled(w, resp, call, start, queueWait, false)
-	case <-time.After(budget + searchGrace):
-		// The search did not return even after its ctx expired: it is
-		// stuck in Position code that never polls (user-provided games
-		// can do that). Answer 504 and abandon it — the goroutine above
-		// settles the flight and reclaims the pool if it ever surfaces.
-		s.stats.deadlineExceeded.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{"search deadline exceeded"})
-	case <-s.baseCtx.Done():
-		// Hard shutdown: the search ctx is cancelled with the base ctx;
-		// answer now rather than racing its unwind.
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "cancelled by shutdown")
-	}
-}
-
-// searchGrace is the slack between a search ctx expiring and the leader
-// giving up on the search returning at all (see the backstop above).
-const searchGrace = 250 * time.Millisecond
-
-// statusWriter captures the response status once so the request span
-// and access log can report it without touching every write site.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-// accessRecord accumulates one request's identity and outcome as the
-// handler learns them; finishRequest turns it into the request span and
-// the access-log line. Only allocated for traced or logged requests.
-type accessRecord struct {
-	sw      *statusWriter
-	trace   string
-	game    string
-	pos     string
-	depth   int
-	outcome string // cache-hit | coalesced | search | degraded | "" (failed before admission)
-	queueNs int64
-}
-
-// accessLine is the JSONL access-log schema: one self-contained line per
-// request, so request-level data survives without a trace scrape.
-type accessLine struct {
-	TS      string `json:"ts"`
-	Trace   string `json:"trace,omitempty"`
-	Game    string `json:"game,omitempty"`
-	Pos     string `json:"pos,omitempty"`
-	Depth   int    `json:"depth"`
-	Outcome string `json:"outcome,omitempty"`
-	QueueNs int64  `json:"queue_ns"`
-	TotalNs int64  `json:"total_ns"`
-	Status  int    `json:"status"`
-}
-
-func (s *Server) finishRequest(rec *accessRecord, start time.Time) {
-	totalNs := time.Since(start).Nanoseconds()
-	status := rec.sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	if rec.trace != "" {
-		note := strconv.Itoa(status)
-		if rec.outcome != "" {
-			note += " " + rec.outcome
-		}
-		s.cfg.Tracer.Record(reqtrace.Span{
-			Trace: rec.trace, Stage: reqtrace.StageRequest,
-			StartNs: start.UnixNano(), DurNs: totalNs,
-			Note: note,
-		})
-	}
-	if s.cfg.AccessLog == nil {
-		return
-	}
-	b, err := json.Marshal(accessLine{
-		TS:      start.UTC().Format(time.RFC3339Nano),
-		Trace:   rec.trace,
-		Game:    rec.game,
-		Pos:     rec.pos,
-		Depth:   rec.depth,
-		Outcome: rec.outcome,
-		QueueNs: rec.queueNs,
-		TotalNs: totalNs,
-		Status:  status,
-	})
-	if err != nil {
-		return
-	}
-	b = append(b, '\n')
-	s.accessMu.Lock()
-	_, _ = s.cfg.AccessLog.Write(b)
-	s.accessMu.Unlock()
-}
-
-// respondSettled renders a settled flight for one waiter (leader or
-// joiner).
-func (s *Server) respondSettled(w http.ResponseWriter, resp SearchResponse, call *flightCall, start time.Time, queueWait time.Duration, coalesced bool) {
-	if err := call.err; err != nil {
-		switch {
-		case errors.Is(err, errOverloaded):
-			s.stats.rejectedQueue.Add(1)
-			s.shed(w, http.StatusTooManyRequests, "coalesced leader was shed")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.stats.deadlineExceeded.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{"search deadline exceeded"})
-		case errors.Is(err, engine.ErrCancelled), errors.Is(err, engine.ErrPoolClosed):
-			s.stats.rejectedDraining.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "search cancelled by shutdown")
-		default:
-			s.stats.failed.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		}
-		return
 	}
 	s.stats.completed.Add(1)
-	resp.fill(call.res, start, queueWait)
-	resp.Coalesced = coalesced
-	if call.degraded {
+	resp := SearchResponse{
+		Game: req.Game, Position: rq.log.Pos, Depth: req.Depth,
+		Value: out.Value, Best: out.Best, Nodes: out.Nodes,
+		ElapsedMs: float64(time.Since(rq.start).Nanoseconds()) / 1e6,
+		QueueMs:   float64(rq.log.QueueNs) / 1e6,
+		Cached:    cached, Coalesced: coalesced,
+	}
+	if out.degraded && !cached {
 		resp.Degraded = true
 		s.stats.degraded.Add(1)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (r *SearchResponse) fill(res engine.Result, start time.Time, queueWait time.Duration) {
-	r.Value = res.Value
-	r.Best = res.Best
-	r.Nodes = res.Nodes
-	r.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	r.QueueMs = float64(queueWait.Nanoseconds()) / 1e6
-}
-
-// keyPosition strips the "<game>|" prefix off a position key, recovering
-// the canonical position string for the response.
-func keyPosition(posKey string) string {
-	for i := 0; i < len(posKey); i++ {
-		if posKey[i] == '|' {
-			return posKey[i+1:]
+		if !coalesced {
+			rq.log.Outcome = "degraded"
 		}
 	}
-	return posKey
-}
-
-// shed writes an overload response with the Retry-After hint.
-func (s *Server) shed(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeJSON(w, status, errorResponse{msg})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -637,14 +337,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		backend = "shard"
 	}
 	writeJSON(w, code, map[string]any{
-		"status":      status,
-		"backend":     backend,
-		"uptime_s":    time.Since(s.start).Seconds(),
-		"pools":       s.cfg.Pools,
-		"queue_depth": s.cfg.QueueDepth,
-		"queued":      s.queued.Load(),
-		"inflight":    s.stats.inflight.Load(),
-		"cache_len":   s.cache.len(),
+		"status":         status,
+		"backend":        backend,
+		"uptime_s":       time.Since(s.start).Seconds(),
+		"pools":          s.cfg.Pools,
+		"queue_depth":    s.cfg.QueueDepth,
+		"queued":         s.queued.Load(),
+		"inflight":       s.stats.inflight.Load(),
+		"cache_len":      s.search.cache.len() + s.solve.cache.len(),
+		"parked_solvers": s.parked.len(),
 	})
 }
 
@@ -705,25 +406,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Stats returns a snapshot of the serve counters (for tests and the
-// gtserve shutdown report).
+// Stats returns a snapshot of the serve counters of both endpoints (for
+// tests, the benchmark and the gtserve shutdown report).
 func (s *Server) Stats() map[string]int64 {
-	return map[string]int64{
-		"requests":          s.stats.requests.Load(),
-		"admitted":          s.stats.admitted.Load(),
-		"rejected_queue":    s.stats.rejectedQueue.Load(),
-		"rejected_draining": s.stats.rejectedDraining.Load(),
-		"coalesced":         s.stats.coalesced.Load(),
-		"cache_hits":        s.stats.cacheHits.Load(),
-		"cache_misses":      s.stats.cacheMisses.Load(),
-		"deadline_exceeded": s.stats.deadlineExceeded.Load(),
-		"completed":         s.stats.completed.Load(),
-		"failed":            s.stats.failed.Load(),
+	m := map[string]int64{"parked_solvers": int64(s.parked.len())}
+	for _, c := range s.stats.counters() {
+		m[c.key] = c.v.Load()
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	return m
 }

@@ -1,18 +1,21 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gametree/internal/engine"
+	"gametree/internal/pns"
 )
 
 // blockPos is a test position whose leaf evaluation blocks until its
@@ -54,13 +57,13 @@ func (r *blockRegistry) release(id uint64) { close(r.gate(id)) }
 func init() {
 	// The "block" game: position string is a decimal id; every search of
 	// id N blocks until the test releases gate N.
-	RegisterGame("block", func(position string) (engine.Position, string, error) {
+	RegisterGame("block", Game{Parse: func(position string) (engine.Position, string, error) {
 		var id uint64
 		if _, err := fmt.Sscanf(position, "%d", &id); err != nil {
 			return nil, "", err
 		}
 		return blockPos{id: id, gate: testGates.gate(id)}, position, nil
-	})
+	}})
 }
 
 var testGates blockRegistry
@@ -97,6 +100,62 @@ func postSearch(t *testing.T, url string, req SearchRequest) (int, SearchRespons
 		t.Fatal(err)
 	}
 	return resp.StatusCode, ok, fail, resp.Header
+}
+
+// kinds are the request classes every pipeline behaviour is tested over:
+// both endpoints, and /v1/solve's streaming form.
+var kinds = []string{"search", "solve", "solve-stream"}
+
+// reply is one response reduced to what the pipeline tests assert on. For
+// a stream, streamErr is the final frame's error, if that is how it ended.
+type reply struct {
+	code      int
+	hdr       http.Header
+	partial   bool
+	streamErr string
+}
+
+// postKind posts one request of the given kind and reads it to the end.
+func postKind(t *testing.T, url, kind, game, position string, deadlineMs int) reply {
+	t.Helper()
+	if kind == "search" {
+		code, _, _, hdr := postSearch(t, url, SearchRequest{Game: game, Position: position, DeadlineMs: deadlineMs})
+		return reply{code: code, hdr: hdr}
+	}
+	body, _ := json.Marshal(SolveRequest{Game: game, Position: position, DeadlineMs: deadlineMs, Stream: kind == "solve-stream", ProgressMs: 5})
+	resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return reply{}
+	}
+	defer resp.Body.Close()
+	rep := reply{code: resp.StatusCode, hdr: resp.Header}
+	if resp.StatusCode != http.StatusOK {
+		return rep
+	}
+	if kind == "solve" {
+		var ok SolveResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ok); err != nil {
+			t.Error(err)
+		}
+		rep.partial = ok.Partial
+		return rep
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var frame struct {
+			Result *SolveResponse `json:"result"`
+			Error  string         `json:"error"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
+			t.Errorf("bad frame %q: %v", sc.Text(), err)
+		}
+		if frame.Result != nil {
+			rep.partial = frame.Result.Partial
+		}
+		rep.streamErr = frame.Error
+	}
+	return rep
 }
 
 // waitFor polls until cond or the deadline.
@@ -142,8 +201,9 @@ func TestSearchValidation(t *testing.T) {
 		{Game: "ttt", Position: "XX", Depth: 3},
 		{Game: "ttt", Depth: 9}, // beyond MaxDepth 8
 		{Game: "ttt", Depth: -1},
-		{Game: "connect4", Position: "7", Depth: 3}, // column out of range
-		{Game: "random", Position: "nan", Depth: 3}, // bad seed
+		{Game: "connect4", Position: "7", Depth: 3},        // column out of range
+		{Game: "connect4", Position: "01010102", Depth: 3}, // disc dropped after a four-in-a-row
+		{Game: "random", Position: "nan", Depth: 3},        // bad seed
 	} {
 		code, _, _, _ := postSearch(t, ts.URL, tc)
 		if code != http.StatusBadRequest {
@@ -198,160 +258,277 @@ func TestCoalescingSharesOneSearch(t *testing.T) {
 }
 
 func TestOverloadShedsWith429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1, QueueDepth: 1})
-	// Occupy the only pool.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "2001", Depth: 0, DeadlineMs: 5000})
-		if code != http.StatusOK {
-			t.Errorf("occupier status %d", code)
-		}
-	}()
-	waitFor(t, "pool occupied", func() bool { return s.Stats()["admitted"] == 1 })
-	// Fill the single queue slot with a second distinct position.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "2002", Depth: 0, DeadlineMs: 5000})
-		if code != http.StatusOK {
-			t.Errorf("queued status %d", code)
-		}
-	}()
-	waitFor(t, "queue occupied", func() bool { return s.queued.Load() == 1 })
-	// The third distinct leader must be shed immediately with 429.
-	code, _, _, hdr := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "2003", Depth: 0, DeadlineMs: 5000})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", code)
+	for i, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, Pools: 1, QueueDepth: 1})
+			base := uint64(2000 + 10*i) // this kind's gate ids
+			// Occupy the only pool.
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rep := postKind(t, ts.URL, kind, "block", fmt.Sprint(base+1), 5000); rep.code != http.StatusOK {
+					t.Errorf("occupier status %d", rep.code)
+				}
+			}()
+			waitFor(t, "pool occupied", func() bool { return s.Stats()["admitted"] == 1 })
+			// Fill the single queue slot with a second distinct position.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rep := postKind(t, ts.URL, kind, "block", fmt.Sprint(base+2), 5000); rep.code != http.StatusOK {
+					t.Errorf("queued status %d", rep.code)
+				}
+			}()
+			waitFor(t, "queue occupied", func() bool { return s.queued.Load() == 1 })
+			// The third distinct leader must be shed immediately with 429.
+			rep := postKind(t, ts.URL, kind, "block", fmt.Sprint(base+3), 5000)
+			if rep.code != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429", rep.code)
+			}
+			if rep.hdr.Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+			if s.Stats()["rejected_queue"] == 0 {
+				t.Error("rejected_queue counter not bumped")
+			}
+			testGates.release(base + 1)
+			testGates.release(base + 2)
+			wg.Wait()
+		})
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-	if s.Stats()["rejected_queue"] == 0 {
-		t.Error("rejected_queue counter not bumped")
-	}
-	testGates.release(2001)
-	testGates.release(2002)
-	wg.Wait()
 }
 
+// TestRequestDeadline504: a search that outlives its deadline is a 504;
+// a solve is a 200 carrying the partial state, never a 504.
 func TestRequestDeadline504(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
-	done := make(chan int, 1)
-	go func() {
-		code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "3001", Depth: 0, DeadlineMs: 50})
-		done <- code
-	}()
-	select {
-	case code := <-done:
-		if code != http.StatusGatewayTimeout {
-			t.Fatalf("status %d, want 504", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadline did not fire")
+	for _, tc := range []struct {
+		kind, game, pos string
+		want            int
+	}{
+		{"search", "block", "3001", http.StatusGatewayTimeout},
+		{"solve", "nim", "11,12,13,14", http.StatusOK},
+		{"solve-stream", "nim", "11,12,13,15", http.StatusOK},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
+			done := make(chan reply, 1)
+			go func() { done <- postKind(t, ts.URL, tc.kind, tc.game, tc.pos, 50) }()
+			select {
+			case rep := <-done:
+				if rep.code != tc.want {
+					t.Fatalf("status %d, want %d", rep.code, tc.want)
+				}
+				if tc.want == http.StatusOK && (!rep.partial || rep.streamErr != "") {
+					t.Fatalf("deadline-stopped solve: partial=%v stream error %q", rep.partial, rep.streamErr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("deadline did not fire")
+			}
+			if tc.want == http.StatusGatewayTimeout {
+				if s.Stats()["deadline_exceeded"] == 0 {
+					t.Error("deadline_exceeded counter not bumped")
+				}
+				testGates.release(3001) // unblock the abandoned search so Drain can finish
+			}
+		})
 	}
-	if s.Stats()["deadline_exceeded"] == 0 {
-		t.Error("deadline_exceeded counter not bumped")
-	}
-	testGates.release(3001) // unblock the abandoned search so Drain can finish
 }
 
 func TestDrainAnswersInflightAndShedsNew(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
-	inflight := make(chan int, 1)
-	go func() {
-		code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "4001", Depth: 0, DeadlineMs: 5000})
-		inflight <- code
-	}()
-	waitFor(t, "search in flight", func() bool { return s.Stats()["admitted"] == 1 })
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		drained <- s.Drain(ctx)
-	}()
-	waitFor(t, "draining visible", func() bool {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode == http.StatusServiceUnavailable
-	})
-	// New requests are shed with 503 while the old one is still running.
-	code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "4002", Depth: 0})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("during drain: status %d, want 503", code)
-	}
-	select {
-	case err := <-drained:
-		t.Fatalf("drain returned %v with a request still in flight", err)
-	default:
-	}
-	testGates.release(4001)
-	if code := <-inflight; code != http.StatusOK {
-		t.Fatalf("in-flight request answered %d, want 200", code)
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	// Drain is idempotent and the pools are closed.
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("second drain: %v", err)
+	for i, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
+			id := uint64(4000 + 10*i + 1)
+			inflight := make(chan reply, 1)
+			go func() { inflight <- postKind(t, ts.URL, kind, "block", fmt.Sprint(id), 5000) }()
+			waitFor(t, "request in flight", func() bool { return s.Stats()["admitted"] == 1 })
+			drained := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				drained <- s.Drain(ctx)
+			}()
+			waitFor(t, "draining visible", func() bool {
+				resp, err := http.Get(ts.URL + "/healthz")
+				if err != nil {
+					return false
+				}
+				defer resp.Body.Close()
+				return resp.StatusCode == http.StatusServiceUnavailable
+			})
+			// New requests are shed with 503 while the old one is still running.
+			if rep := postKind(t, ts.URL, kind, "block", fmt.Sprint(id+1), 0); rep.code != http.StatusServiceUnavailable {
+				t.Fatalf("during drain: status %d, want 503", rep.code)
+			}
+			select {
+			case err := <-drained:
+				t.Fatalf("drain returned %v with a request still in flight", err)
+			default:
+			}
+			testGates.release(id)
+			if rep := <-inflight; rep.code != http.StatusOK || rep.streamErr != "" {
+				t.Fatalf("in-flight request answered %d (stream error %q), want 200", rep.code, rep.streamErr)
+			}
+			if err := <-drained; err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			// Drain is idempotent and the pools are closed.
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatalf("second drain: %v", err)
+			}
+		})
 	}
 }
 
 func TestDrainGraceCancelsSearches(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
-	inflight := make(chan int, 1)
-	go func() {
-		// Never released: only the drain grace expiry can end this search.
-		code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "5001", Depth: 1, DeadlineMs: 30000})
-		inflight <- code
-	}()
-	waitFor(t, "search in flight", func() bool { return s.Stats()["admitted"] == 1 })
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	err := s.Drain(ctx)
-	if err != context.DeadlineExceeded {
-		t.Fatalf("drain err %v, want deadline exceeded", err)
-	}
-	// The cancelled search still produced a response — 5xx, not a drop.
-	select {
-	case code := <-inflight:
-		if code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout {
-			t.Fatalf("cancelled in-flight request answered %d, want 503/504", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled request never answered")
+	for i, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
+			id := uint64(5000 + 10*i + 1)
+			inflight := make(chan reply, 1)
+			// Not released until the assertions are done: only the drain grace
+			// expiry can end this request.
+			go func() { inflight <- postKind(t, ts.URL, kind, "block", fmt.Sprint(id), 30000) }()
+			defer testGates.release(id)
+			waitFor(t, "request in flight", func() bool { return s.Stats()["admitted"] == 1 })
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			err := s.Drain(ctx)
+			if err != context.DeadlineExceeded {
+				t.Fatalf("drain err %v, want deadline exceeded", err)
+			}
+			// The cancelled request still produced a response — 5xx (or, on a
+			// stream whose 200 is already out, a final error frame), not a drop.
+			select {
+			case rep := <-inflight:
+				if kind == "solve-stream" {
+					if rep.code != http.StatusOK || rep.streamErr == "" {
+						t.Fatalf("cancelled stream ended %d with error frame %q, want 200 + error frame", rep.code, rep.streamErr)
+					}
+				} else if rep.code != http.StatusServiceUnavailable && rep.code != http.StatusGatewayTimeout {
+					t.Fatalf("cancelled in-flight request answered %d, want 503/504", rep.code)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled request never answered")
+			}
+		})
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	s := New(Config{Workers: 1, Pools: 1, CacheEntries: 2})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	}()
-	c := s.cache
-	c.put("a", engine.Result{Value: 1})
-	c.put("b", engine.Result{Value: 2})
-	c.put("c", engine.Result{Value: 3}) // evicts a
+// lruEviction drives one lru instance through the eviction contract; mk
+// makes a distinguishable value and id reads it back.
+func lruEviction[V any](t *testing.T, c *lru[V], mk func(int) V, id func(V) int) {
+	c.put("a", mk(1))
+	c.put("b", mk(2))
+	c.put("c", mk(3)) // evicts a
 	if _, ok := c.get("a"); ok {
 		t.Error("a should have been evicted")
 	}
-	if r, ok := c.get("b"); !ok || r.Value != 2 {
+	if r, ok := c.get("b"); !ok || id(r) != 2 {
 		t.Error("b lost")
 	}
-	c.put("d", engine.Result{Value: 4}) // evicts c (b was just used)
+	c.put("d", mk(4)) // evicts c (b was just used)
 	if _, ok := c.get("c"); ok {
 		t.Error("c should have been evicted")
 	}
 	if _, ok := c.get("b"); !ok {
 		t.Error("b lost after second eviction")
 	}
+	// take is a checkout: the value comes out once.
+	if r, ok := c.take("d"); !ok || id(r) != 4 {
+		t.Error("d not taken")
+	}
+	if _, ok := c.take("d"); ok || c.len() != 1 {
+		t.Errorf("d taken twice, or len %d != 1", c.len())
+	}
+}
+
+func TestCacheLRUEviction(t *testing.T) {
+	s := New(Config{Workers: 1, Pools: 1, CacheEntries: 2, SolveStoreEntries: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	}()
+	t.Run("search", func(t *testing.T) {
+		lruEviction(t, s.search.cache,
+			func(i int) searchOutcome { return searchOutcome{Result: engine.Result{Value: int32(i)}} },
+			func(v searchOutcome) int { return int(v.Value) })
+	})
+	t.Run("solve", func(t *testing.T) {
+		lruEviction(t, s.solve.cache,
+			func(i int) solveOutcome { return solveOutcome{progress: pns.Progress{Nodes: int64(i)}} },
+			func(v solveOutcome) int { return int(v.progress.Nodes) })
+	})
+	t.Run("parked", func(t *testing.T) {
+		solvers := map[*pns.Solver]int{}
+		lruEviction(t, s.parked,
+			func(i int) *pns.Solver {
+				sv := pns.New(blockPos{id: uint64(i)}, pns.Options{})
+				solvers[sv] = i
+				return sv
+			},
+			func(v *pns.Solver) int { return solvers[v] })
+	})
+}
+
+// TestDrainLeavesNoGoroutines: after a mixed burst — searches, solves,
+// cache hits, a shed request, a stream whose client hangs up mid-solve —
+// Drain returns the process to the goroutine count it had before New.
+func TestDrainLeavesNoGoroutines(t *testing.T) {
+	idle := func() { http.DefaultTransport.(*http.Transport).CloseIdleConnections() }
+	idle()
+	// Let earlier tests' goroutines finish unwinding before the baseline.
+	base := runtime.NumGoroutine()
+	for settled := 0; settled < 5; {
+		time.Sleep(10 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n == base {
+			settled++
+		} else {
+			base, settled = n, 0
+		}
+	}
+
+	s := New(Config{Workers: 2, Pools: 2, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, kind := range kinds {
+				game, pos := "nim", fmt.Sprintf("%d,5,6", 2+i%2) // two positions: repeats hit the cache
+				if kind == "search" {
+					game, pos = "ttt", ""
+				}
+				// Two pools and one queue slot: some of these are shed with 429.
+				if rep := postKind(t, ts.URL, kind, game, pos, 0); rep.code != http.StatusOK && rep.code != http.StatusTooManyRequests {
+					t.Errorf("%s: status %d", kind, rep.code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A stream dropped after its first progress frame.
+	body, _ := json.Marshal(SolveRequest{Game: "nim", Position: "12,13,14,15", Stream: true, ProgressMs: 5})
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := bufio.NewScanner(resp.Body); !sc.Scan() {
+		t.Fatalf("no first frame: %v", sc.Err())
+	}
+	resp.Body.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ts.Close()
+	idle()
+	waitFor(t, "goroutines back to the pre-New baseline", func() bool { return runtime.NumGoroutine() <= base })
 }
 
 func TestMetricsEndpointHasServeFamilies(t *testing.T) {
@@ -403,15 +580,24 @@ func TestHealthz(t *testing.T) {
 
 func TestParsePositionKeys(t *testing.T) {
 	for _, tc := range []struct {
-		game, pos, wantKey string
+		game, pos, wantKey, wantErr string
 	}{
-		{"ttt", "", "ttt|........."},
-		{"ttt", "xox.o..x.", "ttt|XOX.O..X."},
-		{"connect4", "33", "connect4|33"},
-		{"random", "42", "random|42:5"},
-		{"random", "042:7", "random|42:7"},
+		{"ttt", "", "ttt|.........", ""},
+		{"ttt", "xox.o..x.", "ttt|XOX.O..X.", ""},
+		{"ttt", "xox .o. .x.", "ttt|XOX.O..X.", ""}, // separators are not part of the key
+		{"connect4", "33", "connect4|33", ""},
+		{"connect4", "0101010", "connect4|0101010", ""}, // the winning disc itself is a legal last move
+		{"connect4", "01010102", "", "move 7: game already won"},
+		{"random", "42", "random|42:5", ""},
+		{"random", "042:7", "random|42:7", ""},
 	} {
 		_, key, err := ParsePosition(tc.game, tc.pos)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s/%s: err %v, want %q", tc.game, tc.pos, err, tc.wantErr)
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("%s/%s: %v", tc.game, tc.pos, err)
 			continue

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -129,7 +132,7 @@ func TestSolveDeadlinePartialResume(t *testing.T) {
 	if !first.Partial || first.Verdict != "unknown" {
 		t.Fatalf("budget-stopped solve: partial=%v verdict=%q", first.Partial, first.Verdict)
 	}
-	if got := s.SolveStats()["parked_solvers"]; got != 1 {
+	if got := s.Stats()["parked_solvers"]; got != 1 {
 		t.Fatalf("parked_solvers = %d, want 1", got)
 	}
 
@@ -160,50 +163,57 @@ func TestSolveStream(t *testing.T) {
 	body, _ := json.Marshal(SolveRequest{
 		Game: "nim", Position: "4,5,6", Stream: true, ProgressMs: 5,
 	})
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
-		t.Fatalf("content type %q", ct)
-	}
-	var result *SolveResponse
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var frame struct {
-			Progress *SolveProgress `json:"progress"`
-			Result   *SolveResponse `json:"result"`
-			Error    string         `json:"error"`
+	// The repeat is answered from the cache, and is still a well-formed
+	// stream: same content type, one result frame.
+	for _, wantCached := range []bool{false, true} {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
 		}
-		if frame.Error != "" {
-			t.Fatalf("stream error: %s", frame.Error)
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
+			t.Fatalf("cached=%v: content type %q", wantCached, ct)
 		}
-		if frame.Result != nil {
-			if result != nil {
-				t.Fatal("two result frames")
+		var result *SolveResponse
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var frame struct {
+				Progress *SolveProgress `json:"progress"`
+				Result   *SolveResponse `json:"result"`
+				Error    string         `json:"error"`
 			}
-			result = frame.Result
-		} else if frame.Progress == nil {
-			t.Fatalf("frame %q is neither progress nor result", sc.Text())
-		} else if result != nil {
-			t.Fatal("progress frame after the result frame")
+			if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
+				t.Fatalf("bad frame %q: %v", sc.Text(), err)
+			}
+			if frame.Error != "" {
+				t.Fatalf("stream error: %s", frame.Error)
+			}
+			if frame.Result != nil {
+				if result != nil {
+					t.Fatal("two result frames")
+				}
+				result = frame.Result
+			} else if frame.Progress == nil {
+				t.Fatalf("frame %q is neither progress nor result", sc.Text())
+			} else if result != nil {
+				t.Fatal("progress frame after the result frame")
+			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if result == nil {
-		t.Fatal("stream ended without a result frame")
-	}
-	if result.Verdict != "proven" { // 4^5^6 = 7 ≠ 0
-		t.Fatalf("verdict %q, want proven", result.Verdict)
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if result == nil {
+			t.Fatal("stream ended without a result frame")
+		}
+		if result.Verdict != "proven" { // 4^5^6 = 7 ≠ 0
+			t.Fatalf("verdict %q, want proven", result.Verdict)
+		}
+		if result.Cached != wantCached {
+			t.Fatalf("cached=%v, want %v", result.Cached, wantCached)
+		}
 	}
 }
 
@@ -232,11 +242,47 @@ func TestSolveStreamClientCancel(t *testing.T) {
 
 	// Worker release: the single pool must serve a fresh solve soon.
 	waitFor(t, "parked partial solver", func() bool {
-		return s.SolveStats()["parked_solvers"] >= 1
+		return s.Stats()["parked_solvers"] >= 1
 	})
 	code, ok, fail := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "1,2,4"})
 	if code != http.StatusOK || ok.Verdict != "proven" {
 		t.Fatalf("post-cancel solve: status %d %+v %+v", code, ok, fail)
+	}
+}
+
+// hangupWriter is a client that vanishes at its first progress frame: the
+// write fails, and — to pin the race the settle step must win — the solve
+// is released to finish just before the handler learns of the failure.
+type hangupWriter struct {
+	*httptest.ResponseRecorder
+	gate uint64
+	once sync.Once
+}
+
+func (w *hangupWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		testGates.release(w.gate)
+		time.Sleep(50 * time.Millisecond) // the one-node solve needs microseconds
+	})
+	return 0, errors.New("client went away")
+}
+
+// TestSolveStreamHangupKeepsVerdict: a streaming client hanging up must
+// not cost the verdict of a solve that finished anyway — it is cached,
+// not parked as a partial tree.
+func TestSolveStreamHangupKeepsVerdict(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
+	body, _ := json.Marshal(SolveRequest{Game: "block", Position: "6001", Stream: true, DeadlineMs: 5000, ProgressMs: 5})
+	w := &hangupWriter{ResponseRecorder: httptest.NewRecorder(), gate: 6001}
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+
+	waitFor(t, "verdict cached", func() bool { return s.solve.cache.len() == 1 })
+	if st := s.Stats(); st["solve_partial"] != 0 || st["parked_solvers"] != 0 {
+		t.Fatalf("finished solve counted partial: %+v", st)
+	}
+	code, ok, fail := postSolve(t, ts.URL, SolveRequest{Game: "block", Position: "6001"})
+	if code != http.StatusOK || !ok.Cached || ok.Verdict != "proven" {
+		t.Fatalf("repeat: status %d %+v %+v", code, ok, fail)
 	}
 }
 
@@ -252,7 +298,8 @@ func TestSolveCoalescing(t *testing.T) {
 	results := make(chan res, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "6,7,8,9"})
+			// A race build on a busy host needs more than the 2s default.
+			code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "6,7,8,9", DeadlineMs: 20000})
 			results <- res{code, ok}
 		}()
 	}

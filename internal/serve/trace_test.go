@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -47,40 +48,57 @@ func tracerSpans(tr *reqtrace.Tracer, trace, stage string) []reqtrace.Span {
 
 // TestTraceHeaderAdopted: an inbound X-GT-Trace is honoured regardless
 // of sampling, echoed on the response, and stamps the request, queue and
-// search spans.
+// search spans — on both endpoints.
 func TestTraceHeaderAdopted(t *testing.T) {
 	tr := reqtrace.New(0, "single", 0, 0) // sampling off: only the header opts in
 	_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr})
 
-	body, _ := json.Marshal(SearchRequest{Game: "ttt", Depth: 3})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(body))
-	req.Header.Set("X-GT-Trace", "tr-serve-1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	searchBody, _ := json.Marshal(SearchRequest{Game: "ttt", Depth: 3})
+	solveBody, _ := json.Marshal(SolveRequest{Game: "nim", Position: "1,2,4"})
+	for _, tc := range []struct {
+		path, trace string
+		body        []byte
+	}{
+		{"/v1/search", "tr-serve-1", searchBody},
+		{"/v1/solve", "tr-solve-1", solveBody},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader(tc.body))
+		req.Header.Set("X-GT-Trace", tc.trace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.path, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-GT-Trace"); got != tc.trace {
+			t.Fatalf("%s: echoed trace header: got %q, want %s", tc.path, got, tc.trace)
+		}
+		reqs := tracerSpans(tr, tc.trace, reqtrace.StageRequest)
+		if len(reqs) != 1 {
+			t.Fatalf("%s: request spans: got %d, want 1", tc.path, len(reqs))
+		}
+		if !strings.HasPrefix(reqs[0].Note, "200") {
+			t.Errorf("%s: request span note: got %q, want 200 ...", tc.path, reqs[0].Note)
+		}
+		if n := len(tracerSpans(tr, tc.trace, reqtrace.StageQueue)); n != 1 {
+			t.Errorf("%s: queue spans: got %d, want 1", tc.path, n)
+		}
+		// The search span is recorded by the detached run goroutine and
+		// can trail the response.
+		waitFor(t, "search span", func() bool {
+			return len(tracerSpans(tr, tc.trace, reqtrace.StageSearch)) == 1
+		})
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+
+	// A traced stream still flushes frame by frame: the status wrapper must
+	// not hide the connection's Flush.
+	rec := httptest.NewRecorder()
+	stream := &ndjson{w: &statusWriter{ResponseWriter: rec}}
+	if err := stream.frame("progress", SolveProgress{}); err != nil || !rec.Flushed {
+		t.Errorf("frame through the status wrapper: err %v, flushed %v", err, rec.Flushed)
 	}
-	if got := resp.Header.Get("X-GT-Trace"); got != "tr-serve-1" {
-		t.Fatalf("echoed trace header: got %q, want tr-serve-1", got)
-	}
-	reqs := tracerSpans(tr, "tr-serve-1", reqtrace.StageRequest)
-	if len(reqs) != 1 {
-		t.Fatalf("request spans: got %d, want 1", len(reqs))
-	}
-	if !strings.HasPrefix(reqs[0].Note, "200") {
-		t.Errorf("request span note: got %q, want 200 ...", reqs[0].Note)
-	}
-	if n := len(tracerSpans(tr, "tr-serve-1", reqtrace.StageQueue)); n != 1 {
-		t.Errorf("queue spans: got %d, want 1", n)
-	}
-	// The search span is recorded by the detached search goroutine and
-	// can trail the response.
-	waitFor(t, "search span", func() bool {
-		return len(tracerSpans(tr, "tr-serve-1", reqtrace.StageSearch)) == 1
-	})
 }
 
 // TestTraceSampling: sample 1 mints an ID for headerless requests;
@@ -100,8 +118,10 @@ func TestTraceSampling(t *testing.T) {
 		t.Errorf("request spans for minted ID: got %d, want 1", n)
 	}
 
+	// Sampling off: neither endpoint mints an ID, records a span, or
+	// allocates the status wrapper.
 	off := reqtrace.New(0, "single", 0, 0)
-	_, ts2 := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: off})
+	s2, ts2 := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: off})
 	code, _, _, hdr = postSearch(t, ts2.URL, SearchRequest{Game: "ttt", Depth: 2})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -109,8 +129,15 @@ func TestTraceSampling(t *testing.T) {
 	if got := hdr.Get("X-GT-Trace"); got != "" {
 		t.Errorf("unsampled response carries trace header %q", got)
 	}
+	if rep := postKind(t, ts2.URL, "solve", "nim", "1,2,4", 0); rep.code != http.StatusOK || rep.hdr.Get("X-GT-Trace") != "" {
+		t.Errorf("unsampled solve: status %d, trace header %q", rep.code, rep.hdr.Get("X-GT-Trace"))
+	}
 	if spans, _ := off.Spans(); len(spans) != 0 {
 		t.Errorf("unsampled requests recorded %d spans", len(spans))
+	}
+	rec := httptest.NewRecorder()
+	if w, rq := s2.begin(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", nil)); w != http.ResponseWriter(rec) || rq.sw != nil {
+		t.Error("unsampled request got a status wrapper")
 	}
 }
 
@@ -119,7 +146,7 @@ func TestTraceSampling(t *testing.T) {
 func TestAccessLog(t *testing.T) {
 	tr := reqtrace.New(0, "single", 1, 0)
 	var buf syncBuf
-	_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr, AccessLog: &buf})
+	s, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr, AccessLog: &buf})
 
 	if code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "ttt", Depth: 2}); code != 200 {
 		t.Fatalf("search status %d", code)
@@ -131,8 +158,35 @@ func TestAccessLog(t *testing.T) {
 		t.Fatalf("bad game status %d", code)
 	}
 
-	waitFor(t, "3 access-log lines", func() bool {
-		return strings.Count(buf.String(), "\n") == 3
+	// The solve endpoint logs through the same step: a verdict, its replay
+	// from the cache, a budget-stopped partial, and a coalesced pair.
+	if code, _, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "1,2,4"}); code != 200 {
+		t.Fatalf("solve status %d", code)
+	}
+	if code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "1,2,4"}); code != 200 || !ok.Cached {
+		t.Fatalf("expected solve cache hit, got status %d cached=%v", code, ok.Cached)
+	}
+	if code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "9,10,11,12", MaxNodes: 50}); code != 200 || !ok.Partial {
+		t.Fatalf("expected partial solve, got status %d partial=%v", code, ok.Partial)
+	}
+	base := s.Stats()
+	var pair sync.WaitGroup
+	post := func() {
+		defer pair.Done()
+		if rep := postKind(t, ts.URL, "solve", "block", "7101", 5000); rep.code != 200 {
+			t.Errorf("coalesced pair: status %d", rep.code)
+		}
+	}
+	pair.Add(2)
+	go post()
+	waitFor(t, "leader admitted", func() bool { return s.Stats()["admitted"] == base["admitted"]+1 })
+	go post()
+	waitFor(t, "joiner coalesced", func() bool { return s.Stats()["coalesced"] == base["coalesced"]+1 })
+	testGates.release(7101)
+	pair.Wait()
+
+	waitFor(t, "8 access-log lines", func() bool {
+		return strings.Count(buf.String(), "\n") == 8
 	})
 	type line struct {
 		Trace   string `json:"trace"`
@@ -160,6 +214,21 @@ func TestAccessLog(t *testing.T) {
 	}
 	if lines[2].Status != http.StatusBadRequest || lines[2].Outcome != "" {
 		t.Errorf("bad-request line: %+v", lines[2])
+	}
+	if lines[3].Outcome != "solve" || lines[3].Status != 200 || lines[3].Game != "nim" ||
+		lines[3].Trace == "" || lines[3].TotalNs <= 0 {
+		t.Errorf("solve line: %+v", lines[3])
+	}
+	if lines[4].Outcome != "cache-hit" || lines[4].Game != "nim" {
+		t.Errorf("solve cache-hit line: %+v", lines[4])
+	}
+	if lines[5].Outcome != "partial" || lines[5].Status != 200 {
+		t.Errorf("partial solve line: %+v", lines[5])
+	}
+	// The pair finishes in either order.
+	if got := []string{lines[6].Outcome, lines[7].Outcome}; !(got[0] == "solve" && got[1] == "coalesced") &&
+		!(got[0] == "coalesced" && got[1] == "solve") {
+		t.Errorf("coalesced pair lines: %+v %+v", lines[6], lines[7])
 	}
 }
 

@@ -39,7 +39,8 @@ go build -o "$BIN/gtprove" ./cmd/gtprove
 
 PORTFILE="$BIN/port"
 "$BIN/gtserve" -addr 127.0.0.1:0 -portfile "$PORTFILE" \
-    -pools 2 -workers 2 -cache 256 2>"$ART/gtserve.log" &
+    -pools 2 -workers 2 -cache 256 -access-log "$ART/access.jsonl" \
+    2>"$ART/gtserve.log" &
 SRV=$!
 for _ in $(seq 1 100); do [ -s "$PORTFILE" ] && break; sleep 0.1; done
 [ -s "$PORTFILE" ] || { echo "solve_smoke: server never bound"; exit 1; }
@@ -112,6 +113,9 @@ rc=0
 wait "$SRV" || rc=$?
 SRV=""
 [ "$rc" -eq 0 ] || { echo "solve_smoke: drain exited $rc"; cat "$ART/gtserve.log"; exit 1; }
+# Solves go through the same request pipeline as searches, access log included.
+grep -q '"outcome":"solve"' "$ART/access.jsonl" \
+    || { echo "solve_smoke: access log has no /v1/solve line"; exit 1; }
 
 echo "== gtprove bench suite -> BENCH_prove.json artifact =="
 "$BIN/gtprove" -bench -reps 2 -out "$ART/BENCH_prove.json" | tee "$ART/gtprove-bench.txt"
