@@ -31,19 +31,21 @@ chaos:
 		./internal/faultnet/ ./internal/msgpass/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the two parsers of
-# outside input: the length-prefixed TCP frame reader must never panic or
-# over-allocate on arbitrary bytes, and the serving layer's position
-# parsers (all five registered games) must never panic, must re-parse
-# their own canonical forms to themselves, and must expand only to
-# positions that parse. The seeded unit forms of both already ride in
-# `test` and `race`; this throws randomized mutations at them for
-# FUZZTIME in total (whole seconds, default 30s) and is wired into the CI
-# race matrix.
+# outside input and the Connect-4 bitboard: the length-prefixed TCP frame
+# reader must never panic or over-allocate on arbitrary bytes, the serving
+# layer's position parsers (all five registered games) must never panic,
+# must re-parse their own canonical forms to themselves, and must expand
+# only to positions that parse, and the bitboard must agree with the
+# []int8 oracle after any sequence of drops. The seeded unit forms of all
+# three already ride in `test` and `race`; this throws randomized
+# mutations at them for FUZZTIME in total (whole seconds, default 30s)
+# and is wired into the CI race matrix.
 FUZZTIME ?= 30s
 fuzz:
-	each=$$(( $(FUZZTIME:s=) / 2 ))s; \
+	each=$$(( $(FUZZTIME:s=) / 3 ))s; \
 	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$$each ./internal/transport/ && \
-	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/
+	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzConnect4 -fuzztime=$$each ./internal/games/
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -15,8 +15,9 @@ type TicTacToe = games.TTT
 // ParseTicTacToe parses a 9-character board like "XOX.O..X.".
 func ParseTicTacToe(s string) (TicTacToe, error) { return games.ParseTTT(s) }
 
-// Connect4 is a connect-four position on a parametric board. It implements
-// Position.
+// Connect4 is a connect-four position on a parametric board, a bitboard
+// value. *Connect4 implements Position; the service searches the value
+// itself, without allocating.
 type Connect4 = games.Connect4
 
 // NewConnect4 returns an empty w-by-h board needing `need` in a row.
@@ -70,7 +71,8 @@ func NewKayles(rows ...int) Kayles { return games.NewKayles(rows...) }
 // RandomGameTree is a lazy deterministic synthetic game tree: node
 // identities and leaf values are pure functions of a 64-bit seed, so a
 // position is fully described by (seed, branch) — the serving-layer
-// benchmark workload. It implements Position, Hasher and MoveAppender.
+// benchmark workload. It implements Position, Hasher and MoveAppender;
+// like Connect4, the service searches the value itself.
 type RandomGameTree = games.RandomTree
 
 // NewRandomGameTree returns the root of the synthetic tree for seed with

@@ -100,8 +100,8 @@ func extractPV(pos Position, depth int, table *Table, rootBest int) []int {
 		best := -1
 		if d == 0 {
 			best = rootBest
-		} else if h, ok := cur.(Hasher); ok {
-			if _, _, _, b, hit := table.Probe(h.Hash()); hit {
+		} else if h, ok := keyOf(cur); ok {
+			if _, _, _, b, hit := table.Probe(h); hit {
 				best = b
 			}
 		}

@@ -11,11 +11,13 @@
 // speculative sibling search is aborted when a cutoff is found, mirroring
 // the pre-emption rule of Section 7.
 //
-// There is one recursive search body (searcher.search). Search runs it on
-// a bare searcher; every other entry point runs it on a fixed pool of
-// worker goroutines with per-worker work-stealing deques (see pool.go),
-// where the same body turns a node's younger brothers into one split
-// point when thieves are hungry. SearchIterative, MTDF and SearchPVS are
+// There is one recursive search body (search), generic over the position
+// type: a game plugs in as a Position or, allocation-free, as a value
+// type implementing Game (game.go). Search runs it on a bare searcher;
+// every other entry point runs it on a fixed pool of worker goroutines
+// with per-worker work-stealing deques (see pool.go), where the same body
+// turns a node's younger brothers into one split point when thieves are
+// hungry. SearchIterative, MTDF and SearchPVS are
 // drivers over that body (drivers.go), in the sense of Plaat et al.:
 // loops of windowed calls to one memory-enhanced alpha-beta.
 package engine
@@ -47,6 +49,8 @@ type Position interface {
 // their successors to dst (reusing its capacity) instead of allocating a
 // fresh slice per call, letting the engine recycle per-worker move
 // buffers on the hot path. AppendMoves must behave exactly like Moves.
+// The successors themselves are still boxed Positions; a game that must
+// not allocate per node implements Game instead.
 type MoveAppender interface {
 	AppendMoves(dst []Position) []Position
 }
@@ -100,7 +104,7 @@ type SearchOptions struct {
 // table, no pool and no context. depth < 0 means no horizon.
 func Search(pos Position, depth int) Result {
 	e := &searcher{}
-	v, best := e.search(pos, depth, -scoreInf, scoreInf)
+	v, best := e.root(pos, depth, -scoreInf, scoreInf)
 	return Result{Value: int32(v), Best: best, Nodes: e.nodes}
 }
 
@@ -130,10 +134,11 @@ func (opt SearchOptions) searchOnce(ctx context.Context, pos Position, depth int
 
 // searcher is the search state of one goroutine: the node counter is a
 // plain per-worker integer (summed by the pool at the end, never
-// contended), free recycles move buffers for MoveAppender positions, and
-// stop/sp carry the pool's cancellation flag and the abort chain of the
-// current speculative task. A searcher with no worker behind it (own ==
-// nil, the bare searcher of Search) never splits and is never interrupted.
+// contended), bufs recycles child buffers, one stack per position type,
+// and stop/sp carry the pool's cancellation flag and the abort chain
+// of the current speculative task. A searcher with no worker behind it
+// (own == nil, the bare searcher of Search) never splits and is never
+// interrupted.
 type searcher struct {
 	own   *worker          // the pool worker embedding this searcher, if any
 	table *Table           // optional shared transposition table
@@ -141,9 +146,9 @@ type searcher struct {
 	sp    *splitPoint      // pooled: abort chain of the current task
 	tm    *telemetry.Shard // optional telemetry shard (this worker's, single-writer)
 	nodes int64
-	pvs   bool         // null-window test + re-search on every child but the eldest
-	halt  bool         // latched by interrupted(): unwind every node, not 1-in-256
-	free  [][]Position // recycled move buffers (MoveAppender positions)
+	pvs   bool        // null-window test + re-search on every child but the eldest
+	halt  bool        // latched by interrupted(): unwind every node, not 1-in-256
+	bufs  []bufferSet // child buffers, one *buffers[P] per position type searched
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -168,50 +173,24 @@ func (e *searcher) interrupted() bool {
 	return e.sp.aborted()
 }
 
-// genMoves returns the successors of pos, through a recycled per-worker
-// buffer when the position opts in via MoveAppender. The second return
-// value must be passed back to putMoves.
-func (e *searcher) genMoves(pos Position) ([]Position, bool) {
-	if ap, ok := pos.(MoveAppender); ok {
-		var buf []Position
-		if n := len(e.free); n > 0 {
-			buf = e.free[n-1]
-			e.free = e.free[:n-1]
-		}
-		return ap.AppendMoves(buf), true
+// root searches pos with the body's instantiation for its type: a Node's
+// position type, else the Position adapter.
+func (e *searcher) root(pos Position, depth int, alpha, beta int64) (int64, int) {
+	if n, ok := pos.(valueNode); ok {
+		return n.searchFrom(e, depth, alpha, beta)
 	}
-	return pos.Moves(), false
-}
-
-// putMoves recycles a buffer obtained from genMoves. The Position
-// references are cleared so finished subtrees stay collectable.
-func (e *searcher) putMoves(moves []Position, scratch bool) {
-	if !scratch {
-		return
-	}
-	clear(moves)
-	e.free = append(e.free, moves[:0])
-}
-
-// hasher reports whether pos takes part in the transposition table: the
-// searcher has one and the position can hash itself. The table is checked
-// first so a table-less search pays no interface assertion per node.
-func (e *searcher) hasher(pos Position) (Hasher, bool) {
-	if e.table == nil {
-		return nil, false
-	}
-	h, ok := pos.(Hasher)
-	return h, ok
+	return Node[posNode]{&posNode{pos}}.searchFrom(e, depth, alpha, beta)
 }
 
 // search is the one search body: alpha-beta in negamax form, returning
 // the value of pos and the index (in pos's own move order) of the move
-// that achieved it. When the searcher carries a transposition table and
-// the position implements Hasher, sufficient-depth entries cut off
-// immediately and the stored best move is tried first. The eldest child
-// is always searched in place; the younger brothers follow in place too,
-// unless this is a pool worker above the split horizon whose own deque
-// has drained, in which case they become one split point that idle
+// that achieved it. Successors are generated into a buffer from b and
+// searched in place, by pointer. When the searcher carries a
+// transposition table and the position hashes, sufficient-depth entries
+// cut off immediately and the stored best move is tried first. The eldest
+// child is always searched in place; the younger brothers follow in place
+// too, unless this is a pool worker above the split horizon whose own
+// deque has drained, in which case they become one split point that idle
 // workers steal from and this worker joins (pool.go). With e.pvs every
 // child but the eldest is first tested with a null window and re-searched
 // only if the test fails high inside an open window.
@@ -220,7 +199,7 @@ func (e *searcher) hasher(pos Position) (Hasher, bool) {
 // was aborted — returns garbage and stores nothing in the table; whoever
 // started it discards the value (runTask completes with ok=false,
 // runSearch returns the zero Result).
-func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, int) {
+func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, beta int64) (int64, int) {
 	e.nodes++
 	// A pool worker above the horizon may turn this node into a split
 	// point. Such nodes are few and each is a whole subtree, so they also
@@ -230,19 +209,22 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 		return alpha, -1
 	}
 	if depth == 0 {
-		return int64(pos.Evaluate()), -1
+		return int64((*pos).Evaluate()), -1
 	}
-	moves, scratch := e.genMoves(pos)
-	if len(moves) == 0 {
-		e.putMoves(moves, scratch)
-		return int64(pos.Evaluate()), -1
+	buf := b.get()
+	kids := (*pos).Children(buf)
+	if len(kids) == 0 {
+		b.put(buf, kids)
+		return int64((*pos).Evaluate()), -1
 	}
 
 	var hash uint64
 	hashed := false
+	if e.table != nil { // a table-less search never asks for a key
+		hash, hashed = (*pos).Key()
+	}
 	first := 0 // the eldest child: the table's best move, else the leftmost
-	if h, ok := e.hasher(pos); ok {
-		hash, hashed = h.Hash(), true
+	if hashed {
 		if e.tm != nil {
 			e.tm.TTProbes.Add(1)
 			e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
@@ -252,7 +234,7 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 				e.tm.TTHits.Add(1)
 			}
 			ttBest := -1
-			if tb >= 0 && tb < len(moves) {
+			if tb >= 0 && tb < len(kids) {
 				ttBest, first = tb, tb
 			}
 			if d >= depth {
@@ -265,7 +247,7 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 					beta = min(beta, int64(v))
 				}
 				if alpha >= beta {
-					e.putMoves(moves, scratch)
+					b.put(buf, kids)
 					return int64(v), ttBest
 				}
 			}
@@ -274,7 +256,7 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 	alpha0 := alpha
 
 	best, bestIdx := -scoreInf, -1
-	for j := 0; j < len(moves); j++ {
+	for j := 0; j < len(kids); j++ {
 		// A pool worker above the horizon, before each younger brother:
 		// unwind if the previous child was interrupted (its value is
 		// garbage), and, once the eldest is back, decide whether the brothers
@@ -296,12 +278,12 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 				break
 			}
 			if j == 1 && e.own.hungry() {
-				best, bestIdx = e.own.split(moves, first, depth-1, alpha, beta, best)
+				best, bestIdx = splitKids(e.own, kids, first, depth-1, alpha, beta, best)
 				break
 			}
 		}
 		// Visit the eldest first, then the rest in the position's order.
-		// The mapping never reorders moves, which the position may own.
+		// The mapping never reorders kids, which the position may own.
 		i := j
 		if first > 0 {
 			switch {
@@ -315,11 +297,11 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 		if e.pvs && j > 0 {
 			lo = -alpha - 1 // null-window test: is this move better than alpha?
 		}
-		v, _ := e.search(moves[i], depth-1, lo, -alpha)
+		v, _ := search(e, b, &kids[i], depth-1, lo, -alpha)
 		v = -v
 		if e.pvs && j > 0 && v > alpha && v < beta {
 			// Fail high inside an open window: re-search exactly.
-			v, _ = e.search(moves[i], depth-1, -beta, -v)
+			v, _ = search(e, b, &kids[i], depth-1, -beta, -v)
 			v = -v
 		}
 		if v > best {
@@ -348,7 +330,7 @@ func (e *searcher) search(pos Position, depth int, alpha, beta int64) (int64, in
 			}
 		}
 	}
-	e.putMoves(moves, scratch)
+	b.put(buf, kids)
 	return best, bestIdx
 }
 

@@ -6,6 +6,6 @@ package engine
 func SearchBare(pos Position, depth int, table *Table) Result {
 	table.Advance()
 	e := &searcher{table: table}
-	v, best := e.search(pos, depth, -scoreInf, scoreInf)
+	v, best := e.root(pos, depth, -scoreInf, scoreInf)
 	return Result{Value: int32(v), Best: best, Nodes: e.nodes}
 }

@@ -41,24 +41,29 @@ func newSeededTree(rng *rand.Rand, depth, maxKids int, next *uint64) *seededTree
 // one worker must visit exactly Search's nodes; and with a table one
 // worker — splitting, joining and probing above the horizon — must visit
 // exactly the nodes of the bare body over an equal table, and pick the
-// same move.
+// same move. A value game's rows carry its Position form as a twin: the
+// body's two instantiations must make the same search at one worker, with
+// no table and over equal fresh tables.
 func TestOneBodyAgreement(t *testing.T) {
 	type fixture struct {
 		name  string
 		pos   engine.Position
 		depth int
+		twin  engine.Position
 	}
 	var fixtures []fixture
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var next uint64
 		depth := 5 + rng.Intn(3)
-		fixtures = append(fixtures, fixture{fmt.Sprintf("tree/seed%d", seed), newSeededTree(rng, depth, 4, &next), depth})
+		fixtures = append(fixtures, fixture{fmt.Sprintf("tree/seed%d", seed), newSeededTree(rng, depth, 4, &next), depth, nil})
 	}
 	fixtures = append(fixtures,
-		fixture{"pessimal", (*engine.BenchTreeAppender)(engine.NewPessimalTree(7, 4, 0)), 7},
-		fixture{"connect4", games.StandardConnect4(), 6},
-		fixture{"tictactoe", games.TTT{}, 9},
+		fixture{"pessimal", (*engine.BenchTreeAppender)(engine.NewPessimalTree(7, 4, 0)), 7, nil},
+		fixture{"connect4", games.StandardConnect4(), 6, nil},
+		fixture{"tictactoe", games.TTT{}, 9, nil},
+		fixture{"connect4/native", engine.NewNode(*games.StandardConnect4()), 6, games.StandardConnect4()},
+		fixture{"random/native", engine.NewNode(games.NewRandomTree(7, 5)), 7, games.NewRandomTree(7, 5)},
 	)
 
 	ctx := context.Background()
@@ -107,6 +112,27 @@ func TestOneBodyAgreement(t *testing.T) {
 			}
 			it, _, err := engine.SearchIterative(ctx, f.pos, f.depth, engine.SearchOptions{})
 			check("SearchIterative", it, err)
+
+			if f.twin == nil {
+				return
+			}
+			if tw := engine.Search(f.twin, f.depth); tw != want {
+				t.Fatalf("Search: value game %+v, Position form %+v", want, tw)
+			}
+			for _, table := range []bool{false, true} {
+				opt := func() engine.SearchOptions {
+					if table {
+						return engine.SearchOptions{Workers: 1, Table: engine.NewTable(1 << 12)}
+					}
+					return engine.SearchOptions{Workers: 1}
+				}
+				got, err := engine.SearchOpt(ctx, f.pos, f.depth, opt())
+				check("SearchOpt(w=1)", got, err)
+				tw, err := engine.SearchOpt(ctx, f.twin, f.depth, opt())
+				if err != nil || got != tw {
+					t.Fatalf("SearchOpt(w=1, table %v): value game %+v, Position form %+v (%v)", table, got, tw, err)
+				}
+			}
 		})
 	}
 }

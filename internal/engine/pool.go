@@ -19,7 +19,7 @@ package engine
 // child is searched first with the full window ("young brothers wait"),
 // the remaining siblings run speculatively with the window sharpened by
 // completed siblings, and sibling results are merged in completion order
-// until a cutoff. The search itself is searcher.search (engine.go), the
+// until a cutoff. The search itself is the generic search (engine.go), the
 // same body Search runs on a bare searcher; this file only supplies what
 // it needs to split: the deque, the split point, and the join.
 
@@ -36,14 +36,16 @@ import (
 )
 
 // task is one speculative sibling search, embedded in its split point's
-// task slab so a split costs O(1) allocations, not O(branching).
+// task slab so a split costs O(1) allocations, not O(branching). Its node
+// is a Node pointing into the splitting worker's child buffer, which stays
+// checked out until the split's join drains.
 // fn-tasks are the second task kind (fanout): instead of a sibling
 // position they carry a function run with the executing worker — the hook
 // other engines (the proof-number solver) use to borrow the resident
 // worker set without duplicating the park/steal machinery.
 type task struct {
 	sp    *splitPoint
-	pos   Position
+	node  valueNode
 	idx   int // move index at the split node
 	depth int // remaining depth for the child search
 	fn    func(w *worker)
@@ -363,6 +365,9 @@ func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)
 		}
 		w.nodes = 0    // the pool outlives the search; counters are per search
 		w.halt = false // likewise the cancellation latch
+		for _, b := range w.bufs {
+			b.reset()
+		}
 	}
 	if err := p.err(); err != nil {
 		return Result{}, err
@@ -531,10 +536,10 @@ func (w *worker) runTask(t *task) {
 	if w.pvs {
 		lo = -alpha - 1
 	}
-	v, _ := w.search(t.pos, t.depth, lo, -alpha)
+	v, _ := t.node.searchFrom(&w.searcher, t.depth, lo, -alpha)
 	v = -v
 	if w.pvs && v > alpha && v < sp.beta {
-		v, _ = w.search(t.pos, t.depth, -sp.beta, -v)
+		v, _ = t.node.searchFrom(&w.searcher, t.depth, -sp.beta, -v)
 		v = -v
 	}
 	ok := !w.pool.stop.Load() && !sp.aborted()
@@ -660,28 +665,37 @@ func (w *worker) hungry() bool {
 	return w.pool.eager || w.dq.bottom.Load() <= w.dq.top.Load()
 }
 
-// split searches every child of a node but its eldest (already searched in
-// place, with value best) as one split point under the current task's
-// abort scope, helps until the join drains, and returns the merged best
-// value and move index.
-func (w *worker) split(moves []Position, eldest, depth int, alpha, beta, best int64) (int64, int) {
-	sp := w.newSplit(alpha, beta, best, eldest, moves, depth)
+// splitKids searches every child of a node but its eldest (already
+// searched in place, with value best) as one split point under the current
+// task's abort scope, helps until the join drains, and returns the merged
+// best value and move index. The sibling tasks are pushed in reverse, so
+// the owner's LIFO pops visit them in the sequential move order while
+// thieves take the most speculative ones from the far end; each holds a
+// Node pointing into kids and the move index in the position's own order.
+func splitKids[P Game[P]](w *worker, kids []P, eldest, depth int, alpha, beta, best int64) (int64, int) {
+	sp := w.newSplit(alpha, beta, best, eldest, len(kids)-1)
+	k := len(sp.tasks)
+	for i := len(kids) - 1; i >= 0; i-- {
+		if i == eldest {
+			continue
+		}
+		k--
+		sp.tasks[k] = task{sp: sp, node: Node[P]{&kids[i]}, idx: i, depth: depth}
+		w.dq.push(&sp.tasks[k])
+	}
+	w.noteSplit(sp, depth)
 	w.join(sp)
 	best, bestIdx := sp.best, sp.bestIdx
 	w.releaseSplit(sp)
 	return best, bestIdx
 }
 
-// newSplit readies a split point over every move but the eldest and pushes
-// the sibling tasks in reverse, so the owner's LIFO pops visit them in the
-// sequential move order while thieves take the most speculative ones from
-// the far end. Tasks hold their own Position copies and the move index in
-// the position's own order.
-func (w *worker) newSplit(alpha, beta, best int64, eldest int, moves []Position, depth int) *splitPoint {
+// newSplit readies a split point with a slab of n tasks.
+func (w *worker) newSplit(alpha, beta, best int64, eldest, n int) *splitPoint {
 	var sp *splitPoint
-	if n := len(w.spFree); n > 0 {
-		sp = w.spFree[n-1]
-		w.spFree = w.spFree[:n-1]
+	if k := len(w.spFree); k > 0 {
+		sp = w.spFree[k-1]
+		w.spFree = w.spFree[:k-1]
 	} else {
 		sp = new(splitPoint)
 	}
@@ -697,46 +711,41 @@ func (w *worker) newSplit(alpha, beta, best int64, eldest int, moves []Position,
 	if sp.rec.TraceEnabled() {
 		sp.openNs = sp.rec.Now()
 	}
-	n := len(moves) - 1
 	if cap(sp.tasks) < n {
 		sp.tasks = make([]task, n)
 	} else {
 		sp.tasks = sp.tasks[:n]
 	}
 	sp.pending.Store(int32(n))
-	k := n
-	for i := len(moves) - 1; i >= 0; i-- {
-		if i == eldest {
-			continue
-		}
-		k--
-		sp.tasks[k] = task{sp: sp, pos: moves[i], idx: i, depth: depth}
-		w.dq.push(&sp.tasks[k])
-	}
-	if w.tm != nil {
-		w.tm.Splits.Add(1)
-		if sp.up != nil {
-			w.tm.NestedSplits.Add(1)
-		}
-		// depth is the remaining depth of the sibling subtrees; the split
-		// node itself sits one ply above.
-		w.tm.Hist[telemetry.HistSplitDepth].Observe(int64(depth) + 1)
-		w.tm.ObserveDeque(w.dq.bottom.Load() - w.dq.top.Load())
-		if sp.rec.EventsEnabled() {
-			sp.rec.RecordEvent(telemetry.Event{
-				Ns: sp.rec.Now(), Kind: telemetry.EventSplitOpen,
-				Worker: w.id, Depth: depth, Tasks: n,
-			})
-		}
-	}
 	return sp
+}
+
+// noteSplit accounts a split point whose tasks have been pushed; depth is
+// the remaining depth of the sibling subtrees.
+func (w *worker) noteSplit(sp *splitPoint, depth int) {
+	if w.tm == nil {
+		return
+	}
+	w.tm.Splits.Add(1)
+	if sp.up != nil {
+		w.tm.NestedSplits.Add(1)
+	}
+	// The split node itself sits one ply above its siblings.
+	w.tm.Hist[telemetry.HistSplitDepth].Observe(int64(depth) + 1)
+	w.tm.ObserveDeque(w.dq.bottom.Load() - w.dq.top.Load())
+	if sp.rec.EventsEnabled() {
+		sp.rec.RecordEvent(telemetry.Event{
+			Ns: sp.rec.Now(), Kind: telemetry.EventSplitOpen,
+			Worker: w.id, Depth: depth, Tasks: len(sp.tasks),
+		})
+	}
 }
 
 // releaseSplit recycles a joined split point. Safe: pending has hit zero,
 // so no other worker holds a reference (complete's counter decrement is
 // each sibling's final access).
 func (w *worker) releaseSplit(sp *splitPoint) {
-	clear(sp.tasks) // drop Position references for the GC
+	clear(sp.tasks) // drop the Nodes, which point into a child buffer
 	sp.tasks = sp.tasks[:0]
 	sp.up = nil
 	sp.rec = nil
@@ -758,7 +767,7 @@ func (p *pool) search(ctx context.Context, pos Position, depth int, alpha, beta 
 		w.pvs = pvs
 	}
 	return p.runSearch(ctx, func(w0 *worker) (int64, int) {
-		return w0.search(pos, depth, alpha, beta)
+		return w0.root(pos, depth, alpha, beta)
 	})
 }
 

@@ -106,27 +106,46 @@ func TestParseTTTErrors(t *testing.T) {
 // Connect 4
 
 func TestConnect4WinDetection(t *testing.T) {
-	p := NewConnect4(5, 4, 3)
-	// X drops 0,0 is interleaved with O: X:0 O:4 X:1 O:4 X:2 -> X wins (3 in a row).
-	seq := []int{0, 4, 1, 4, 2}
-	cur := p
-	for i, c := range seq {
-		cur = cur.Drop(c)
-		if cur == nil {
-			t.Fatalf("drop %d failed", c)
+	for _, tc := range []struct {
+		w, h, need int
+		seq        []int // the last move wins
+	}{
+		// X:0 O:4 X:1 O:4 X:2 -> X wins (3 in a row).
+		{5, 4, 3, []int{0, 4, 1, 4, 2}},
+		// On the standard board: a row for O, then a rising diagonal for X.
+		{7, 6, 4, []int{0, 3, 0, 4, 1, 5, 1, 6}},
+		{7, 6, 4, []int{0, 1, 1, 2, 2, 3, 2, 3, 3, 6, 3}},
+		// A falling diagonal on the largest board one word holds.
+		{8, 7, 4, []int{7, 6, 6, 5, 5, 4, 5, 4, 4, 0, 4}},
+		// A board whose only lines are its two rows.
+		{3, 2, 3, []int{0, 0, 1, 1, 2}},
+	} {
+		cur := NewConnect4(tc.w, tc.h, tc.need)
+		for i, c := range tc.seq {
+			cur = cur.Drop(c)
+			if cur == nil {
+				t.Fatalf("%v: drop %d failed", tc.seq, c)
+			}
+			if i < len(tc.seq)-1 && cur.Won() {
+				t.Fatalf("%v: premature win after move %d", tc.seq, i)
+			}
 		}
-		if i < len(seq)-1 && cur.Won() {
-			t.Fatalf("premature win after move %d", i)
+		if !cur.Won() {
+			t.Fatalf("%v: the last mover should have won:\n%s", tc.seq, cur)
 		}
-	}
-	if !cur.Won() {
-		t.Fatal("X should have won")
-	}
-	if len(cur.Moves()) != 0 {
-		t.Error("won game should be terminal")
-	}
-	if cur.Evaluate() != -engine.WinScore() {
-		t.Errorf("loser-to-move eval %d", cur.Evaluate())
+		if len(cur.Moves()) != 0 {
+			t.Errorf("%v: won game should be terminal", tc.seq)
+		}
+		if cur.Evaluate() != -engine.WinScore() {
+			t.Errorf("%v: loser-to-move eval %d", tc.seq, cur.Evaluate())
+		}
+		// Never past a win: Drop refuses every column, so no position the
+		// type can build holds a line that is not through its last disc.
+		for c := 0; c < tc.w; c++ {
+			if cur.Drop(c) != nil {
+				t.Errorf("%v: drop in column %d accepted after the win", tc.seq, c)
+			}
+		}
 	}
 }
 
@@ -215,12 +234,22 @@ func TestConnect4ParallelAgreesWithSequential(t *testing.T) {
 }
 
 func TestConnect4Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewConnect4(0, 5, 4)
+	for _, size := range [][3]int{
+		{0, 5, 4},
+		{8, 8, 4},  // (h+1)*w = 72 cells: more than one 64-bit word
+		{1, 64, 2}, // 65 cells in one column
+		{4, 4, 65}, // a line longer than any word
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewConnect4%v: expected panic", size)
+				}
+			}()
+			NewConnect4(size[0], size[1], size[2])
+		}()
+	}
+	NewConnect4(8, 7, 4) // (7+1)*8 = 64 cells: the largest that fits
 }
 
 // ---------------------------------------------------------------------------

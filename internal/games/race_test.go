@@ -13,6 +13,9 @@ import (
 	"gametree/internal/engine"
 )
 
+// TestSearchParallelRaceConnect4 runs the board both as a Position and as
+// a value game, whose split tasks read siblings out of the splitting
+// worker's child buffer while it joins.
 func TestSearchParallelRaceConnect4(t *testing.T) {
 	pos := NewConnect4(5, 4, 3) // small board, real branching
 	want := engine.Search(pos, 6).Value
@@ -20,7 +23,7 @@ func TestSearchParallelRaceConnect4(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(pos engine.Position) {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
 				r, err := engine.SearchOpt(context.Background(), pos, 6,
@@ -34,7 +37,7 @@ func TestSearchParallelRaceConnect4(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}([]engine.Position{pos, engine.NewNode(*pos)}[g%2])
 	}
 	wg.Wait()
 }

@@ -11,8 +11,9 @@ package games
 // and repeated seeds are byte-identical positions the server can
 // coalesce and cache.
 //
-// RandomTree implements engine.Hasher (the seed is the identity) and
-// engine.MoveAppender (children are generated into the recycled buffer).
+// RandomTree implements engine.Game, so the search body runs on it
+// without allocating (through engine.Node), and engine.Position with
+// engine.Hasher (the seed is the identity) and engine.MoveAppender.
 
 import (
 	"fmt"
@@ -70,6 +71,14 @@ func (p RandomTree) Moves() []engine.Position {
 	return out
 }
 
+// Children implements engine.Game.
+func (p RandomTree) Children(dst []RandomTree) []RandomTree {
+	for i := 0; i < int(p.Branch); i++ {
+		dst = append(dst, p.child(i))
+	}
+	return dst
+}
+
 // AppendMoves implements engine.MoveAppender.
 func (p RandomTree) AppendMoves(dst []engine.Position) []engine.Position {
 	for i := 0; i < int(p.Branch); i++ {
@@ -91,6 +100,9 @@ func (p RandomTree) Evaluate() int32 {
 func (p RandomTree) Hash() uint64 {
 	return p.Seed ^ (uint64(p.Branch) * 0x2545f4914f6cdd1d)
 }
+
+// Key implements engine.Game: every node hashes.
+func (p RandomTree) Key() (uint64, bool) { return p.Hash(), true }
 
 func (p RandomTree) String() string {
 	return fmt.Sprintf("random(seed=%d,b=%d)", p.Seed, p.Branch)

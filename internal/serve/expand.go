@@ -7,14 +7,16 @@ package serve
 // independent (position, depth) tasks, and folds the results back up
 // with the negamax rule — so move-index answers (Result.Best) stay
 // byte-identical to a sequential search, which requires the expansion
-// order to match Moves() exactly: the board-game expanders walk Moves()
-// itself and name each successor, and the test suite cross-checks every
-// registered expander against the parser and Moves() for that game.
+// order to match Moves() exactly: the board-game expanders walk the
+// game's own successor list and name each successor, and the test suite
+// cross-checks every registered expander against the parser and Moves()
+// for that game.
 
 import (
 	"fmt"
 	"strconv"
 
+	"gametree/internal/engine"
 	"gametree/internal/games"
 )
 
@@ -55,8 +57,8 @@ func expandConnect4(position string) ([]string, error) {
 		return nil, err
 	}
 	var out []string
-	for _, m := range pos.Moves() {
-		out = append(out, canon+strconv.Itoa(int(m.(*games.Connect4).LastCol)))
+	for _, m := range pos.(engine.Node[games.Connect4]).Pos.Children(nil) {
+		out = append(out, canon+strconv.Itoa(int(m.LastCol)))
 	}
 	return out, nil
 }
@@ -69,7 +71,7 @@ func expandRandom(position string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := pos.(games.RandomTree)
+	p := pos.(engine.Node[games.RandomTree]).Pos
 	out := make([]string, p.Branch)
 	for i := range out {
 		c := p.Child(i)

@@ -94,11 +94,13 @@ func tttCanon(p games.TTT) string {
 
 // parseConnect4Position accepts a sequence of 0-based column digits
 // played from the standard 7x6 board ("334" = center, center, col 4); ""
-// is the empty board. The move string itself is the canonical form:
-// transposed move orders reaching the same grid get distinct keys and
-// rely on the shared transposition table, not the result cache. A move
-// after a completed four-in-a-row is rejected: the game cannot reach that
-// grid, and a search of it would treat a decided game as live.
+// is the empty board, and the position is served as an engine.Node, which
+// the search body expands without allocating. The move string itself is
+// the canonical form: transposed move orders reaching the same grid get
+// distinct keys and rely on the shared transposition table, not the
+// result cache. A move after a completed four-in-a-row is rejected: the
+// game cannot reach that grid, and a search of it would treat a decided
+// game as live.
 func parseConnect4Position(position string) (engine.Position, string, error) {
 	p := games.StandardConnect4()
 	for i, r := range position {
@@ -114,7 +116,7 @@ func parseConnect4Position(position string) (engine.Position, string, error) {
 		}
 		p = next
 	}
-	return p, position, nil
+	return engine.NewNode(*p), position, nil
 }
 
 // parseIntList accepts comma- or space-separated non-negative decimals
@@ -172,8 +174,8 @@ func parseKaylesPosition(position string) (engine.Position, string, error) {
 }
 
 // parseRandomPosition accepts "seed" or "seed:branch" (decimal, branch
-// defaults to 5) naming a games.RandomTree root. The canonical form
-// re-renders both numbers, so leading zeros coalesce.
+// defaults to 5) naming a games.RandomTree root, served as an engine.Node.
+// The canonical form re-renders both numbers, so leading zeros coalesce.
 func parseRandomPosition(position string) (engine.Position, string, error) {
 	seedStr, branchStr, hasBranch := strings.Cut(position, ":")
 	seed, err := strconv.ParseUint(seedStr, 10, 64)
@@ -189,5 +191,5 @@ func parseRandomPosition(position string) (engine.Position, string, error) {
 		branch = b
 	}
 	p := games.NewRandomTree(seed, branch)
-	return p, fmt.Sprintf("%d:%d", p.Seed, p.Branch), nil
+	return engine.NewNode(p), fmt.Sprintf("%d:%d", p.Seed, p.Branch), nil
 }
