@@ -23,11 +23,14 @@ race:
 
 # Fault-injection regression suite under the race detector: the chaos
 # matrix (drop/dup/reorder/delay/crash/stall × seeds) on the Section 7
-# machine, the injector's determinism and seed-replay tests, and the
-# pooled engine's panic-isolation traps. -short trims the seed matrix to
-# fit a CI budget; the full matrix runs in `test`.
+# machine, the injector's determinism and seed-replay tests, the pooled
+# engine's panic-isolation traps, and its idle protocol: helpers park
+# after a gap and stay parked (TestIdlePoolParks), and Pool.Close leaves
+# no goroutine behind in any idle state (TestPoolCloseLeavesNoGoroutines).
+# -short trims the seed matrix to fit a CI budget; the full matrix runs in
+# `test`.
 chaos:
-	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC' \
+	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC|Park|Close' \
 		./internal/faultnet/ ./internal/msgpass/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the two parsers of

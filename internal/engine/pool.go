@@ -224,19 +224,30 @@ type worker struct {
 	rng    uint64
 }
 
+// idleSpin is the longest an idle helper spins before it parks, and the
+// longest gap between two searches that keeps a pool hot. It is sized
+// from the park→wake round trip of a helper whose waker keeps running
+// (70 µs p10, 73 µs p50 on a 2-vCPU Xeon, go1.24) and sits just under it,
+// so a helper never spins longer than a wake would have cost.
+const idleSpin = 50 * time.Microsecond
+
 // pool is a resident worker set. The goroutine calling runSearch becomes
 // worker 0 for that search; workers 1..n-1 run idleLoop for the pool's
-// whole lifetime, parking on a condition variable between searches so an
-// idle resident pool costs nothing. One-shot callers (SearchOpt and the
-// drivers) build a pool, search and close it — the construction cost they
-// pay is exactly what the exported Pool amortizes across requests.
+// whole lifetime, spinning while a search is active and parking on a
+// condition variable between searches (after a short spin if the pool is
+// hot), so an idle resident pool costs nothing. One-shot callers
+// (SearchOpt and the drivers) build a pool, search and close it — the
+// construction cost they pay is exactly what the exported Pool amortizes
+// across requests.
 type pool struct {
 	workers []*worker
 	eager   bool                // tests only: split at every node, ignoring the demand gate
 	rec     *telemetry.Recorder // nil when the search is uninstrumented
 	stop    atomic.Bool         // current search cancelled or a worker panicked
-	active  atomic.Bool         // a search is in flight; helpers spin, not park
+	active  atomic.Bool         // a search is in flight; idle helpers pop, steal or yield
+	hot     atomic.Bool         // the last search began within idleSpin of the one before
 	closed  atomic.Bool         // pool shut down; helpers exit
+	ended   time.Time           // when the last search ended; runSearch only (its callers serialize it)
 
 	parkMu   sync.Mutex // guards the active/closed transitions helpers wait on
 	parkCond *sync.Cond
@@ -308,7 +319,12 @@ func newPool(workers int, table *Table, rec *telemetry.Recorder, shardBase int) 
 // helpers is safe: body returns only after every split point it opened
 // has joined, so each helper's last counter write happens-before the
 // owner's pending.Load()==0 (both sequentially consistent atomics) and
-// the helpers are back to empty-handed spinning or parking.
+// the helpers hold no task: they only pop, steal and yield until active
+// drops, and then spin or park in idleLoop, touching no search state.
+//
+// Worker 0 also times the gap since the previous search ended: a gap
+// shorter than idleSpin marks the pool hot, so its helpers spin through
+// the next gap instead of parking (see idleLoop).
 func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, cancelErr(err)
@@ -332,6 +348,7 @@ func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)
 		}()
 	}
 	if len(p.workers) > 1 {
+		p.hot.Store(time.Since(p.ended) < idleSpin)
 		p.parkMu.Lock()
 		p.active.Store(true)
 		p.parkMu.Unlock()
@@ -357,6 +374,9 @@ func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)
 	close(watch)
 	watchWG.Wait()
 	p.active.Store(false)
+	if len(p.workers) > 1 {
+		p.ended = time.Now()
+	}
 	var nodes int64
 	for _, w := range p.workers {
 		nodes += w.nodes
@@ -401,25 +421,21 @@ func (p *pool) close() {
 	p.wg.Wait()
 }
 
-// idleLoop is the life of workers 1..n-1: while a search is active, steal,
-// run, back off (capped at a 1ms sleep, so task discovery latency stays
-// bounded); between searches, park on the condition variable so a
-// resident pool costs nothing while idle. The active flag is re-checked
-// under parkMu, and runSearch raises it under the same lock before
-// broadcasting, so a wakeup cannot be lost.
+// idleLoop is the life of workers 1..n-1. While a search is active a
+// helper only spins: it pops, steals, or yields with runtime.Gosched, and
+// never sleeps — a timer nap here costs a millisecond, several whole
+// searches on a fast game. When the search ends, a helper of a cold pool
+// parks at once; a helper of a hot pool (back-to-back searches, see
+// runSearch) first spins for up to idleSpin, so the next search finds it
+// awake, and parks only if none comes. Parked helpers cost nothing. The
+// active flag is re-checked under parkMu, and runSearch raises it under
+// the same lock before broadcasting, so a wakeup cannot be lost.
 func (p *pool) idleLoop(w *worker) {
-	backoff := 0
-	for {
-		if p.closed.Load() {
-			return
-		}
+	for !p.closed.Load() {
 		if !p.active.Load() {
-			p.parkMu.Lock()
-			for !p.active.Load() && !p.closed.Load() {
-				p.parkCond.Wait()
+			if !p.hot.Load() || !p.spinForSearch() {
+				p.park(w)
 			}
-			p.parkMu.Unlock()
-			backoff = 0
 			continue
 		}
 		t := w.dq.pop()
@@ -428,19 +444,40 @@ func (p *pool) idleLoop(w *worker) {
 		}
 		if t != nil {
 			w.runTask(t)
-			backoff = 0
 			continue
 		}
-		backoff++
-		switch {
-		case backoff < 32:
-			runtime.Gosched()
-		case backoff < 64:
-			time.Sleep(20 * time.Microsecond)
-		default:
-			time.Sleep(time.Millisecond)
-		}
+		runtime.Gosched()
 	}
+}
+
+// spinForSearch yields for up to idleSpin while the pool is idle and
+// reports whether a search started (or the pool closed) in that time.
+func (p *pool) spinForSearch() bool {
+	deadline := time.Now().Add(idleSpin)
+	for !p.active.Load() && !p.closed.Load() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// park blocks the helper on the condition variable until the next
+// broadcast (a search starting, or the pool closing), counting the park in
+// the helper's telemetry shard. It returns after one wake even if that
+// search has already ended, so idleLoop re-decides: a hot pool's helper
+// then spins for the next search instead of parking again — otherwise a
+// stream of searches shorter than a wake would never catch it awake.
+func (p *pool) park(w *worker) {
+	p.parkMu.Lock()
+	if !p.active.Load() && !p.closed.Load() {
+		if w.tm != nil {
+			w.tm.Parks.Add(1)
+		}
+		p.parkCond.Wait()
+	}
+	p.parkMu.Unlock()
 }
 
 // trySteal scans the other workers' deques once, starting at a random
@@ -570,11 +607,11 @@ func (w *worker) runFn(t *task) {
 }
 
 // fanout runs fn once per pool worker: worker 0 pushes one fn-task per
-// helper onto its deque (the parked helpers wake and steal them the
-// moment runSearch raises active) and runs its own invocation in place,
-// then helps until the join drains. fn must poll p.stop (via the caller's
-// stop predicate) and return promptly on cancellation; runSearch maps a
-// cancelled ctx onto the usual ErrCancelled contract.
+// helper onto its deque (the helpers, spinning or woken from their park
+// when runSearch raises active, steal them) and runs its own invocation
+// in place, then helps until the join drains. fn must poll p.stop (via
+// the caller's stop predicate) and return promptly on cancellation;
+// runSearch maps a cancelled ctx onto the usual ErrCancelled contract.
 func (p *pool) fanout(ctx context.Context, fn func(w *worker)) error {
 	_, err := p.runSearch(ctx, func(w0 *worker) (int64, int) {
 		if n := len(p.workers); n > 1 {

@@ -40,6 +40,7 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		{"gametree_aborts_total", "Tasks skipped or pre-empted by an abort.", s.Total.Aborts},
 		{"gametree_nested_aborts_total", "Aborts propagated from an ancestor split's cutoff.", s.Total.NestedAborts},
 		{"gametree_abort_drains_total", "Joins that drained after a beta cutoff.", s.Total.AbortDrains},
+		{"gametree_pool_parks_total", "Times an idle pool helper parked on the condition variable.", s.Total.Parks},
 		{"gametree_tt_probes_total", "Transposition-table probes.", s.Total.TTProbes},
 		{"gametree_tt_hits_total", "Transposition-table probe hits.", s.Total.TTHits},
 		{"gametree_tt_stores_total", "Transposition-table stores.", s.Total.TTStores},

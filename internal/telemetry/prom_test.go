@@ -42,6 +42,9 @@ gametree_nested_aborts_total 1
 # HELP gametree_abort_drains_total Joins that drained after a beta cutoff.
 # TYPE gametree_abort_drains_total counter
 gametree_abort_drains_total 2
+# HELP gametree_pool_parks_total Times an idle pool helper parked on the condition variable.
+# TYPE gametree_pool_parks_total counter
+gametree_pool_parks_total 4
 # HELP gametree_tt_probes_total Transposition-table probes.
 # TYPE gametree_tt_probes_total counter
 gametree_tt_probes_total 40
@@ -227,6 +230,7 @@ func buildPromFixture() *Recorder {
 	a.Aborts.Add(2)
 	a.NestedAborts.Add(1)
 	a.AbortDrains.Add(2)
+	b.Parks.Add(4)
 	a.TTProbes.Add(40)
 	a.TTHits.Add(10)
 	a.TTStores.Add(30)

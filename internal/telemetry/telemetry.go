@@ -144,6 +144,8 @@ func HistHelp(i int) string {
 //	               an eviction is a store that displaced a live entry of
 //	               a different position
 //	DequeMax       high-water mark of this worker's deque depth
+//	Parks          times this pool helper blocked on the pool's condition
+//	               variable (worker 0 never parks)
 //	Nodes          positions visited (folded in when the pool quiesces)
 //	MsgsSent/MsgsRecv/MsgsStale
 //	               message-passing processors: messages sent, received,
@@ -181,6 +183,7 @@ type Shard struct {
 	TTStores      atomic.Int64
 	TTEvictions   atomic.Int64
 	DequeMax      atomic.Int64
+	Parks         atomic.Int64
 	Nodes         atomic.Int64
 	MsgsSent      atomic.Int64
 	MsgsRecv      atomic.Int64
@@ -231,6 +234,7 @@ type Counts struct {
 	TTStores      int64
 	TTEvictions   int64
 	DequeMax      int64
+	Parks         int64
 	Nodes         int64
 	MsgsSent      int64
 	MsgsRecv      int64
@@ -266,6 +270,7 @@ func (s *Shard) load() Counts {
 		TTStores:      s.TTStores.Load(),
 		TTEvictions:   s.TTEvictions.Load(),
 		DequeMax:      s.DequeMax.Load(),
+		Parks:         s.Parks.Load(),
 		Nodes:         s.Nodes.Load(),
 		MsgsSent:      s.MsgsSent.Load(),
 		MsgsRecv:      s.MsgsRecv.Load(),
@@ -303,6 +308,7 @@ func (c *Counts) add(o Counts) {
 	if o.DequeMax > c.DequeMax {
 		c.DequeMax = o.DequeMax
 	}
+	c.Parks += o.Parks
 	c.Nodes += o.Nodes
 	c.MsgsSent += o.MsgsSent
 	c.MsgsRecv += o.MsgsRecv
@@ -481,6 +487,9 @@ type Report struct {
 	TTStores       int64   `json:"tt_stores"`
 	TTEvictions    int64   `json:"tt_evictions"`
 	DequeHighWater int64   `json:"deque_high_water"`
+	// Parks counts helper park events: each time an idle pool helper
+	// blocked on the condition variable instead of spinning.
+	Parks int64 `json:"parks"`
 	// LoadSkew is max-over-workers tasks divided by the mean; 1.0 is a
 	// perfectly even split, 0 when no tasks ran.
 	LoadSkew       float64 `json:"load_skew"`
@@ -546,6 +555,7 @@ func (s Snapshot) Report() Report {
 		TTStores:       t.TTStores,
 		TTEvictions:    t.TTEvictions,
 		DequeHighWater: t.DequeMax,
+		Parks:          t.Parks,
 	}
 	if t.StealAttempts > 0 {
 		rep.StealEfficiency = float64(t.Steals) / float64(t.StealAttempts)
