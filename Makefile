@@ -26,11 +26,14 @@ race:
 # machine, the injector's determinism and seed-replay tests, the pooled
 # engine's panic-isolation traps, and its idle protocol: helpers park
 # after a gap and stay parked (TestIdlePoolParks), and Pool.Close leaves
-# no goroutine behind in any idle state (TestPoolCloseLeavesNoGoroutines).
+# no goroutine behind in any idle state (TestPoolCloseLeavesNoGoroutines);
+# and the search body's one horizon: pooled table searches store only
+# above two plies to go, an unlimited search splits, and the principal
+# variation still runs the full depth (TestHorizon*).
 # -short trims the seed matrix to fit a CI budget; the full matrix runs in
 # `test`.
 chaos:
-	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC|Park|Close' \
+	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC|Park|Close|Horizon' \
 		./internal/faultnet/ ./internal/msgpass/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the two parsers of

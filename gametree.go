@@ -432,9 +432,10 @@ type Hasher = engine.Hasher
 
 // EngineOptions configures SearchOpt and the three drivers over it
 // (SearchIterative, MTDF, SearchPVS): Table, Workers and Telemetry. How
-// the engine splits work is not configurable — subtrees of two ply or
-// less are searched in place, and a worker opens a split point only when
-// its own deque has drained.
+// the engine splits work and uses the table is not configurable —
+// subtrees of two ply or less are plain alpha-beta, searched in place
+// with no table traffic, and a worker opens a split point only when its
+// own deque has drained.
 type EngineOptions = engine.SearchOptions
 
 // NewTranspositionTable allocates a table with at least the given number

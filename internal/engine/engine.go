@@ -77,15 +77,18 @@ const (
 	checkMask = 255 // interrupt poll frequency in nodes
 
 	// splitHorizon is the remaining depth at or below which a subtree is
-	// always searched in place: scheduling a task costs more than
-	// searching a 2-ply subtree.
+	// plain alpha-beta: no split point, no table key, probe or store.
+	// Scheduling a task, or a probe's DRAM miss, costs more than a 2-ply
+	// subtree can save.
 	splitHorizon = 2
 )
 
 // SearchOptions configures every search entry point but Search.
 type SearchOptions struct {
 	// Table, when non-nil, enables transposition-table probing and
-	// storing. Positions must implement Hasher for it to take effect.
+	// storing at nodes above the split horizon: more than two plies to
+	// go, or no depth horizon. Positions must implement Hasher for it to
+	// take effect.
 	Table *Table
 	// Workers is the size of the worker pool; 0 means GOMAXPROCS. With 1
 	// the whole search runs on the calling goroutine and, table or not,
@@ -186,8 +189,9 @@ func (e *searcher) root(pos Position, depth int, alpha, beta int64) (int64, int)
 // the value of pos and the index (in pos's own move order) of the move
 // that achieved it. Successors are generated into a buffer from b and
 // searched in place, by pointer. When the searcher carries a
-// transposition table and the position hashes, sufficient-depth entries
-// cut off immediately and the stored best move is tried first. The eldest
+// transposition table, the position hashes and the node is above the
+// split horizon, sufficient-depth entries cut off immediately and the
+// stored best move is tried first. The eldest
 // child is always searched in place; the younger brothers follow in place
 // too, unless this is a pool worker above the split horizon whose own
 // deque has drained, in which case they become one split point that idle
@@ -201,11 +205,16 @@ func (e *searcher) root(pos Position, depth int, alpha, beta int64) (int64, int)
 // runSearch returns the zero Result).
 func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, beta int64) (int64, int) {
 	e.nodes++
-	// A pool worker above the horizon may turn this node into a split
-	// point. Such nodes are few and each is a whole subtree, so they also
-	// poll for interruption on every visit rather than 1 in checkMask.
-	split := depth > splitHorizon && e.own != nil
-	if (split || e.halt || e.nodes&checkMask == 0) && e.interrupted() {
+	// Above the horizon a node heads a whole subtree, so it may pay the
+	// per-node overheads: a pool worker may turn it into a split point,
+	// and a table search keys, probes and stores it. At or below the
+	// horizon a subtree is plain alpha-beta: a probe there is a DRAM miss
+	// that can save at most a few Evaluate calls. Split nodes with a
+	// horizon below them are few, so they poll for interruption on every
+	// visit; every other node polls 1 in checkMask.
+	above := depth < 0 || depth > splitHorizon
+	split := above && e.own != nil
+	if (split && depth > 0 || e.halt || e.nodes&checkMask == 0) && e.interrupted() {
 		return alpha, -1
 	}
 	if depth == 0 {
@@ -220,7 +229,7 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 
 	var hash uint64
 	hashed := false
-	if e.table != nil { // a table-less search never asks for a key
+	if e.table != nil && above { // a table-less search never asks for a key
 		hash, hashed = (*pos).Key()
 	}
 	first := 0 // the eldest child: the table's best move, else the leftmost

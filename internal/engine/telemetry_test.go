@@ -102,7 +102,7 @@ func TestTelemetryPessimalTreeAccounting(t *testing.T) {
 
 // deepHashed is a tree position whose children also hash (the shared
 // hashedPos fixture only hashes its root), so TT traffic happens at
-// every interior node of the search.
+// every interior node above the split horizon.
 type deepHashed struct {
 	kids []Position
 	val  int32

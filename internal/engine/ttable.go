@@ -77,7 +77,10 @@ const (
 // a same-position entry is always updated, otherwise an empty slot is
 // taken, otherwise the entry with the lowest depth-minus-age score is
 // evicted — so deep results no longer vanish to replace-always
-// collisions. Hits are advisory either way.
+// collisions. Hits are advisory either way. The search body keys, probes
+// and stores only at nodes above its split horizon, more than two plies
+// from the depth horizon or with none, so entries stand for whole
+// subtrees.
 type Table struct {
 	words  []atomic.Uint64 // 2 per entry, bucketWays entries per bucket
 	mask   uint64          // bucket-index mask

@@ -13,10 +13,11 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
-// splitmix64 is the avalanche mix behind vnode placement — a local copy
+// splitmix64 is the avalanche mix behind vnode order — a local copy
 // (games has one too) so the ring does not import a game package.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -29,20 +30,21 @@ func splitmix64(x uint64) uint64 {
 }
 
 // fnv64a hashes a task key string (the canonical position form) onto the
-// ring's keyspace.
+// ring's keyspace: FNV-1a, then a splitmix64 finish. FNV-1a alone leaves
+// the top bits, which pick the arc on an evenly spaced ring, almost
+// blind to a key's last bytes.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return h
+	return splitmix64(h)
 }
 
 // ringVnodes is the number of virtual nodes per processor: enough that
-// the keyspace split between a handful of workers is within a few
-// percent of even, few enough that the ring stays a trivial binary
-// search.
+// a dead processor's keys scatter over the survivors, few enough that
+// the ring stays a trivial binary search.
 const ringVnodes = 64
 
 type vnode struct {
@@ -53,9 +55,10 @@ type vnode struct {
 // Ring is a consistent-hash ring over processor ids. Keys map to the
 // first vnode clockwise from the key's hash; when that processor is
 // down, ownership passes to the next *distinct* live processor in ring
-// order, so a crash moves only the dead shard's keys. A Ring is
-// immutable after New — membership is fixed per deployment, liveness is
-// a query-time predicate.
+// order, so a crash moves only the dead shard's keys. The vnodes keep
+// their hashed order but sit evenly spaced around the keyspace, so each
+// of n processors owns exactly 1/n of it. A Ring is immutable after New —
+// membership is fixed per deployment, liveness is a query-time predicate.
 type Ring struct {
 	vnodes []vnode
 	procs  []int
@@ -79,6 +82,11 @@ func NewRing(procs []int) *Ring {
 		}
 	}
 	sort.Slice(r.vnodes, func(i, j int) bool { return r.vnodes[i].hash < r.vnodes[j].hash })
+	n := uint64(len(r.vnodes))
+	for i := range r.vnodes {
+		// floor(i * 2^64 / n): every vnode's arc is 2^64/n, to within 1.
+		r.vnodes[i].hash, _ = bits.Div64(uint64(i), 0, n)
+	}
 	return r
 }
 

@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestRingOwnerDeterministic(t *testing.T) {
 	a := NewRing([]int{1, 2, 3})
@@ -28,6 +31,32 @@ func TestRingSpread(t *testing.T) {
 	}
 	if len(counts) != 4 {
 		t.Errorf("only %d procs own keys", len(counts))
+	}
+}
+
+// TestRingEvenShares sums each processor's vnode arcs: with the vnodes
+// evenly spaced, each of n processors owns 1/n of the keyspace, to
+// within one key per vnode.
+func TestRingEvenShares(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		procs := make([]int, n)
+		for i := range procs {
+			procs[i] = i + 1
+		}
+		r := NewRing(procs)
+		share := map[int]uint64{}
+		for i, v := range r.vnodes {
+			// The vnode owns the keys after its predecessor, up to itself;
+			// the first one's arc wraps around the top of the keyspace.
+			prev := r.vnodes[(i+len(r.vnodes)-1)%len(r.vnodes)].hash
+			share[v.proc] += v.hash - prev
+		}
+		want, _ := bits.Div64(1, 0, uint64(n)) // 2^64 / n
+		for _, p := range procs {
+			if d := int64(share[p] - want); d < -ringVnodes || d > ringVnodes {
+				t.Errorf("n=%d: proc %d owns %d keys, want %d±%d", n, p, share[p], want, ringVnodes)
+			}
+		}
 	}
 }
 

@@ -38,11 +38,11 @@ type WorkerConfig struct {
 	TableEntries int
 	// RemoteMinDepth gates the two-level table: probes and stores with
 	// remaining depth below it stay local (default 8). Every interior
-	// node of a search probes and stores, so the gate is what keeps
-	// remote traffic rare: an envelope costs ~10µs of codec and socket
-	// work on each side, which is under 1% of a subtree only once that
-	// subtree runs to milliseconds — depth 8 on the cheapest game served
-	// (the hash-mix random tree, ~70ns/node).
+	// node above the engine's 2-ply split horizon probes and stores, so
+	// the gate is what keeps remote traffic rare: an envelope costs ~10µs
+	// of codec and socket work on each side, which is under 1% of a
+	// subtree only once that subtree runs to milliseconds — depth 8 on
+	// the cheapest game served (the hash-mix random tree, ~70ns/node).
 	RemoteMinDepth int
 	// RemoteWindow bounds in-flight remote probes; beyond it probes are
 	// skipped, never queued (default 256).

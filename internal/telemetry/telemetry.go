@@ -51,7 +51,7 @@ const (
 	HistTaskRunNs                // wall time of one speculative task, ns
 	HistStealRetries             // CAS retries per steal attempt that saw work
 	HistDequeDepth               // deque depth observed at each split's push
-	HistTTProbeDepth             // remaining search depth at each TT probe
+	HistTTProbeDepth             // remaining search depth at each TT probe: >2, or <0 for no horizon
 	HistMsgResidenceNs           // msgpass mailbox residence (send→drain), ns
 	HistRetransmitDelayNs        // age of an unacked message at each retransmit, ns
 	HistRecoveryNs               // heartbeat silence until a crash was declared, ns
