@@ -21,35 +21,42 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Fault-injection regression suite under the race detector: the chaos
-# matrix (drop/dup/reorder/delay/crash/stall × seeds) on the Section 7
-# machine, the injector's determinism and seed-replay tests, the pooled
-# engine's panic-isolation traps, and its idle protocol: helpers park
-# after a gap and stay parked (TestIdlePoolParks), and Pool.Close leaves
-# no goroutine behind in any idle state (TestPoolCloseLeavesNoGoroutines);
-# and the search body's one horizon: pooled table searches store only
-# above two plies to go, an unlimited search splits, and the principal
-# variation still runs the full depth (TestHorizon*).
+# Fault-injection regression suite under the race detector: the shard
+# ring's chaos matrix (drop/dup/reorder/delay/crash/stall/partition over
+# one seeded faultnet.Injector; every root value must match the
+# sequential engine and membership must converge once faults heal), the
+# ring's resilience tests (epoch fencing, dead-ring fallback, quarantine,
+# crash reissue, rejoin on a new address, degraded empty ring and
+# recovery, coordinator Close leaving no goroutine), the injector's
+# determinism and seed-replay tests, the pooled engine's panic-isolation
+# traps, and its idle protocol: helpers park after a gap and stay parked
+# (TestIdlePoolParks), and Pool.Close leaves no goroutine behind in any
+# idle state (TestPoolCloseLeavesNoGoroutines); and the search body's one
+# horizon: pooled table searches store only above two plies to go, an
+# unlimited search splits, and the principal variation still runs the
+# full depth (TestHorizon*).
 # -short trims the seed matrix to fit a CI budget; the full matrix runs in
 # `test`.
 chaos:
-	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC|Park|Close|Horizon' \
-		./internal/faultnet/ ./internal/msgpass/ ./internal/engine/
+	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon' \
+		./internal/faultnet/ ./internal/shard/ ./internal/engine/
 
-# Fuzzing on a bounded budget, split evenly between the two parsers of
-# outside input and the Connect-4 bitboard: the length-prefixed TCP frame
-# reader must never panic or over-allocate on arbitrary bytes, the serving
-# layer's position parsers (all five registered games) must never panic,
-# must re-parse their own canonical forms to themselves, and must expand
-# only to positions that parse, and the bitboard must agree with the
-# []int8 oracle after any sequence of drops. The seeded unit forms of all
-# three already ride in `test` and `race`; this throws randomized
-# mutations at them for FUZZTIME in total (whole seconds, default 30s)
-# and is wired into the CI race matrix.
+# Fuzzing on a bounded budget, split evenly between the three decoders
+# of outside input and the Connect-4 bitboard: the length-prefixed TCP
+# frame reader must never panic or over-allocate on arbitrary bytes, the
+# shard envelope codec must never panic and must round-trip whatever it
+# accepts, the serving layer's position parsers (all five registered
+# games) must never panic, must re-parse their own canonical forms to
+# themselves, and must expand only to positions that parse, and the
+# bitboard must agree with the []int8 oracle after any sequence of drops.
+# The seeded unit forms of all four already ride in `test` and `race`;
+# this throws randomized mutations at them for FUZZTIME in total (whole
+# seconds, default 30s) and is wired into the CI race matrix.
 FUZZTIME ?= 30s
 fuzz:
-	each=$$(( $(FUZZTIME:s=) / 3 ))s; \
+	each=$$(( $(FUZZTIME:s=) / 4 ))s; \
 	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$$each ./internal/transport/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzEnvelopeCodec -fuzztime=$$each ./internal/shard/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzConnect4 -fuzztime=$$each ./internal/games/
 

@@ -8,7 +8,7 @@
 //	gtsim -algo team-solve -p 64 -d 2 -n 14 -instance iid -bias 0.618
 //	gtsim -algo parallel-ab -d 2 -n 10 -width 1 -instance iid
 //	gtsim -algo msgpass -n 12 -instance worst
-//	gtsim -algo msgpass -n 12 -p 4 -faults drop=0.1,dup=0.02,crash=3@50ms
+//	gtsim -algo msgpass -n 12 -p 4 -instance iid
 //	gtsim -algo n-parallel-solve -d 3 -n 8 -width 2 -instance best
 //
 // Instances: worst, best, iid (NOR, with -bias; MinMax with -lo/-hi),
@@ -41,22 +41,18 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		rootVal  = flag.Int("rootval", 1, "root value for worst/best NOR instances")
 		dot      = flag.String("dot", "", "write the instance as Graphviz DOT to this file")
-		faults   = flag.String("faults", "", "msgpass only: fault spec, e.g. drop=0.1,dup=0.02,crash=3@50ms (keys: drop, dup, reorder, delayp, delay=<dur>, crash=N@T, stall=N@T+D, seed=N)")
 	)
 	flag.Parse()
 
 	if err := run(*algo, *d, *n, *width, *procs, *instance, *bias, int32(*lo), int32(*hi),
-		*alpha, *beta, *seed, int32(*rootVal), *dot, *faults); err != nil {
+		*alpha, *beta, *seed, int32(*rootVal), *dot); err != nil {
 		fmt.Fprintln(os.Stderr, "gtsim:", err)
 		os.Exit(1)
 	}
 }
 
 func run(algo string, d, n, width, procs int, instance string, bias float64, lo, hi int32,
-	alpha, beta float64, seed int64, rootVal int32, dot, faults string) error {
-	if faults != "" && algo != "msgpass" {
-		return fmt.Errorf("-faults applies only to -algo msgpass (got %q): the fault-injectable network is the Section 7 machine's transport", algo)
-	}
+	alpha, beta float64, seed int64, rootVal int32, dot string) error {
 	minmax := strings.Contains(algo, "ab") || algo == "minimax" || algo == "scout"
 	t, err := buildInstance(instance, minmax, d, n, bias, lo, hi, alpha, beta, seed, rootVal)
 	if err != nil {
@@ -111,30 +107,12 @@ func run(algo string, d, n, width, procs int, instance string, bias float64, lo,
 	case "r-parallel-ab":
 		return reportExpand(gametree.RParallelAlphaBeta(t, width, seed, gametree.ExpandOptions{}))(start)
 	case "msgpass":
-		opt := gametree.MsgPassOptions{Processors: procs}
-		if faults != "" {
-			cfg, err := gametree.ParseFaultSpec(faults)
-			if err != nil {
-				return fmt.Errorf("-faults: %w", err)
-			}
-			if err := validateFaultProcs(cfg, procs, n); err != nil {
-				return err
-			}
-			fmt.Printf("faults: %s\n", cfg.Summary())
-			opt.Net = gametree.NewFaultInjector(cfg)
-		}
-		m, err := gametree.EvaluateMessagePassing(t, opt)
+		m, err := gametree.EvaluateMessagePassing(t, gametree.MsgPassOptions{Processors: procs})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("value=%d expansions=%d messages=%d processors=%d elapsed=%s\n",
 			m.Value, m.Expansions, m.Messages, m.Processors, time.Since(start).Round(time.Microsecond))
-		if faults != "" {
-			p := m.Protocol
-			fmt.Printf("protocol: retransmits=%d heartbeats=%d deaths=%d reassigned-levels=%d dup-dropped=%d memo-replies=%d\n",
-				p.Retransmits, p.Heartbeats, p.Deaths, p.LevelsReassigned, p.DupDropped, p.MemoReplies)
-			fmt.Printf("network: %v\n", m.Net)
-		}
 		return nil
 	case "minimax":
 		r := gametree.Minimax(t)
@@ -151,30 +129,6 @@ func run(algo string, d, n, width, procs int, instance string, bias float64, lo,
 	default:
 		return fmt.Errorf("unknown algorithm %q", algo)
 	}
-}
-
-// validateFaultProcs rejects crash/stall schedules naming processors the
-// run will not have: msgpass Processors 0 (or any excess) means one per
-// level, i.e. height+1 processors.
-func validateFaultProcs(cfg gametree.FaultConfig, procs, height int) error {
-	np := procs
-	if np <= 0 || np > height+1 {
-		np = height + 1
-	}
-	for _, c := range cfg.Crashes {
-		if c.Proc < 0 || c.Proc >= np {
-			return fmt.Errorf("-faults: crash names processor %d, but this run has processors 0..%d", c.Proc, np-1)
-		}
-	}
-	for _, s := range cfg.Stalls {
-		if s.Proc < 0 || s.Proc >= np {
-			return fmt.Errorf("-faults: stall names processor %d, but this run has processors 0..%d", s.Proc, np-1)
-		}
-	}
-	if len(cfg.Crashes) >= np {
-		return fmt.Errorf("-faults: %d scheduled crashes would kill all %d processors; at least one must survive", len(cfg.Crashes), np)
-	}
-	return nil
 }
 
 func buildInstance(instance string, minmax bool, d, n int, bias float64, lo, hi int32,

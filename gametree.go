@@ -39,7 +39,6 @@ import (
 	"gametree/internal/core"
 	"gametree/internal/engine"
 	"gametree/internal/expand"
-	"gametree/internal/faultnet"
 	"gametree/internal/msgpass"
 	"gametree/internal/pns"
 	"gametree/internal/randomized"
@@ -232,46 +231,6 @@ type MsgPassOptions = msgpass.Options
 
 // MsgPassMetrics reports a message-passing run.
 type MsgPassMetrics = msgpass.Metrics
-
-// FaultNetwork is the pluggable transport the message-passing machine
-// routes all traffic through. Plug a NewFaultInjector into
-// MsgPassOptions.Net to subject a run to drops, duplication, reordering,
-// delay, processor stalls and crashes; nil means the in-process perfect
-// path with zero protocol overhead.
-type FaultNetwork = faultnet.Network
-
-// FaultConfig parameterises a deterministic fault injector.
-type FaultConfig = faultnet.Config
-
-// FaultStats counts what a fault network did to the traffic.
-type FaultStats = faultnet.Stats
-
-// ProcCrash schedules a permanent processor failure.
-type ProcCrash = faultnet.ProcCrash
-
-// ProcStall schedules a temporary processor freeze.
-type ProcStall = faultnet.ProcStall
-
-// MsgProtocolConfig tunes the ack/retransmit + heartbeat reliability
-// protocol the msgpass machine runs when a FaultNetwork is attached.
-type MsgProtocolConfig = msgpass.ProtocolConfig
-
-// MsgProtocolStats reports the reliability protocol's work: retransmits,
-// heartbeats, declared deaths, reassigned levels, suppressed duplicates.
-type MsgProtocolStats = msgpass.ProtocolStats
-
-// NewPerfectNetwork returns a lossless, ordered, synchronous transport —
-// the explicit form of the default in-process delivery.
-func NewPerfectNetwork() FaultNetwork { return faultnet.NewPerfect() }
-
-// NewFaultInjector returns a deterministic seeded fault network: the fate
-// of the k'th packet on each (from,to) link depends only on the seed and
-// the link, never on goroutine scheduling.
-func NewFaultInjector(cfg FaultConfig) FaultNetwork { return faultnet.NewInjector(cfg) }
-
-// ParseFaultSpec parses a compact fault specification such as
-// "drop=0.1,dup=0.02,crash=3@50ms,seed=7" into a FaultConfig.
-func ParseFaultSpec(spec string) (FaultConfig, error) { return faultnet.ParseSpec(spec) }
 
 // EvaluateMessagePassing runs the Section 7 implementation of N-Parallel
 // SOLVE of width 1 on a binary NOR tree, with one goroutine processor per

@@ -1,4 +1,4 @@
-// Package experiments drives the reproduction suite E1–E14 defined in
+// Package experiments drives the reproduction suite E1–E13 defined in
 // DESIGN.md: one experiment per quantitative claim of Karp & Zhang (1989).
 // Each experiment returns plain-text tables; cmd/gtbench renders the full
 // suite and bench_test.go exposes one testing.B benchmark per experiment.
@@ -68,7 +68,6 @@ func Suite() []Experiment {
 		{"E11", "Cor. 2: near-uniform trees keep the linear speedup", E11NearUniform},
 		{"E12", "Sec. 7: message-passing implementation and real goroutine engine", E12MessagePassing},
 		{"E13", "Conclusion: the measured constant c beats the provable one", E13Constant},
-		{"E14", "Sec. 7 under faults: exact value despite loss, duplication and crashes", E14Faults},
 	}
 }
 

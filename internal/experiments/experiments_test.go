@@ -53,8 +53,8 @@ func TestSuiteIDsUniqueAndOrdered(t *testing.T) {
 			t.Errorf("%s has no claim", e.ID)
 		}
 	}
-	if len(seen) != 14 {
-		t.Errorf("expected 14 experiments, got %d", len(seen))
+	if len(seen) != 13 {
+		t.Errorf("expected 13 experiments, got %d", len(seen))
 	}
 }
 

@@ -1,15 +1,15 @@
-// Package faultnet is the pluggable message network under the Section 7
-// message-passing machine. The paper's model assumes a perfect unit-time
-// network; the machine's robustness claim — superseded invocations are
-// simply dropped — is only *exercised* when the network misbehaves. This
-// package provides the two ends of that spectrum behind one interface:
+// Package faultnet is the pluggable message network under the shard
+// ring (internal/shard): the coordinator and its workers talk only
+// through a Network, so the same ring code runs over real TCP
+// (internal/transport) in production and over a seeded fault injector in
+// its chaos tests. The ring's own protocol — heartbeats, liveness
+// sweeps, epoch fencing and task reissue — is what turns a lossy network
+// into exact answers; this package supplies the losses:
 //
-//   - Perfect: synchronous, lossless, in-order delivery (the behaviour the
-//     in-process channel realization always had).
 //   - Injector: a deterministic, seeded fault injector with per-link drop
 //     probability, bounded random delay, duplication, reordering (as
-//     overtaking jitter), and a schedule of processor crash and stall
-//     events.
+//     overtaking jitter), scheduled link partitions, and a schedule of
+//     processor crash and stall events.
 //
 // Determinism discipline: every fault decision for the k'th packet on a
 // link (from→to) is drawn from a PRNG stream keyed only by (seed, from,
@@ -17,15 +17,10 @@
 // *message* is the k'th on a link, but never what happens to it, and the
 // injector's event log — the per-link decision stream — is reproducible
 // byte-for-byte for a fixed send sequence (see WriteLog).
-//
-// The consumer (internal/msgpass) treats a nil Network as "perfect and
-// inlined": the fast path is one nil check, the same pattern the
-// telemetry layer uses, so fault injection costs nothing when disabled.
 package faultnet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -76,39 +71,4 @@ type Stats struct {
 func (s Stats) String() string {
 	return fmt.Sprintf("sent=%d delivered=%d dropped=%d duplicated=%d delayed=%d reordered=%d crash_dropped=%d partition_dropped=%d",
 		s.Sent, s.Delivered, s.Dropped, s.Duplicated, s.Delayed, s.Reordered, s.CrashDropped, s.PartitionDropped)
-}
-
-// Perfect is the lossless network: Send delivers synchronously on the
-// sender's goroutine, in order, and no processor ever fails. It exists so
-// the reliability protocol can be run — and its overhead measured —
-// without any injected faults.
-type Perfect struct {
-	deliver   func(Packet)
-	closed    atomic.Bool
-	sent      atomic.Int64
-	delivered atomic.Int64
-}
-
-// NewPerfect returns a perfect network.
-func NewPerfect() *Perfect { return &Perfect{} }
-
-func (p *Perfect) Start(deliver func(Packet)) { p.deliver = deliver }
-
-func (p *Perfect) Send(pkt Packet) {
-	if p.closed.Load() {
-		return
-	}
-	p.sent.Add(1)
-	p.delivered.Add(1)
-	p.deliver(pkt)
-}
-
-func (p *Perfect) Alive(int) bool { return true }
-
-func (p *Perfect) StalledUntil(int) (time.Time, bool) { return time.Time{}, false }
-
-func (p *Perfect) Close() { p.closed.Store(true) }
-
-func (p *Perfect) Stats() Stats {
-	return Stats{Sent: p.sent.Load(), Delivered: p.delivered.Load()}
 }

@@ -19,9 +19,9 @@ type ProcCrash struct {
 
 // ProcStall schedules a transient freeze: from At to At+For the processor
 // executes nothing (its mailbox still accumulates). A stall longer than
-// the protocol's death timeout looks exactly like a crash to the rest of
-// the machine — that is the false-positive scenario the fencing logic in
-// msgpass exists for.
+// the shard coordinator's liveness timeout looks exactly like a crash to
+// the rest of the ring — that is the false-positive scenario the
+// coordinator's epoch fencing exists for.
 type ProcStall struct {
 	Proc int           `json:"proc"`
 	At   time.Duration `json:"at"`

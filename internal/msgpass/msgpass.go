@@ -27,12 +27,9 @@ package msgpass
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"gametree/internal/faultnet"
 	"gametree/internal/telemetry"
 	"gametree/internal/tree"
 )
@@ -50,15 +47,6 @@ type Options struct {
 	// counters (shard i = processor i). When nil a run-local recorder is
 	// used; either way Metrics.PerProcessor reports the counts.
 	Telemetry *telemetry.Recorder
-	// Net, when non-nil, routes every message through the given network
-	// and arms the reliability protocol (sequence numbers,
-	// ack/retransmit with backoff, heartbeat crash detection, level
-	// reassignment — see reliable.go). nil keeps the direct in-process
-	// path, whose only added cost is one nil check per send.
-	Net faultnet.Network
-	// Protocol tunes the reliability protocol; zero fields take the
-	// defaults. Ignored when Net is nil.
-	Protocol ProtocolConfig
 }
 
 // ProcStats is one processor's message telemetry: invocations and values
@@ -84,12 +72,6 @@ type Metrics struct {
 	// processor id). The coordinator's kickoff message is counted in
 	// Messages but attributed to no processor.
 	PerProcessor []ProcStats
-	// Protocol reports the reliability-protocol traffic of a faultnet
-	// run; all zero on the perfect in-process path.
-	Protocol ProtocolStats
-	// Net reports what the network did to the traffic; zero value when
-	// Options.Net was nil.
-	Net faultnet.Stats
 }
 
 type msgType uint8
@@ -100,18 +82,13 @@ const (
 	msgPSolve2                // P-SOLVE**(v)
 	msgPSolve3                // P-SOLVE***(v)
 	msgVal                    // val(v) = b
-	// msgReassign is transport-level control (reliable.go): a dead
-	// processor's levels now belong to an adopter. Never counted in
-	// Metrics.ByType; only exists on faultnet runs.
-	msgReassign
 )
 
 type message struct {
 	typ    msgType
 	v      tree.NodeID
 	val    int8
-	sentNs int64        // recorder timestamp at send; queue-residence timebase
-	ctrl   *reassignCmd // payload of msgReassign, nil otherwise
+	sentNs int64 // recorder timestamp at send; queue-residence timebase
 }
 
 // mailbox is an unbounded MPSC queue so that sends never block (the model
@@ -203,7 +180,6 @@ type run struct {
 	messages   atomic.Int64
 	byType     [5]atomic.Int64
 	workSpin   int
-	tr         *transport // nil on the perfect in-process path
 
 	// reported[v] is set when val(v) has been sent upward. The paper's
 	// synchronous unit-time network makes the pre-emption rule
@@ -214,24 +190,10 @@ type run struct {
 	// reported, so every processor checks that (shared, monotonic)
 	// condition before acting on an invocation message.
 	reported []atomic.Bool
-
-	// vals memoizes each reported value (stored as val+1; 0 = unset).
-	// Over a faulty network the original val message can die with a
-	// crashed recipient, so a re-issued invocation for a reported node is
-	// answered from this memo instead of being dropped as stale.
-	vals []atomic.Int32
 }
 
-// markReported records that val(v)=val has been sent to the level above.
-// The memo is written before the flag so any reader that observes the
-// flag sees a valid value.
-func (r *run) markReported(v tree.NodeID, val int8) {
-	r.vals[v].Store(int32(val) + 1)
-	r.reported[v].Store(true)
-}
-
-// reportedVal returns the memoized value of a reported node.
-func (r *run) reportedVal(v tree.NodeID) int8 { return int8(r.vals[v].Load() - 1) }
+// markReported records that val(v) has been sent to the level above.
+func (r *run) markReported(v tree.NodeID) { r.reported[v].Store(true) }
 
 // stale reports whether an invocation rooted at v is obsolete: the value
 // of v or of one of its ancestors has already been reported.
@@ -246,19 +208,17 @@ func (r *run) stale(v tree.NodeID) bool {
 
 type processor struct {
 	r      *run
-	id     int
 	mb     *mailbox
 	sh     *telemetry.Shard // this processor's message counters
 	levels map[int]*levelState
 	owned  []int // levels this processor owns, ascending (for fair multiplexing)
 	next   int   // round-robin cursor into owned
-	fenced bool  // declared dead by the protocol; go silent (reliable.go)
 }
 
 // send counts the message against this processor's shard and routes it.
 func (p *processor) send(level int, m message) {
 	p.sh.MsgsSent.Add(1)
-	p.r.sendFrom(p.id, level, m)
+	p.r.send(level, m)
 }
 
 // Evaluate runs the Section 7 implementation on a binary NOR tree and
@@ -291,12 +251,11 @@ func Evaluate(t *tree.Tree, opt Options) (Metrics, error) {
 		rootResult: make(chan int8, 1),
 		workSpin:   opt.WorkPerExpansion,
 		reported:   make([]atomic.Bool, t.Len()),
-		vals:       make([]atomic.Int32, t.Len()),
 	}
 	r.procs = make([]*processor, np)
 	var wg sync.WaitGroup
 	for i := 0; i < np; i++ {
-		p := &processor{r: r, id: i, mb: newMailbox(), sh: rec.Shard(i), levels: map[int]*levelState{}}
+		p := &processor{r: r, mb: newMailbox(), sh: rec.Shard(i), levels: map[int]*levelState{}}
 		for lvl := i; lvl <= t.Height; lvl += np {
 			p.owned = append(p.owned, lvl)
 		}
@@ -310,9 +269,6 @@ func Evaluate(t *tree.Tree, opt Options) (Metrics, error) {
 			StaleDropped: p.sh.MsgsStale.Load(),
 		}
 	}
-	if opt.Net != nil {
-		r.tr = newTransport(r, opt.Net, opt.Protocol.withDefaults(), rec)
-	}
 	for i := 0; i < np; i++ {
 		wg.Add(1)
 		go func(p *processor) {
@@ -320,16 +276,9 @@ func Evaluate(t *tree.Tree, opt Options) (Metrics, error) {
 			p.loop()
 		}(r.procs[i])
 	}
-	if r.tr != nil {
-		r.tr.start()
-	}
 	// Kick off: P-SOLVE*(root) to the processor owning level 0.
-	r.sendFrom(-1, 0, message{typ: msgPSolve, v: t.Root()})
+	r.send(0, message{typ: msgPSolve, v: t.Root()})
 	val := <-r.rootResult
-	if r.tr != nil {
-		r.tr.stop()
-		opt.Net.Close()
-	}
 	for _, p := range r.procs {
 		p.mb.halt()
 	}
@@ -353,58 +302,20 @@ func Evaluate(t *tree.Tree, opt Options) (Metrics, error) {
 			StaleDropped: p.sh.MsgsStale.Load() - base[i].StaleDropped,
 		}
 	}
-	if r.tr != nil {
-		m.Protocol = r.tr.snapshotStats()
-		m.Net = opt.Net.Stats()
-	}
 	return m, nil
 }
 
-// send routes a message to the processor owning the given level. Level -1
-// is the coordinator awaiting the root value.
+// debugHook, when set, observes every message at send time (test-only).
 var debugHook func(level int, m message)
 
-// debugHandle, when set, observes every message as a processor handles it
-// (tag "h") and every val drop (tag "drop"). Test-only.
-var debugHandle func(tag string, proc int, m message)
-
-// dumpState reports the live invocations of every processor (test-only
-// deadlock diagnosis).
-func (r *run) dumpState() string {
-	out := ""
-	for _, p := range r.procs {
-		p.mb.mu.Lock()
-		for lvl, ls := range p.levels {
-			if ls.s != nil {
-				out += fmt.Sprintf("p%d L%d S(root=%d stack=%d) ", p.id, lvl, ls.s.root, len(ls.s.stack))
-			}
-			if ls.p != nil {
-				out += fmt.Sprintf("p%d L%d P(v=%d w=%d x=%d lval=%d rval=%d) ", p.id, lvl, ls.p.v, ls.p.w, ls.p.x, ls.p.lval, ls.p.rval)
-			}
-		}
-		out += fmt.Sprintf("p%d queue=%d; ", p.id, len(p.mb.queue))
-		p.mb.mu.Unlock()
-	}
-	return out
-}
-
-func (r *run) send(level int, m message) { r.sendFrom(-1, level, m) }
-
-// sendFrom routes a message from processor `from` (-1: the coordinator)
-// to the owner of `level`. On the perfect path that is a direct mailbox
-// append; with a network armed it becomes a reliable transport send.
-func (r *run) sendFrom(from, level int, m message) {
+// send routes a message to the processor owning the given level. Level -1
+// is the coordinator awaiting the root value.
+func (r *run) send(level int, m message) {
 	r.messages.Add(1)
-	if m.typ < msgReassign {
-		r.byType[m.typ].Add(1)
-	}
+	r.byType[m.typ].Add(1)
 	m.sentNs = r.rec.Now()
 	if debugHook != nil {
 		debugHook(level, m)
-	}
-	if r.tr != nil {
-		r.tr.send(from, level, -1, m)
-		return
 	}
 	if level < 0 {
 		if m.typ != msgVal {
@@ -447,41 +358,12 @@ func (p *processor) loop() {
 		if halted {
 			return
 		}
-		if tr := p.r.tr; tr != nil {
-			if !tr.net.Alive(p.id) {
-				p.awaitHalt() // crashed: execute nothing more
-				return
-			}
-			if until, ok := tr.net.StalledUntil(p.id); ok {
-				time.Sleep(time.Until(until))
-			}
-		}
 		for _, m := range msgs {
-			if p.fenced {
-				break
-			}
 			p.sh.MsgsRecv.Add(1)
 			p.sh.Hist[telemetry.HistMsgResidenceNs].Observe(p.r.rec.Now() - m.sentNs)
-			if debugHandle != nil {
-				debugHandle("h", p.id, m)
-			}
 			p.handle(m)
 		}
-		if p.fenced {
-			p.awaitHalt()
-			return
-		}
 		p.stepWork()
-	}
-}
-
-// awaitHalt discards all further traffic until the run ends; the terminal
-// state of crashed and fenced processors.
-func (p *processor) awaitHalt() {
-	for {
-		if _, halted := p.mb.drain(true); halted {
-			return
-		}
 	}
 }
 
@@ -505,28 +387,9 @@ func (p *processor) state(level int) *levelState {
 
 func (p *processor) handle(m message) {
 	t := p.r.t
-	if m.typ == msgReassign {
-		p.onReassign(m.ctrl)
-		return
-	}
-	if m.typ != msgVal {
-		if p.r.reported[m.v].Load() {
-			// v's value is already out. On the perfect network the
-			// invocation is simply superseded; over a faulty one the
-			// earlier val may have died with a crashed recipient, so a
-			// re-issued invocation is answered from the memo.
-			if tr := p.r.tr; tr != nil {
-				tr.stats.memoReplies.Add(1)
-				p.send(t.Depth(m.v)-1, message{typ: msgVal, v: m.v, val: p.r.reportedVal(m.v)})
-			} else {
-				p.sh.MsgsStale.Add(1)
-			}
-			return
-		}
-		if p.r.stale(m.v) {
-			p.sh.MsgsStale.Add(1)
-			return // superseded invocation: an ancestor's value is already out
-		}
+	if m.typ != msgVal && p.r.stale(m.v) {
+		p.sh.MsgsStale.Add(1)
+		return // superseded invocation: the value of v or an ancestor is already out
 	}
 	switch m.typ {
 	case msgSSolve:
@@ -550,48 +413,6 @@ func (p *processor) handle(m message) {
 	}
 }
 
-// onReassign applies a level-reassignment broadcast (reliable.go). The
-// declared-dead processor fences itself; the adopter takes ownership of
-// the orphaned levels; and every survivor re-issues the child invocations
-// its live P-invocations had sent into those levels, since the originals
-// died with the processor that owned them. Values are deterministic per
-// node, so redundant re-invocations converge (reported nodes answer from
-// the memo, live ones are superseded by the pre-emption rule).
-func (p *processor) onReassign(c *reassignCmd) {
-	if c.dead == p.id {
-		p.fenced = true
-		p.levels = map[int]*levelState{}
-		return
-	}
-	if c.adopter == p.id {
-		for _, l := range c.levels {
-			if !slices.Contains(p.owned, l) {
-				p.owned = append(p.owned, l)
-			}
-		}
-		slices.Sort(p.owned)
-	}
-	reassigned := make(map[int]bool, len(c.levels))
-	for _, l := range c.levels {
-		reassigned[l] = true
-	}
-	for level, ls := range p.levels {
-		if ls.p == nil || !reassigned[level+1] {
-			continue
-		}
-		st := ls.p
-		switch {
-		case st.lval < 0 && st.rval < 0:
-			p.send(level+1, message{typ: msgPSolve, v: st.w})
-			p.send(level+1, message{typ: msgSSolve, v: st.x})
-		case st.lval < 0:
-			p.send(level+1, message{typ: msgPSolve, v: st.w})
-		case st.lval == 0 && st.rval < 0:
-			p.send(level+1, message{typ: msgPSolve, v: st.x})
-		}
-	}
-}
-
 // startPSolve implements the two cases of "P-SOLVE*(v)".
 func (p *processor) startPSolve(v tree.NodeID) {
 	t := p.r.t
@@ -608,7 +429,7 @@ func (p *processor) startPSolve(v tree.NodeID) {
 	p.r.expand()
 	nd := t.Node(v)
 	if nd.NumChildren == 0 {
-		p.r.markReported(v, int8(nd.Value))
+		p.r.markReported(v)
 		p.send(level-1, message{typ: msgVal, v: v, val: int8(nd.Value)})
 		ls.p = nil
 		return
@@ -629,7 +450,7 @@ func (p *processor) startPVariant(v tree.NodeID, lval int8) {
 	if nd.NumChildren == 0 {
 		// Cannot happen: the handoff sends P-variants only for internal
 		// path nodes.
-		p.r.markReported(v, int8(nd.Value))
+		p.r.markReported(v)
 		p.send(t.Depth(v)-1, message{typ: msgVal, v: v, val: int8(nd.Value)})
 		return
 	}
@@ -670,9 +491,6 @@ func (p *processor) handleVal(v tree.NodeID, b int8) {
 	ls := p.levels[parentLevel]
 	if ls == nil || ls.p == nil {
 		p.sh.MsgsStale.Add(1)
-		if debugHandle != nil {
-			debugHandle("drop-noP", p.id, message{typ: msgVal, v: v, val: b})
-		}
 		return
 	}
 	st := ls.p
@@ -714,7 +532,7 @@ func (p *processor) handleVal(v tree.NodeID, b int8) {
 }
 
 func (p *processor) finishP(level int, st *pState, val int8) {
-	p.r.markReported(st.v, val)
+	p.r.markReported(st.v)
 	p.send(level-1, message{typ: msgVal, v: st.v, val: val})
 	if ls := p.levels[level]; ls != nil && ls.p == st {
 		ls.p = nil
@@ -775,7 +593,7 @@ func (p *processor) propagateS(ls *levelState, val int8) {
 		s.stack = s.stack[:len(s.stack)-1]
 	}
 	// The whole invocation finished.
-	p.r.markReported(s.root, val)
+	p.r.markReported(s.root)
 	p.send(t.Depth(s.root)-1, message{typ: msgVal, v: s.root, val: val})
 	ls.s = nil
 }

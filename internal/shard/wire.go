@@ -2,10 +2,12 @@ package shard
 
 // The shard tier's wire protocol: a single JSON envelope for every
 // message kind, carried as transport payloads via Codec. JSON (rather
-// than the hand-packed binary of msgpass.WireCodec) because shard
-// messages are low-rate — tasks, results, liveness and deep-TT traffic,
-// not per-node search messages — and the operational win of being able
-// to read a capture with jq outweighs the bytes.
+// than a hand-packed binary layout) because shard messages are low-rate
+// — tasks, results, liveness and deep-TT traffic, not per-node search
+// messages — and the operational win of being able to read a capture
+// with jq outweighs the bytes. Codec.Decode is the only payload decoder
+// that reads socket bytes, so FuzzEnvelopeCodec holds it to never
+// panicking and to round-tripping whatever it accepts.
 
 import (
 	"encoding/json"

@@ -48,9 +48,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		{"gametree_msgs_sent_total", "Message-passing messages sent.", s.Total.MsgsSent},
 		{"gametree_msgs_recv_total", "Message-passing messages received.", s.Total.MsgsRecv},
 		{"gametree_msgs_stale_total", "Message-passing messages dropped as stale.", s.Total.MsgsStale},
-		{"gametree_retransmits_total", "Messages retransmitted after an ack timeout.", s.Total.Retransmits},
-		{"gametree_heartbeats_total", "Heartbeats emitted by the reliability protocol.", s.Total.Heartbeats},
-		{"gametree_reassigns_total", "Levels reassigned away from dead processors.", s.Total.Reassigns},
 		{"gametree_shard_tasks_total", "Root tasks dispatched to shard workers.", s.Total.ShardTasks},
 		{"gametree_shard_reissues_total", "Tasks reissued after a shard worker timed out or died.", s.Total.ShardReissues},
 		{"gametree_remote_probes_total", "Transposition-table probes sent to the owning shard.", s.Total.RemoteProbes},

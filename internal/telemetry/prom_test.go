@@ -66,15 +66,6 @@ gametree_msgs_recv_total 0
 # HELP gametree_msgs_stale_total Message-passing messages dropped as stale.
 # TYPE gametree_msgs_stale_total counter
 gametree_msgs_stale_total 0
-# HELP gametree_retransmits_total Messages retransmitted after an ack timeout.
-# TYPE gametree_retransmits_total counter
-gametree_retransmits_total 0
-# HELP gametree_heartbeats_total Heartbeats emitted by the reliability protocol.
-# TYPE gametree_heartbeats_total counter
-gametree_heartbeats_total 0
-# HELP gametree_reassigns_total Levels reassigned away from dead processors.
-# TYPE gametree_reassigns_total counter
-gametree_reassigns_total 0
 # HELP gametree_shard_tasks_total Root tasks dispatched to shard workers.
 # TYPE gametree_shard_tasks_total counter
 gametree_shard_tasks_total 9
@@ -161,16 +152,6 @@ gametree_tt_probe_depth_count 40
 gametree_msg_residence_ns_bucket{le="+Inf"} 0
 gametree_msg_residence_ns_sum 0
 gametree_msg_residence_ns_count 0
-# HELP gametree_retransmit_delay_ns Age of an unacknowledged message at each retransmission, nanoseconds.
-# TYPE gametree_retransmit_delay_ns histogram
-gametree_retransmit_delay_ns_bucket{le="+Inf"} 0
-gametree_retransmit_delay_ns_sum 0
-gametree_retransmit_delay_ns_count 0
-# HELP gametree_recovery_ns Heartbeat silence observed when a processor was declared dead, nanoseconds.
-# TYPE gametree_recovery_ns histogram
-gametree_recovery_ns_bucket{le="+Inf"} 0
-gametree_recovery_ns_sum 0
-gametree_recovery_ns_count 0
 # HELP gametree_split_depth Remaining search depth at each opened split point.
 # TYPE gametree_split_depth histogram
 gametree_split_depth_bucket{le="1"} 0

@@ -47,17 +47,15 @@ import (
 // merges them. The Prometheus exposition (WriteProm) publishes every
 // family; Report extracts the headline quantiles.
 const (
-	HistAbortDrainNs      = iota // cutoff→drain latency of aborted joins, ns
-	HistTaskRunNs                // wall time of one speculative task, ns
-	HistStealRetries             // CAS retries per steal attempt that saw work
-	HistDequeDepth               // deque depth observed at each split's push
-	HistTTProbeDepth             // remaining search depth at each TT probe: >2, or <0 for no horizon
-	HistMsgResidenceNs           // msgpass mailbox residence (send→drain), ns
-	HistRetransmitDelayNs        // age of an unacked message at each retransmit, ns
-	HistRecoveryNs               // heartbeat silence until a crash was declared, ns
-	HistSplitDepth               // remaining search depth at each opened split point
-	HistShardRPCNs               // shard RPC round trip (task dispatch→result, probe→reply), ns
-	HistPNMPNDepth               // tree depth of each most-proving node a solver worker descended to
+	HistAbortDrainNs   = iota // cutoff→drain latency of aborted joins, ns
+	HistTaskRunNs             // wall time of one speculative task, ns
+	HistStealRetries          // CAS retries per steal attempt that saw work
+	HistDequeDepth            // deque depth observed at each split's push
+	HistTTProbeDepth          // remaining search depth at each TT probe: >2, or <0 for no horizon
+	HistMsgResidenceNs        // msgpass mailbox residence (send→drain), ns
+	HistSplitDepth            // remaining search depth at each opened split point
+	HistShardRPCNs            // shard RPC round trip (task dispatch→result, probe→reply), ns
+	HistPNMPNDepth            // tree depth of each most-proving node a solver worker descended to
 	NumHists
 )
 
@@ -77,10 +75,6 @@ func HistName(i int) string {
 		return "tt_probe_depth"
 	case HistMsgResidenceNs:
 		return "msg_residence_ns"
-	case HistRetransmitDelayNs:
-		return "retransmit_delay_ns"
-	case HistRecoveryNs:
-		return "recovery_ns"
 	case HistSplitDepth:
 		return "split_depth"
 	case HistShardRPCNs:
@@ -106,10 +100,6 @@ func HistHelp(i int) string {
 		return "Remaining search depth at each transposition-table probe."
 	case HistMsgResidenceNs:
 		return "Message-passing mailbox residence from send to drain, nanoseconds."
-	case HistRetransmitDelayNs:
-		return "Age of an unacknowledged message at each retransmission, nanoseconds."
-	case HistRecoveryNs:
-		return "Heartbeat silence observed when a processor was declared dead, nanoseconds."
 	case HistSplitDepth:
 		return "Remaining search depth at each opened split point."
 	case HistShardRPCNs:
@@ -120,12 +110,16 @@ func HistHelp(i int) string {
 	return ""
 }
 
-// Shard is one worker's counter block. All fields are single-writer
-// (owner-only); readers use Snapshot. The block is padded to whole cache
-// lines so neighbouring shards never false-share.
+// Shard is one writer's counter block: a pool worker, a Section 7
+// machine processor, a shard-ring process or a proof-number solver
+// worker. All fields are single-writer (owner-only); readers use
+// Snapshot. The block is padded to whole cache lines so neighbouring
+// shards never false-share.
 //
-// Counter semantics (see also README "Telemetry"):
+// Counter semantics, grouped by the layer that writes them (see also
+// README "Telemetry"):
 //
+//	search pool (internal/engine)
 //	Tasks          speculative sibling tasks actually executed
 //	StealAttempts  steal attempts on a non-empty victim deque
 //	Steals         steal attempts that won the task
@@ -147,27 +141,30 @@ func HistHelp(i int) string {
 //	Parks          times this pool helper blocked on the pool's condition
 //	               variable (worker 0 never parks)
 //	Nodes          positions visited (folded in when the pool quiesces)
+//
+//	Section 7 machine (internal/msgpass, in-process mailboxes)
 //	MsgsSent/MsgsRecv/MsgsStale
-//	               message-passing processors: messages sent, received,
-//	               and invocations/values dropped as stale
-//	Retransmits/Heartbeats/Reassigns
-//	               reliability protocol (faultnet runs): messages
-//	               retransmitted after ack timeout, heartbeats emitted,
-//	               and levels reassigned away from dead processors
+//	               messages a processor sent, drained from its mailbox,
+//	               and dropped as stale (superseded invocations, values
+//	               no live invocation waits on)
+//
+//	shard ring (internal/shard)
 //	ShardTasks/ShardReissues
-//	               distributed serving tier: root tasks dispatched to
-//	               shard workers, and tasks reissued to a successor after
-//	               a worker timed out or died
+//	               root tasks dispatched to shard workers, and tasks
+//	               reissued to a successor after a worker timed out or
+//	               died
 //	RemoteProbes/RemoteHits/RemoteStores/RemoteSkips
 //	               two-level transposition table: probes sent to the
 //	               owning shard, replies that carried a usable entry,
 //	               stores forwarded to the owner, and probes skipped
 //	               because the bounded in-flight window was full
+//
+//	proof-number solver (internal/pns)
 //	PNNodes/PNExpands/PNUpdates
-//	               proof-number solver: nodes traversed during
-//	               most-proving-node descents, leaves expanded (children
-//	               generated and initialized), and ancestor
-//	               proof/disproof-number recomputations on the way back up
+//	               nodes traversed during most-proving-node descents,
+//	               leaves expanded (children generated and initialized),
+//	               and ancestor proof/disproof-number recomputations on
+//	               the way back up
 type Shard struct {
 	Tasks         atomic.Int64
 	StealAttempts atomic.Int64
@@ -188,9 +185,6 @@ type Shard struct {
 	MsgsSent      atomic.Int64
 	MsgsRecv      atomic.Int64
 	MsgsStale     atomic.Int64
-	Retransmits   atomic.Int64
-	Heartbeats    atomic.Int64
-	Reassigns     atomic.Int64
 	ShardTasks    atomic.Int64
 	ShardReissues atomic.Int64
 	RemoteProbes  atomic.Int64
@@ -239,9 +233,6 @@ type Counts struct {
 	MsgsSent      int64
 	MsgsRecv      int64
 	MsgsStale     int64
-	Retransmits   int64
-	Heartbeats    int64
-	Reassigns     int64
 	ShardTasks    int64
 	ShardReissues int64
 	RemoteProbes  int64
@@ -275,9 +266,6 @@ func (s *Shard) load() Counts {
 		MsgsSent:      s.MsgsSent.Load(),
 		MsgsRecv:      s.MsgsRecv.Load(),
 		MsgsStale:     s.MsgsStale.Load(),
-		Retransmits:   s.Retransmits.Load(),
-		Heartbeats:    s.Heartbeats.Load(),
-		Reassigns:     s.Reassigns.Load(),
 		ShardTasks:    s.ShardTasks.Load(),
 		ShardReissues: s.ShardReissues.Load(),
 		RemoteProbes:  s.RemoteProbes.Load(),
@@ -313,9 +301,6 @@ func (c *Counts) add(o Counts) {
 	c.MsgsSent += o.MsgsSent
 	c.MsgsRecv += o.MsgsRecv
 	c.MsgsStale += o.MsgsStale
-	c.Retransmits += o.Retransmits
-	c.Heartbeats += o.Heartbeats
-	c.Reassigns += o.Reassigns
 	c.ShardTasks += o.ShardTasks
 	c.ShardReissues += o.ShardReissues
 	c.RemoteProbes += o.RemoteProbes
@@ -497,17 +482,6 @@ type Report struct {
 	MsgsSent       int64   `json:"msgs_sent,omitempty"`
 	MsgsRecv       int64   `json:"msgs_recv,omitempty"`
 	MsgsStale      int64   `json:"msgs_stale,omitempty"`
-	// Reliability-protocol traffic (faultnet runs only; zero and omitted
-	// on the perfect inlined path).
-	Retransmits int64 `json:"retransmits,omitempty"`
-	Heartbeats  int64 `json:"heartbeats,omitempty"`
-	Reassigns   int64 `json:"reassigns,omitempty"`
-	// Retransmit-delay and crash-recovery latency quantiles
-	// (HistRetransmitDelayNs / HistRecoveryNs).
-	RetransmitDelayP50Us float64 `json:"retransmit_delay_p50_us,omitempty"`
-	RetransmitDelayP99Us float64 `json:"retransmit_delay_p99_us,omitempty"`
-	RecoveryP50Us        float64 `json:"recovery_p50_us,omitempty"`
-	RecoveryMaxUs        float64 `json:"recovery_max_us,omitempty"`
 	// Distributed serving tier (shard runs only; zero and omitted on
 	// single-process runs): task routing, crash reissues, and the remote
 	// half of the two-level transposition table.
@@ -600,17 +574,6 @@ func (s Snapshot) Report() Report {
 	rep.MsgsSent = t.MsgsSent
 	rep.MsgsRecv = t.MsgsRecv
 	rep.MsgsStale = t.MsgsStale
-	rep.Retransmits = t.Retransmits
-	rep.Heartbeats = t.Heartbeats
-	rep.Reassigns = t.Reassigns
-	if rt := s.Hist[HistRetransmitDelayNs]; rt.Count > 0 {
-		rep.RetransmitDelayP50Us = rt.P50() / 1e3
-		rep.RetransmitDelayP99Us = rt.P99() / 1e3
-	}
-	if rc := s.Hist[HistRecoveryNs]; rc.Count > 0 {
-		rep.RecoveryP50Us = rc.P50() / 1e3
-		rep.RecoveryMaxUs = float64(rc.Max) / 1e3
-	}
 	rep.ShardTasks = t.ShardTasks
 	rep.ShardReissues = t.ShardReissues
 	rep.RemoteProbes = t.RemoteProbes

@@ -10,8 +10,7 @@ package transport
 //	bytes   codec payload
 //
 // — because everything interesting (sequence numbers, acks, dedup,
-// retransmission) lives a layer up, in msgpass/reliable.go or the shard
-// RPC protocol. The transport's only framing obligations are that a
+// retransmission) lives a layer up, in the shard RPC protocol. The transport's only framing obligations are that a
 // frame is delivered whole or not at all, and that a hostile or corrupt
 // stream is rejected rather than trusted (bounded length, error on
 // short frames).
@@ -26,8 +25,8 @@ import (
 )
 
 // MaxFrame bounds one frame's payload so a corrupt length prefix cannot
-// make the reader allocate gigabytes. Shard tasks and msgpass frames are
-// all well under a kilobyte; 1 MiB leaves room for future payloads.
+// make the reader allocate gigabytes. Shard envelopes are all well
+// under a kilobyte; 1 MiB leaves room for future payloads.
 const MaxFrame = 1 << 20
 
 const headerLen = 8 // From + To, after the length prefix

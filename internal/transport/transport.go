@@ -1,12 +1,10 @@
 // Package transport is the real-socket realization of the
 // faultnet.Network interface: length-prefixed frames over TCP, one
 // ordered stream per destination process, reconnect with exponential
-// backoff. It exists so everything built against faultnet — the
-// ack/retransmit/heartbeat/fencing protocol in internal/msgpass and the
-// seeded chaos injector — runs unchanged whether the "network" is a
-// function call or a kernel socket, and so the shard tier
-// (internal/shard) can put a coordinator and its workers in separate
-// processes.
+// backoff. It exists so the shard tier (internal/shard) can put a
+// coordinator and its workers in separate processes, and so the ring
+// code built against faultnet runs unchanged whether its network is a
+// kernel socket or the seeded chaos injector of its tests.
 //
 // Semantics, deliberately weaker than TCP's:
 //
@@ -14,16 +12,16 @@
 //     by one writer goroutine; when the peer is unreachable (dialing,
 //     backing off, queue full) packets are DROPPED and counted, not
 //     buffered without bound. The transport is honest about being a
-//     lossy network — reliability is the caller's job (msgpass
-//     retransmits, shard reissues), which is exactly what lets the
-//     chaos-hardened protocols run over it without modification.
+//     lossy network — reliability is the caller's job (the shard ring's
+//     heartbeats, liveness sweeps and task reissue), which is exactly
+//     what lets the chaos-hardened ring run over it without
+//     modification.
 //   - Per-link FIFO between two live endpoints: one TCP stream per
 //     destination process, so packets that are not dropped arrive in
 //     send order. A reconnect may lose the packets in flight around the
 //     break; ordering restarts on the new stream.
 //   - Alive is always true: raw TCP has no failure detector. Crash
-//     semantics come from layering (Chaos wraps an Injector's schedule
-//     around a transport) or from the caller's own heartbeats.
+//     semantics come from the caller's own heartbeats.
 //
 // Payloads cross as bytes via a caller-supplied Codec; the transport
 // never interprets them.
@@ -510,8 +508,8 @@ func (t *TCP) handOff(pkt faultnet.Packet) {
 }
 
 // Alive is always true: a raw socket transport has no failure detector.
-// Crash schedules come from layering an Injector (see Chaos); death
-// detection from the protocols above.
+// Death detection is the shard ring's job (heartbeats and liveness
+// sweeps).
 func (t *TCP) Alive(int) bool { return true }
 
 // StalledUntil never reports a stall for the same reason.

@@ -241,30 +241,3 @@ func TestUnroutableDrops(t *testing.T) {
 		t.Fatalf("stats: %+v, want sent=10 dropped=10", s)
 	}
 }
-
-// TestChaosOverTCP smoke-tests the stack composition directly: a drop
-// injector over a loopback transport must lose roughly the configured
-// fraction and deliver the rest through real sockets.
-func TestChaosOverTCP(t *testing.T) {
-	lower := newTCP(t, Config{Local: []int{0, 1}, Loopback: true})
-	inj := faultnet.NewInjector(faultnet.Config{Seed: 7, Drop: 0.5})
-	net := Chaos(inj, lower)
-	var c collector
-	net.Start(c.deliver)
-	defer net.Close()
-
-	const n = 400
-	for i := 0; i < n; i++ {
-		net.Send(faultnet.Packet{From: 0, To: 1, Payload: []byte{byte(i)}})
-	}
-	// Half dropped by the injector (seeded, so the exact count is fixed
-	// for seed 7); the rest must all surface through the socket.
-	want := n - int(inj.Stats().Dropped)
-	got := c.waitFor(t, 10*time.Second, func(p []faultnet.Packet) bool { return len(p) >= want })
-	if len(got) != want {
-		t.Fatalf("delivered %d, want %d (injector %v, transport %v)", len(got), want, inj.Stats(), lower.Stats())
-	}
-	if d := inj.Stats().Dropped; d < n/5 || d > 4*n/5 {
-		t.Fatalf("drop injector dropped %d of %d — not plausibly 50%%", d, n)
-	}
-}
