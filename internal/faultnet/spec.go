@@ -7,7 +7,8 @@ import (
 	"time"
 )
 
-// ParseSpec parses the -faults flag syntax into a Config:
+// ParseSpec parses the compact text form of a fault Config, the form a
+// chaos scenario can be written down in:
 //
 //	drop=0.1,dup=0.02,reorder=0.05,delay=2ms,delayp=0.2,crash=3@50ms,stall=2@20ms+30ms,seed=7
 //
