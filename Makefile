@@ -34,31 +34,37 @@ race:
 # idle state (TestPoolCloseLeavesNoGoroutines); and the search body's one
 # horizon: pooled table searches store only above two plies to go, an
 # unlimited search splits, and the principal variation still runs the
-# full depth (TestHorizon*).
+# full depth (TestHorizon*); and the ring's cascade: the eldest leaf goes
+# out alone, its brothers on the window it left, and the root still
+# matches the sequential engine at every expansion depth (TestCascade*).
 # -short trims the seed matrix to fit a CI budget; the full matrix runs in
 # `test`.
 chaos:
-	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon' \
+	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon|Cascade' \
 		./internal/faultnet/ ./internal/shard/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the three decoders
-# of outside input and the Connect-4 bitboard: the length-prefixed TCP
-# frame reader must never panic or over-allocate on arbitrary bytes, the
-# shard envelope codec must never panic and must round-trip whatever it
+# of outside input, the Connect-4 bitboard and the table's entry word:
+# the length-prefixed TCP frame reader must never panic or over-allocate
+# on arbitrary bytes, the shard envelope codec must never panic, must
+# refuse a task with an empty window and must round-trip whatever it
 # accepts, the serving layer's position parsers (all five registered
 # games) must never panic, must re-parse their own canonical forms to
-# themselves, and must expand only to positions that parse, and the
-# bitboard must agree with the []int8 oracle after any sequence of drops.
-# The seeded unit forms of all four already ride in `test` and `race`;
+# themselves, and must expand only to positions that parse, the bitboard
+# must agree with the []int8 oracle after any sequence of drops, and a
+# transposition-table entry must unpack to what was packed, with depth,
+# best move and generation clamped or wrapped to their fields.
+# The seeded unit forms of all five already ride in `test` and `race`;
 # this throws randomized mutations at them for FUZZTIME in total (whole
 # seconds, default 30s) and is wired into the CI race matrix.
 FUZZTIME ?= 30s
 fuzz:
-	each=$$(( $(FUZZTIME:s=) / 4 ))s; \
+	each=$$(( $(FUZZTIME:s=) / 5 ))s; \
 	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$$each ./internal/transport/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzEnvelopeCodec -fuzztime=$$each ./internal/shard/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/ && \
-	$(GO) test -race -run='^$$' -fuzz=FuzzConnect4 -fuzztime=$$each ./internal/games/
+	$(GO) test -race -run='^$$' -fuzz=FuzzConnect4 -fuzztime=$$each ./internal/games/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzTTEntryPacking -fuzztime=$$each ./internal/engine/
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -110,7 +110,7 @@ func main() {
 	flag.StringVar(&o.shardPeers, "shard-peers", "", "coordinator/worker: comma-separated proc=host:port shard peer table (proc 0 = coordinator)")
 	flag.IntVar(&o.shardProc, "shard-proc", 0, "worker: this process's shard processor id (> 0)")
 	flag.StringVar(&o.shardProcs, "shard-procs", "", "comma-separated worker processor ids forming the ring (default: derived from -shard-peers); must agree across all processes")
-	flag.IntVar(&o.expandDepth, "expand-depth", 1, "coordinator: plies expanded before fan-out")
+	flag.IntVar(&o.expandDepth, "expand-depth", 1, "coordinator: plies expanded into frontier tasks; the cascade ships the eldest leaf first and its brothers on the window it leaves")
 	flag.DurationVar(&o.taskTimeout, "task-timeout", 2*time.Second, "coordinator: per-task reissue timeout (base of the retry backoff)")
 	flag.DurationVar(&o.deadAfter, "dead-after", 3*time.Second, "coordinator: declare a worker dead after this much ping silence")
 	flag.IntVar(&o.taskRetries, "task-retries", 6, "coordinator: reissues per task before it is quarantined")

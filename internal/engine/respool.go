@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 
 	"gametree/internal/telemetry"
@@ -48,20 +49,30 @@ func NewPoolShards(workers int, table *Table, rec *telemetry.Recorder, shardBase
 // default is applied).
 func (rp *Pool) Workers() int { return len(rp.p.workers) }
 
-// Search runs one search on the resident workers, with the calling
-// goroutine as worker 0. The table generation is advanced per search,
-// mirroring SearchOpt, whose error contract it shares: ErrCancelled on
-// ctx cancel, additionally wrapping context.DeadlineExceeded when the
-// deadline expired — in both cases the Result is the zero value, never a
-// partial search passed off as complete.
+// Search is SearchWindow with the full window: it returns the exact
+// value, the same as Search on a bare searcher.
 func (rp *Pool) Search(ctx context.Context, pos Position, depth int) (Result, error) {
+	return rp.SearchWindow(ctx, pos, depth, -math.MaxInt32, math.MaxInt32)
+}
+
+// SearchWindow runs one alpha-beta search on the resident workers over
+// the open window (alpha, beta), with the calling goroutine as worker 0;
+// -math.MaxInt32 and math.MaxInt32 leave a side open. The value is
+// fail-soft: a value <= alpha is an upper bound on the true value, a
+// value >= beta a lower bound, and a value strictly inside the window is
+// exact. The table generation is advanced per search, mirroring
+// SearchOpt, whose error contract it shares: ErrCancelled on ctx cancel,
+// additionally wrapping context.DeadlineExceeded when the deadline
+// expired — in both cases the Result is the zero value, never a partial
+// search passed off as complete.
+func (rp *Pool) SearchWindow(ctx context.Context, pos Position, depth int, alpha, beta int32) (Result, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if rp.closed {
 		return Result{}, ErrPoolClosed
 	}
 	rp.table.Advance() // nil-safe
-	return rp.p.search(ctx, pos, depth, -scoreInf, scoreInf, false)
+	return rp.p.search(ctx, pos, depth, int64(alpha), int64(beta), false)
 }
 
 // Fanout runs fn concurrently on the resident workers — the hook that

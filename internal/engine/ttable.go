@@ -111,7 +111,8 @@ func (t *Table) Advance() {
 // into one word. Negative depths (depth-unlimited searches, which carry
 // exact-to-terminal results) and depths beyond the field width clamp to
 // ttDepthMax, so a later `stored >= wanted` probe comparison stays sound
-// instead of wrapping around.
+// instead of wrapping around. The flag keeps its two bits only: a flag
+// off the wire (ttstore, ttreply) cannot spill into the generation.
 func packEntry(value int32, depth int, flag uint64, best, gen int) uint64 {
 	if depth < 0 || depth > ttDepthMax {
 		depth = ttDepthMax
@@ -120,7 +121,7 @@ func packEntry(value int32, depth int, flag uint64, best, gen int) uint64 {
 		best = ttNoMove
 	}
 	return uint64(uint32(value))<<32 | uint64(depth)<<22 |
-		uint64(gen&ttGenMask)<<16 | flag<<14 | uint64(best)
+		uint64(gen&ttGenMask)<<16 | (flag&3)<<14 | uint64(best)
 }
 
 func unpackEntry(d uint64) (value int32, depth int, flag uint64, best int) {

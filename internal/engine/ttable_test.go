@@ -277,3 +277,34 @@ func TestSearchParallelTTMatchesPlain(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTTEntryPacking holds the entry word to its packing contract over
+// arbitrary fields — windowed searches, local and forwarded over the
+// shard ring's ttstore, store lower and upper bounds as well as exact
+// values. The value and flag round-trip; a negative or oversized depth
+// clamps to ttDepthMax; a best index outside [0, ttNoMove) maps to the
+// no-move sentinel; the generation wraps to its field; and no field's
+// out-of-range input leaks into another.
+func FuzzTTEntryPacking(f *testing.F) {
+	f.Add(int32(5), 3, uint64(BoundExact), 2, 0)
+	f.Add(int32(-7), -1, uint64(BoundLower), -1, 63)
+	f.Add(int32(1<<24), ttDepthMax+1, uint64(BoundUpper), ttNoMove, 64)
+	f.Add(int32(-1<<31), 1<<20, uint64(BoundPN), 1<<30, -1)
+	f.Add(int32(1<<31-1), 0, uint64(1<<40), ttNoMove-1, 1<<31)
+	f.Fuzz(func(t *testing.T, value int32, depth int, flag uint64, best, gen int) {
+		e := packEntry(value, depth, flag, best, gen)
+		v, d, fl, b := unpackEntry(e)
+		wantD := depth
+		if depth < 0 || depth > ttDepthMax {
+			wantD = ttDepthMax
+		}
+		wantB := best
+		if best < 0 || best >= ttNoMove {
+			wantB = -1
+		}
+		if v != value || d != wantD || fl != flag&3 || b != wantB || entryGen(e) != gen&ttGenMask {
+			t.Fatalf("pack(v=%d d=%d f=%d b=%d g=%d) unpacks to (v=%d d=%d f=%d b=%d g=%d), want (%d %d %d %d %d)",
+				value, depth, flag, best, gen, v, d, fl, b, entryGen(e), value, wantD, flag&3, wantB, gen&ttGenMask)
+		}
+	})
+}

@@ -43,9 +43,6 @@ type Network interface {
 	// duplicate or reorder it, and drops traffic from or to crashed
 	// processors.
 	Send(pkt Packet)
-	// Alive reports whether a processor is up (false once a scheduled
-	// crash event has fired). The coordinator (-1) is always alive.
-	Alive(proc int) bool
 	// StalledUntil reports whether the processor is currently frozen by a
 	// stall event and, if so, when the stall ends.
 	StalledUntil(proc int) (time.Time, bool)

@@ -264,6 +264,9 @@ func (in *Injector) growCrashed(proc int) {
 	}
 }
 
+// Alive reports whether a processor is up (false once a scheduled crash
+// event has fired). Processors the injector has never seen crash, the
+// coordinator (-1) among them, are alive.
 func (in *Injector) Alive(proc int) bool {
 	if proc < 0 || proc >= len(in.crashed) {
 		return true

@@ -55,9 +55,9 @@ const (
 	StageQueue       = "queue"        // serve: leader's wait for a pool token; worker: task queue residence
 	StageSearch      = "search"       // serve: leader's backend/pool search, start to settle
 	StageExpand      = "expand"       // coordinator: root expansion to the task frontier
-	StageRoute       = "route"        // coordinator: consistent-hash routing + dispatch of the frontier
+	StageRoute       = "route"        // coordinator: consistent-hash routing + dispatch of one cascade wave
 	StageRPC         = "rpc"          // coordinator: one task in flight, first dispatch to result
-	StageFold        = "fold"         // coordinator: negamax fold of the completed frontier
+	StageFold        = "fold"         // coordinator: negamax fold of the root's children
 	StageCompute     = "compute"      // worker: one task's pool search
 	StageDoneCache   = "done-cache"   // worker: a reissued duplicate re-answered from the result cache
 	StageRemoteProbe = "remote-probe" // worker: remote TT probe, send to reply

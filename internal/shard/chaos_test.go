@@ -68,8 +68,6 @@ func (v *hubView) Start(deliver func(faultnet.Packet)) {
 
 func (v *hubView) Send(pkt faultnet.Packet) { v.h.inj.Send(pkt) }
 
-func (v *hubView) Alive(proc int) bool { return v.h.inj.Alive(proc) }
-
 func (v *hubView) StalledUntil(proc int) (time.Time, bool) { return v.h.inj.StalledUntil(proc) }
 
 // Close is a no-op: the hub (and injector) outlive every per-process

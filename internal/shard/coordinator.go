@@ -199,8 +199,9 @@ func (r *recoveryTracker) p99() int64 {
 	return buf[(r.n*99)/100]
 }
 
-// Coordinator expands root positions, routes the frontier to workers by
-// consistent hash, reissues timed-out tasks to ring successors, and
+// Coordinator expands root positions, cascades the frontier to workers
+// eldest first (routed by consistent hash, each task on the window its
+// elder brothers left), reissues timed-out tasks to ring successors, and
 // folds worker results back into exact root values with the negamax
 // rule. It implements the serve.Backend contract (Search), so gtserve
 // can swap it in for the local pool set.
@@ -666,7 +667,7 @@ func (c *Coordinator) reissueStale() {
 
 // runLocal computes one leaf on the fallback pool and settles it as
 // degraded. The answer is exactly what a worker would have produced —
-// the same engine, full window — only the latency story changes.
+// the same engine on the task's window — only the latency story changes.
 func (c *Coordinator) runLocal(p *pendingTask) {
 	c.mu.Lock()
 	c.degradedTasks++
@@ -679,7 +680,8 @@ func (c *Coordinator) runLocal(p *pendingTask) {
 		pos, _, err := serve.ParsePosition(p.env.Game, p.env.Pos)
 		if err == nil {
 			var r engine.Result
-			r, err = c.cfg.Fallback.Search(c.localCtx, pos, p.env.Depth)
+			alpha, beta := p.env.window()
+			r, err = c.cfg.Fallback.SearchWindow(c.localCtx, pos, p.env.Depth, alpha, beta)
 			if err == nil {
 				res.Value, res.Best, res.Nodes = r.Value, r.Best, r.Nodes
 			}
@@ -704,36 +706,35 @@ func (c *Coordinator) runLocal(p *pendingTask) {
 
 // expandNode is the coordinator's view of the tree above the task
 // frontier: either a leaf (a task shipped to a worker) or an interior
-// node folded locally.
+// node the cascade folds locally.
 type expandNode struct {
 	children []*expandNode
 	task     *pendingTask
 }
 
-// buildTree expands (game, pos) for `plies` more levels. Terminal
-// positions and exhausted depth become leaves regardless of plies left.
-func (c *Coordinator) buildTree(game, pos string, depth, plies int, trace string) (*expandNode, []*pendingTask, error) {
+// buildTree expands (game, pos) for `plies` more levels and returns the
+// tree with its leaf count. Terminal positions and exhausted depth
+// become leaves regardless of plies left.
+func (c *Coordinator) buildTree(game, pos string, depth, plies int, trace string) (*expandNode, int, error) {
 	if plies <= 0 || depth <= 0 {
-		leaf := c.newTask(game, pos, depth, trace)
-		return &expandNode{task: leaf}, []*pendingTask{leaf}, nil
+		return &expandNode{task: c.newTask(game, pos, depth, trace)}, 1, nil
 	}
 	children, err := serve.Expand(game, pos)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	if len(children) == 0 {
-		leaf := c.newTask(game, pos, depth, trace)
-		return &expandNode{task: leaf}, []*pendingTask{leaf}, nil
+		return &expandNode{task: c.newTask(game, pos, depth, trace)}, 1, nil
 	}
 	n := &expandNode{children: make([]*expandNode, len(children))}
-	var leaves []*pendingTask
+	leaves := 0
 	for i, ch := range children {
-		sub, subLeaves, err := c.buildTree(game, ch, depth-1, plies-1, trace)
+		sub, k, err := c.buildTree(game, ch, depth-1, plies-1, trace)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		n.children[i] = sub
-		leaves = append(leaves, subLeaves...)
+		leaves += k
 	}
 	return n, leaves, nil
 }
@@ -747,66 +748,131 @@ func (c *Coordinator) newTask(game, pos string, depth int, trace string) *pendin
 	}
 }
 
-// fold computes the negamax value of the expansion tree from completed
-// leaf results: interior value = max over children of -child value, with
-// the FIRST strict improvement winning — the same rule a sequential
-// full-window negamax applies, so both the value and the root move index
-// match engine.Search exactly.
-func fold(n *expandNode) (value int32, best int, nodes int64, err error) {
-	if n.task != nil {
-		if n.task.err != nil {
-			return 0, -1, 0, n.task.err
-		}
-		r := n.task.res
-		if r.Err != "" {
-			return 0, -1, 0, fmt.Errorf("shard: worker error: %s", r.Err)
-		}
-		return r.Value, r.Best, r.Nodes, nil
+// result reads a settled task's answer.
+func (p *pendingTask) result() (value int32, best int, nodes int64, err error) {
+	if p.err != nil {
+		return 0, -1, 0, p.err
 	}
-	best = -1
-	first := true
-	for i, ch := range n.children {
-		v, _, cn, cerr := fold(ch)
-		if cerr != nil {
-			return 0, -1, 0, cerr
+	if p.res.Err != "" {
+		return 0, -1, 0, fmt.Errorf("shard: worker error: %s", p.res.Err)
+	}
+	return p.res.Value, p.res.Best, p.res.Nodes, nil
+}
+
+// cascadeRun is the state one Search shares across its cascade's
+// concurrent branches.
+type cascadeRun struct {
+	ctx      context.Context
+	trace    string
+	root     *expandNode
+	degraded atomic.Bool // a leaf was answered by the fallback pool
+}
+
+// cascade evaluates the expansion tree below n on the open window
+// (alpha, beta) the way a left-to-right alpha-beta search does: Section
+// 7's cascade across the ring. The eldest child's subtree is evaluated
+// first, on the node's window. Its value narrows alpha, and if that
+// reaches beta the younger brothers are never dispatched. Otherwise they
+// all go out at once on the narrowed window — leaf brothers as one
+// dispatch wave, interior brothers as concurrent cascades of their own —
+// and the node keeps the FIRST strict improvement over the eldest. The
+// value is fail-soft, like the engine's: exact inside the window, a bound
+// at or beyond either side. On the root's full window a brother that
+// fails high returns a bound no better than the eldest and never wins, so
+// the value and the root move index both match engine.Search exactly.
+func (c *Coordinator) cascade(run *cascadeRun, n *expandNode, alpha, beta int32) (value int32, best int, nodes int64, err error) {
+	if n.task != nil {
+		n.task.env.setWindow(alpha, beta)
+		if err := c.wave(run, []*pendingTask{n.task}); err != nil {
+			return 0, -1, 0, err
 		}
-		nodes += cn
-		if first || -v > value {
-			value, best, first = -v, i, false
+		return n.task.result()
+	}
+	v, _, nodes, err := c.cascade(run, n.children[0], -beta, -alpha)
+	if err != nil {
+		return 0, -1, 0, err
+	}
+	value, best = -v, 0
+	brothers := n.children[1:]
+	if value >= beta {
+		brothers = nil // cutoff: the younger brothers are never dispatched
+	}
+	alpha = max(alpha, value)
+	type outcome struct {
+		v     int32
+		nodes int64
+		err   error
+	}
+	sub := make([]outcome, len(brothers))
+	var leaves []*pendingTask
+	var wg sync.WaitGroup
+	for i, b := range brothers {
+		if b.task != nil {
+			b.task.env.setWindow(-beta, -alpha)
+			leaves = append(leaves, b.task)
+			continue
 		}
+		wg.Add(1)
+		go func(o *outcome, b *expandNode) {
+			defer wg.Done()
+			o.v, _, o.nodes, o.err = c.cascade(run, b, -beta, -alpha)
+		}(&sub[i], b)
+	}
+	err = c.wave(run, leaves)
+	wg.Wait()
+
+	wallFold := time.Now().UnixNano()
+	for i, b := range brothers {
+		if err != nil {
+			break
+		}
+		o := sub[i]
+		if b.task != nil {
+			o.v, _, o.nodes, o.err = b.task.result()
+		}
+		if err = o.err; err != nil {
+			break
+		}
+		nodes += o.nodes
+		if -o.v > value {
+			value, best = -o.v, i+1
+		}
+	}
+	if n == run.root && run.trace != "" {
+		note := "ok"
+		if err != nil {
+			note = "err"
+		}
+		c.cfg.Tracer.Record(reqtrace.Span{
+			Trace: run.trace, Stage: reqtrace.StageFold,
+			StartNs: wallFold, DurNs: time.Now().UnixNano() - wallFold,
+			Note: note,
+		})
+	}
+	if err != nil {
+		return 0, -1, 0, err
 	}
 	return value, best, nodes, nil
 }
 
-// Search evaluates (game, position) to depth and returns the exact
-// sequential result: the root is expanded ExpandDepth plies, the
-// frontier searched on workers with full windows, and the values folded
-// back with negamax. Cancelling ctx abandons the outstanding tasks
-// (workers finish and their results are dropped as unknown IDs).
-func (c *Coordinator) Search(ctx context.Context, game, position string, depth int) (engine.Result, error) {
-	_, key, err := serve.ParsePosition(game, position)
-	if err != nil {
-		return engine.Result{}, err
+// wave dispatches tasks, their windows set, to the live owners of their
+// position keys and waits until every one has settled (reissueLoop
+// handles retries meanwhile). With nobody alive and a fallback pool
+// configured, a task skips the ring entirely and computes here —
+// degraded, not hung. Cancelling the search or closing the coordinator
+// abandons the wave's outstanding tasks (workers finish and their
+// results are dropped as unknown IDs).
+func (c *Coordinator) wave(run *cascadeRun, tasks []*pendingTask) error {
+	if len(tasks) == 0 {
+		return nil
 	}
-	canon := key[len(game)+1:]
-
-	trace := reqtrace.FromContext(ctx)
-	wallExpand := time.Now().UnixNano()
-	root, leaves, err := c.buildTree(game, canon, depth, c.cfg.ExpandDepth, trace)
-	if err != nil {
-		return engine.Result{}, err
+	select {
+	case <-run.ctx.Done():
+		return engine.ErrCancelled
+	case <-c.closed:
+		return ErrClosed
+	default:
 	}
-	if trace != "" {
-		c.cfg.Tracer.Record(reqtrace.Span{
-			Trace: trace, Stage: reqtrace.StageExpand,
-			StartNs: wallExpand, DurNs: time.Now().UnixNano() - wallExpand,
-			Note: fmt.Sprintf("leaves=%d", len(leaves)),
-		})
-	}
-
-	// Dispatch every leaf to the live owner of its position key; with
-	// nobody alive and a fallback pool configured, a leaf skips the ring
-	// entirely and computes here — degraded, not hung.
 	now := time.Now()
 	wallRoute := now.UnixNano()
 	var locals []*pendingTask
@@ -816,7 +882,7 @@ func (c *Coordinator) Search(ctx context.Context, game, position string, depth i
 	}
 	var sends []sendItem
 	c.mu.Lock()
-	for _, p := range leaves {
+	for _, p := range tasks {
 		p.first = now
 		p.firstWall = wallRoute
 		p.issueEpoch = c.epoch
@@ -846,54 +912,69 @@ func (c *Coordinator) Search(ctx context.Context, game, position string, depth i
 		}
 		c.cfg.Net.Send(faultnet.Packet{From: c.cfg.Self, To: s.to, Payload: s.env})
 	}
-	if trace != "" {
+	if run.trace != "" {
 		c.cfg.Tracer.Record(reqtrace.Span{
-			Trace: trace, Stage: reqtrace.StageRoute,
+			Trace: run.trace, Stage: reqtrace.StageRoute,
 			StartNs: wallRoute, DurNs: time.Now().UnixNano() - wallRoute,
-			Note: fmt.Sprintf("tasks=%d", len(leaves)),
+			Note: fmt.Sprintf("tasks=%d", len(tasks)),
 		})
 	}
 
-	// Await every leaf (reissueLoop handles retries meanwhile).
-	for _, p := range leaves {
+	for _, p := range tasks {
 		select {
 		case <-p.done:
-		case <-ctx.Done():
-			c.abandon(leaves)
-			return engine.Result{}, engine.ErrCancelled
+		case <-run.ctx.Done():
+			c.abandon(tasks)
+			return engine.ErrCancelled
 		case <-c.closed:
-			c.abandon(leaves)
-			return engine.Result{}, ErrClosed
+			c.abandon(tasks)
+			return ErrClosed
 		}
 	}
-
-	// Any leaf answered by the fallback pool makes the whole response
-	// degraded-but-exact; surface that to the serving tier.
-	degraded := false
 	c.mu.Lock()
-	for _, p := range leaves {
+	for _, p := range tasks {
 		if p.degraded {
-			degraded = true
+			run.degraded.Store(true)
 			break
 		}
 	}
 	c.mu.Unlock()
-	if degraded {
-		serve.MarkDegraded(ctx)
+	return nil
+}
+
+// Search evaluates (game, position) to depth and returns the exact
+// sequential result: the root is expanded ExpandDepth plies, and the
+// cascade evaluates that tree eldest first, shipping each frontier leaf
+// to a worker on the window its elder brothers left. Cancelling ctx
+// abandons the outstanding tasks; no goroutine of the search outlives
+// it.
+func (c *Coordinator) Search(ctx context.Context, game, position string, depth int) (engine.Result, error) {
+	_, key, err := serve.ParsePosition(game, position)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	canon := key[len(game)+1:]
+
+	trace := reqtrace.FromContext(ctx)
+	wallExpand := time.Now().UnixNano()
+	root, leaves, err := c.buildTree(game, canon, depth, c.cfg.ExpandDepth, trace)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	if trace != "" {
+		c.cfg.Tracer.Record(reqtrace.Span{
+			Trace: trace, Stage: reqtrace.StageExpand,
+			StartNs: wallExpand, DurNs: time.Now().UnixNano() - wallExpand,
+			Note: fmt.Sprintf("leaves=%d", leaves),
+		})
 	}
 
-	wallFold := time.Now().UnixNano()
-	value, best, nodes, err := fold(root)
-	if trace != "" {
-		note := "ok"
-		if err != nil {
-			note = "err"
-		}
-		c.cfg.Tracer.Record(reqtrace.Span{
-			Trace: trace, Stage: reqtrace.StageFold,
-			StartNs: wallFold, DurNs: time.Now().UnixNano() - wallFold,
-			Note: note,
-		})
+	run := &cascadeRun{ctx: ctx, trace: trace, root: root}
+	value, best, nodes, err := c.cascade(run, root, -inf, inf)
+	// Any leaf answered by the fallback pool makes the whole response
+	// degraded-but-exact; surface that to the serving tier.
+	if run.degraded.Load() {
+		serve.MarkDegraded(ctx)
 	}
 	if err != nil {
 		return engine.Result{}, err
@@ -901,9 +982,9 @@ func (c *Coordinator) Search(ctx context.Context, game, position string, depth i
 	return engine.Result{Value: value, Best: best, Nodes: nodes}, nil
 }
 
-func (c *Coordinator) abandon(leaves []*pendingTask) {
+func (c *Coordinator) abandon(tasks []*pendingTask) {
 	c.mu.Lock()
-	for _, p := range leaves {
+	for _, p := range tasks {
 		delete(c.pending, p.env.ID)
 	}
 	c.mu.Unlock()

@@ -15,9 +15,12 @@ import (
 // marshals away; nil and empty Peers mean the same to the ring.
 func FuzzEnvelopeCodec(f *testing.F) {
 	c := Codec{}
+	lo, hi := int32(-3), int32(5)
 	for _, e := range []*Envelope{
 		{Kind: KindHello, Peers: map[string]string{"0": "127.0.0.1:7000", "1": "127.0.0.1:7001"}, SentNs: 11, Epoch: 3},
 		{Kind: KindTask, ID: 7, Game: "connect4", Pos: "3,3,4", Depth: 8, SentNs: 12, Trace: "tr-1", Epoch: 3},
+		{Kind: KindTask, ID: 9, Game: "random", Pos: "42:5", Depth: 7, Alpha: &lo, Beta: &hi, Epoch: 3},
+		{Kind: KindTask, ID: 10, Game: "random", Pos: "42:5", Depth: 7, Alpha: &hi, Beta: &lo}, // empty window: Decode rejects it
 		{Kind: KindResult, ID: 7, Value: -5, Best: 2, Nodes: 4096, SentNs: 12, Trace: "tr-1", Epoch: 3},
 		{Kind: KindResult, ID: 8, Err: "shard: unknown game", Epoch: 3},
 		{Kind: KindPing, SentNs: 13, EchoNs: 11, Boot: 0xdeadbeef, Addr: "127.0.0.1:7002"},

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -37,7 +38,6 @@ func (f *fakeNet) Send(pkt faultnet.Packet) {
 	f.mu.Unlock()
 }
 
-func (f *fakeNet) Alive(int) bool                     { return true }
 func (f *fakeNet) StalledUntil(int) (time.Time, bool) { return time.Time{}, false }
 func (f *fakeNet) Close()                             {}
 func (f *fakeNet) Stats() faultnet.Stats              { return faultnet.Stats{} }
@@ -75,17 +75,10 @@ func TestEpochFencing(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	// Wait for the leaves to be dispatched (random 3:2 has two children).
-	waitUntil(t, 10*time.Second, func() bool { return coord.Pending() == 2 })
-	var ids []uint64
-	coord.mu.Lock()
-	for id := range coord.pending {
-		ids = append(ids, id)
-	}
-	coord.mu.Unlock()
-	if ids[0] > ids[1] {
-		ids[0], ids[1] = ids[1], ids[0] // ids are assigned in child order
-	}
+	// random 3:2 has two children. The cascade dispatches the eldest
+	// alone; its brother waits for the eldest's value.
+	waitUntil(t, 10*time.Second, func() bool { return coord.Pending() == 1 })
+	eldest := pendingIDs(coord)[0]
 
 	// Two pings from worker 1 with different boot nonces: the second is a
 	// restart signature, bumping the membership epoch to 2.
@@ -103,36 +96,56 @@ func TestEpochFencing(t *testing.T) {
 		t.Fatalf("epoch moved to %d on a foreign ping", got)
 	}
 
-	// Wait for the reissue loop to restamp both tasks at epoch 2.
+	// Wait for the reissue loop to restamp the eldest at epoch 2.
 	waitUntil(t, 10*time.Second, func() bool {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		for _, id := range ids {
-			if p := coord.pending[id]; p == nil || p.issueEpoch != 2 {
-				return false
-			}
-		}
-		return true
+		p := coord.pending[eldest]
+		return p != nil && p.issueEpoch == 2
 	})
 
-	// The ghost answers with the superseded epoch: both results must be
-	// fenced — discarded with the tasks still pending, never folded.
-	for _, id := range ids {
-		fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{
-			Kind: KindResult, ID: id, Epoch: 1, Value: 42, Best: 0,
-		}})
+	// The ghost answers with the superseded epoch: the result must be
+	// fenced — discarded with the task still pending, never folded.
+	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{
+		Kind: KindResult, ID: eldest, Epoch: 1, Value: 42, Best: 0,
+	}})
+	if got := coord.FencedResults(); got != 1 {
+		t.Fatalf("fenced = %d, want 1", got)
 	}
+	if got := coord.Pending(); got != 1 {
+		t.Fatalf("pending = %d after a fenced result, want 1 (fenced result settled a task)", got)
+	}
+
+	// The fresh-epoch answer settles the eldest and releases its brother,
+	// on the window the eldest's value 5 left: (−∞, 5).
+	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindResult, ID: eldest, Epoch: 2, Value: 5, Best: 0}})
+	waitUntil(t, 10*time.Second, func() bool {
+		ids := pendingIDs(coord)
+		return len(ids) == 1 && ids[0] != eldest
+	})
+	younger := pendingIDs(coord)[0]
+	coord.mu.Lock()
+	env := coord.pending[younger].env
+	coord.mu.Unlock()
+	if env.Alpha != nil || env.Beta == nil || *env.Beta != 5 {
+		t.Fatalf("younger brother's window (alpha=%v beta=%v), want (nil, 5)", env.Alpha, env.Beta)
+	}
+
+	// The younger brother was issued at epoch 2: a ghost answer from
+	// epoch 1 is fenced too.
+	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{
+		Kind: KindResult, ID: younger, Epoch: 1, Value: 42, Best: 0,
+	}})
 	if got := coord.FencedResults(); got != 2 {
 		t.Fatalf("fenced = %d, want 2", got)
 	}
-	if got := coord.Pending(); got != 2 {
-		t.Fatalf("pending = %d after fenced results, want 2 (fenced result settled a task)", got)
+	if got := coord.Pending(); got != 1 {
+		t.Fatalf("pending = %d after a fenced result, want 1 (fenced result settled a task)", got)
 	}
 
-	// Fresh-epoch answers settle the search; the folded value must come
-	// from these, not the fenced 42s.
-	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindResult, ID: ids[0], Epoch: 2, Value: 5, Best: 0}})
-	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindResult, ID: ids[1], Epoch: 2, Value: 7, Best: 0}})
+	// The fresh-epoch answer settles the search; the folded value must
+	// come from the fresh answers, not the fenced 42s.
+	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindResult, ID: younger, Epoch: 2, Value: 7, Best: 0}})
 	out := <-done
 	if out.err != nil {
 		t.Fatalf("search: %v", out.err)
@@ -141,6 +154,19 @@ func TestEpochFencing(t *testing.T) {
 	if out.res.Value != -5 || out.res.Best != 0 {
 		t.Fatalf("folded (v=%d best=%d), want (v=-5 best=0) — a fenced value leaked into the fold", out.res.Value, out.res.Best)
 	}
+}
+
+// pendingIDs lists the coordinator's outstanding task IDs in dispatch
+// order.
+func pendingIDs(c *Coordinator) []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := make([]uint64, 0, len(c.pending))
+	for id := range c.pending {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // TestReissueStaleDeadRingFallsBackLocal: with every worker dead and a

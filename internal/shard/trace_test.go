@@ -27,9 +27,10 @@ func findSpans(t *reqtrace.Tracer, trace, stage string) []reqtrace.Span {
 }
 
 // TestShardTraceSpans drives one traced search end to end and checks
-// the per-stage account: expand/route/fold once each on the
-// coordinator, one rpc span per task, and worker queue+compute spans
-// covering every task — all carrying the one trace ID.
+// the per-stage account: expand and fold once each on the coordinator,
+// one route span per dispatch wave (the eldest, then its brothers), one
+// rpc span per task, and worker queue+compute spans covering every task
+// — all carrying the one trace ID.
 func TestShardTraceSpans(t *testing.T) {
 	cl := newCluster(t, 2)
 	const trace = "tr-e2e"
@@ -47,10 +48,13 @@ func TestShardTraceSpans(t *testing.T) {
 			got.Value, got.Best, want.Value, want.Best)
 	}
 
-	for _, stage := range []string{reqtrace.StageExpand, reqtrace.StageRoute, reqtrace.StageFold} {
+	for _, stage := range []string{reqtrace.StageExpand, reqtrace.StageFold} {
 		if n := len(findSpans(cl.coordTracer, trace, stage)); n != 1 {
 			t.Errorf("coordinator %s spans: got %d, want 1", stage, n)
 		}
+	}
+	if n := len(findSpans(cl.coordTracer, trace, reqtrace.StageRoute)); n != 2 {
+		t.Errorf("coordinator route spans: got %d, want 2 (eldest, then brothers)", n)
 	}
 	rpcs := findSpans(cl.coordTracer, trace, reqtrace.StageRPC)
 	if len(rpcs) != 6 { // "42:6" has 6 root children at expand depth 1

@@ -12,6 +12,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // Message kinds.
@@ -22,9 +23,11 @@ const (
 	// periodically.
 	KindHello = "hello"
 	// KindTask is coordinator → worker: search Pos (canonical, in Game)
-	// to Depth and reply with a result carrying the same ID.
+	// to Depth on the window (Alpha, Beta) and reply with a result
+	// carrying the same ID.
 	KindTask = "task"
-	// KindResult is worker → coordinator: the exact value of a task.
+	// KindResult is worker → coordinator: the fail-soft value of a task
+	// on its window — exact inside it, a bound at or beyond either side.
 	KindResult = "result"
 	// KindPing is worker → coordinator liveness.
 	KindPing = "ping"
@@ -47,6 +50,12 @@ type Envelope struct {
 	Game  string `json:"game,omitempty"`
 	Pos   string `json:"pos,omitempty"`
 	Depth int    `json:"depth,omitempty"`
+	// Alpha and Beta are a task's open search window; a nil side is
+	// open, so a task without them asks for the exact value. The
+	// coordinator sends the eldest child of a node on the node's window
+	// and its younger brothers on the window the eldest narrowed.
+	Alpha *int32 `json:"alpha,omitempty"`
+	Beta  *int32 `json:"beta,omitempty"`
 
 	// Result payload (result, ttreply/ttstore value carriage).
 	Value int32  `json:"value,omitempty"`
@@ -97,6 +106,33 @@ type Envelope struct {
 	Addr string `json:"addr,omitempty"`
 }
 
+// inf is the window's open side, the engine's own infinity. It is
+// symmetric so a window negates without overflow.
+const inf = math.MaxInt32
+
+// window returns the task's window, with an open side as ±inf.
+func (e *Envelope) window() (alpha, beta int32) {
+	alpha, beta = -inf, inf
+	if e.Alpha != nil {
+		alpha = *e.Alpha
+	}
+	if e.Beta != nil {
+		beta = *e.Beta
+	}
+	return alpha, beta
+}
+
+// setWindow stores (alpha, beta) on the envelope, leaving ±inf sides nil.
+func (e *Envelope) setWindow(alpha, beta int32) {
+	e.Alpha, e.Beta = nil, nil
+	if alpha > -inf {
+		e.Alpha = &alpha
+	}
+	if beta < inf {
+		e.Beta = &beta
+	}
+}
+
 // Codec marshals *Envelope payloads for the transport. Implements
 // transport.Codec structurally.
 type Codec struct{}
@@ -111,14 +147,20 @@ func (Codec) Encode(payload any) ([]byte, error) {
 }
 
 // Decode unmarshals an *Envelope, rejecting malformed or unknown-kind
-// frames so garbage off the wire never reaches the dispatch switch.
+// frames, and tasks whose window is empty, so garbage off the wire never
+// reaches the dispatch switch.
 func (Codec) Decode(data []byte) (any, error) {
 	var e Envelope
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, fmt.Errorf("shard: bad envelope: %w", err)
 	}
 	switch e.Kind {
-	case KindHello, KindTask, KindResult, KindPing, KindTTProbe, KindTTReply, KindTTStore:
+	case KindTask:
+		if alpha, beta := e.window(); alpha >= beta {
+			return nil, fmt.Errorf("shard: task %d has an empty window (%d, %d)", e.ID, alpha, beta)
+		}
+		return &e, nil
+	case KindHello, KindResult, KindPing, KindTTProbe, KindTTReply, KindTTStore:
 		return &e, nil
 	}
 	return nil, fmt.Errorf("shard: unknown envelope kind %q", e.Kind)

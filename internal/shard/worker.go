@@ -394,7 +394,8 @@ func (w *Worker) runTask(qt queuedTask) {
 	if err != nil {
 		res.Err = err.Error()
 	} else {
-		r, serr := w.pool.Search(w.ctx, pos, env.Depth)
+		alpha, beta := env.window()
+		r, serr := w.pool.SearchWindow(w.ctx, pos, env.Depth, alpha, beta)
 		if serr != nil {
 			if w.ctx.Err() != nil {
 				return // closing: no result, coordinator reissues elsewhere

@@ -20,8 +20,8 @@
 //     destination process, so packets that are not dropped arrive in
 //     send order. A reconnect may lose the packets in flight around the
 //     break; ordering restarts on the new stream.
-//   - Alive is always true: raw TCP has no failure detector. Crash
-//     semantics come from the caller's own heartbeats.
+//   - No failure detector: StalledUntil never reports a stall, and
+//     crash semantics come from the caller's own heartbeats.
 //
 // Payloads cross as bytes via a caller-supplied Codec; the transport
 // never interprets them.
@@ -507,12 +507,9 @@ func (t *TCP) handOff(pkt faultnet.Packet) {
 	deliver(pkt)
 }
 
-// Alive is always true: a raw socket transport has no failure detector.
-// Death detection is the shard ring's job (heartbeats and liveness
-// sweeps).
-func (t *TCP) Alive(int) bool { return true }
-
-// StalledUntil never reports a stall for the same reason.
+// StalledUntil never reports a stall: a raw socket transport has no
+// failure detector. Death detection is the shard ring's job (heartbeats
+// and liveness sweeps).
 func (t *TCP) StalledUntil(int) (time.Time, bool) { return time.Time{}, false }
 
 // Close stops the listener, the readers and every peer writer. Pending
