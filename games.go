@@ -72,7 +72,11 @@ func NewKayles(rows ...int) Kayles { return games.NewKayles(rows...) }
 // identities and leaf values are pure functions of a 64-bit seed, so a
 // position is fully described by (seed, branch) — the serving-layer
 // benchmark workload. It implements Position, Hasher and MoveAppender;
-// like Connect4, the service searches the value itself.
+// like Connect4, the service searches the value itself. No two move
+// sequences reach the same node, so it never transposes and a search of
+// it leaves any transposition table untouched: the drivers
+// (SearchIterative, MTDF, SearchPVS) run on it without a table's move
+// ordering or bounds.
 type RandomGameTree = games.RandomTree
 
 // NewRandomGameTree returns the root of the synthetic tree for seed with

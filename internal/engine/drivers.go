@@ -88,9 +88,10 @@ func SearchPVS(ctx context.Context, pos Position, depth int, opt SearchOptions) 
 
 // extractPV walks the transposition table from the root, following stored
 // best moves, to reconstruct the principal variation. The search stores
-// nothing at or below the split horizon, so the last plies come from a
-// direct Search of at most splitHorizon plies each. The walk stops at the
-// depth horizon, at terminal positions, or at a table miss.
+// nothing at or below the split horizon, nor at a position that never
+// transposes, so there the move comes from a direct Search of the plies
+// left. The walk stops at the depth horizon, at terminal positions, or at
+// a table miss.
 func extractPV(pos Position, depth int, table *Table, rootBest int) []int {
 	var pv []int
 	cur := pos
@@ -100,16 +101,15 @@ func extractPV(pos Position, depth int, table *Table, rootBest int) []int {
 			break
 		}
 		best := -1
+		h, hashed := posNode{cur}.Key()
 		switch {
 		case d == 0:
 			best = rootBest
-		case depth-d <= splitHorizon:
+		case depth-d <= splitHorizon || !hashed:
 			best = Search(cur, depth-d).Best
 		default:
-			if h, ok := keyOf(cur); ok {
-				if _, _, _, b, hit := table.Probe(h); hit {
-					best = b
-				}
+			if _, _, _, b, hit := table.Probe(h); hit {
+				best = b
 			}
 		}
 		if best < 0 || best >= len(moves) {

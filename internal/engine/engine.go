@@ -87,8 +87,10 @@ const (
 type SearchOptions struct {
 	// Table, when non-nil, enables transposition-table probing and
 	// storing at nodes above the split horizon: more than two plies to
-	// go, or no depth horizon. Positions must implement Hasher for it to
-	// take effect.
+	// go, or no depth horizon. Only positions that may transpose use it: a
+	// value game whose Key reports ok, or a Position that implements
+	// Hasher and has no Key method saying otherwise. A game that never
+	// transposes (RandomTree) searches as if Table were nil.
 	Table *Table
 	// Workers is the size of the worker pool; 0 means GOMAXPROCS. With 1
 	// the whole search runs on the calling goroutine and, table or not,
@@ -188,10 +190,11 @@ func (e *searcher) root(pos Position, depth int, alpha, beta int64) (int64, int)
 // search is the one search body: alpha-beta in negamax form, returning
 // the value of pos and the index (in pos's own move order) of the move
 // that achieved it. Successors are generated into a buffer from b and
-// searched in place, by pointer. When the searcher carries a
-// transposition table, the position hashes and the node is above the
-// split horizon, sufficient-depth entries cut off immediately and the
-// stored best move is tried first. The eldest
+// searched in place, by pointer; a leaf parent scores its leaves with
+// Evaluate in the same frame. When the searcher carries a transposition
+// table, the position may transpose (its Key reports ok) and the node is
+// above the split horizon, sufficient-depth entries cut off immediately
+// and the stored best move is tried first. The eldest
 // child is always searched in place; the younger brothers follow in place
 // too, unless this is a pool worker above the split horizon whose own
 // deque has drained, in which case they become one split point that idle
@@ -225,6 +228,31 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 	if len(kids) == 0 {
 		b.put(buf, kids)
 		return int64((*pos).Evaluate()), -1
+	}
+	if depth == 1 {
+		// A leaf parent scores its leaves in place instead of entering the
+		// body for each. Each is one node, polled as at a node entry, and
+		// the window cannot change its value, so PVS has nothing to
+		// re-search.
+		best, bestIdx := -scoreInf, -1
+		for i := range kids {
+			e.nodes++
+			if (e.halt || e.nodes&checkMask == 0) && e.interrupted() {
+				best, bestIdx = beta, i // the leaf fails high, as at a node entry
+				break
+			}
+			if v := -int64(kids[i].Evaluate()); v > best {
+				best, bestIdx = v, i
+			}
+			if best > alpha {
+				alpha = best
+			}
+			if alpha >= beta {
+				break
+			}
+		}
+		b.put(buf, kids)
+		return best, bestIdx
 	}
 
 	var hash uint64

@@ -9,3 +9,14 @@ func SearchBare(pos Position, depth int, table *Table) Result {
 	v, best := e.root(pos, depth, -scoreInf, scoreInf)
 	return Result{Value: int32(v), Best: best, Nodes: e.nodes}
 }
+
+// TableEntries counts the live entries of t.
+func TableEntries(t *Table) int {
+	n := 0
+	for i := 0; i < len(t.words); i += 2 {
+		if t.words[i].Load()|t.words[i+1].Load() != 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -25,8 +25,11 @@ type Game[P any] interface {
 	// Evaluate returns a static score from the perspective of the side to
 	// move, as Position.Evaluate does.
 	Evaluate() int32
-	// Key returns the position's transposition-table hash, with ok false
-	// when the position does not hash.
+	// Key returns the position's identity hash, with ok true when the
+	// position may transpose: the search keys, probes and stores it in a
+	// table. ok false says the position never transposes (no two move
+	// sequences reach it), so a table could never hit on it and the search
+	// leaves the table alone; the hash still names the position.
 	Key() (hash uint64, ok bool)
 }
 
@@ -57,18 +60,16 @@ func (n Node[P]) AppendMoves(dst []Position) []Position {
 // Evaluate implements Position.
 func (n Node[P]) Evaluate() int32 { return (*n.Pos).Evaluate() }
 
-// Hash implements Hasher. It panics if the position does not hash: code
-// outside the engine that tables positions by Hasher (the proof-number
-// solver) must not be handed such a Node.
+// Hash implements Hasher: the identity hash Key returns, whether or not
+// the position transposes.
 func (n Node[P]) Hash() uint64 {
-	h, ok := n.key()
-	if !ok {
-		panic("engine: Hash of a Node whose position does not hash")
-	}
+	h, _ := n.Key()
 	return h
 }
 
-func (n Node[P]) key() (uint64, bool) { return (*n.Pos).Key() }
+// Key returns the position's Key, so the PV walk asks a Node what the
+// search body asks its position.
+func (n Node[P]) Key() (uint64, bool) { return (*n.Pos).Key() }
 
 // searchFrom runs the search body's instantiation for P on *n.Pos. It is
 // the unexported method by which the body recognises a Node, and the way a
@@ -80,15 +81,6 @@ func (n Node[P]) searchFrom(e *searcher, depth int, alpha, beta int64) (int64, i
 // valueNode is the set of Node instantiations.
 type valueNode interface {
 	searchFrom(e *searcher, depth int, alpha, beta int64) (int64, int)
-	key() (uint64, bool)
-}
-
-// keyOf returns the table key of any position, as the search body sees it.
-func keyOf(pos Position) (uint64, bool) {
-	if n, ok := pos.(valueNode); ok {
-		return n.key()
-	}
-	return posNode{pos}.Key()
 }
 
 // posNode adapts a Position to Game. It has the memory layout of the
@@ -107,9 +99,15 @@ func (p posNode) Children(dst []posNode) []posNode {
 	return asPosNodes(p.Moves())
 }
 
-// Key hashes through Hasher when the position offers it.
+// Key is the table key of any position, as the search body sees it: the
+// position's own Key method when it has one (a value game boxed as a
+// Position or wrapped in a Node), so a game that never transposes stays
+// out of the table in either form, and otherwise a hash through Hasher.
 func (p posNode) Key() (uint64, bool) {
-	if h, ok := p.Position.(Hasher); ok {
+	switch h := p.Position.(type) {
+	case interface{ Key() (uint64, bool) }:
+		return h.Key()
+	case Hasher:
 		return h.Hash(), true
 	}
 	return 0, false

@@ -75,11 +75,16 @@ func TestHorizonTableStores(t *testing.T) {
 }
 
 // TestHorizonPVFullLength: the table holds no best move within two plies
-// of the horizon, yet the principal variation still runs the full depth
-// when no terminal is in reach (six plies from the empty Connect-4 board
-// cannot end the game).
+// of the horizon, nor any for a game that never transposes, yet the
+// principal variation still runs the full depth when no terminal is in
+// reach (six plies from the empty Connect-4 board cannot end the game,
+// and the random tree never ends).
 func TestHorizonPVFullLength(t *testing.T) {
-	for _, pos := range []engine.Position{games.StandardConnect4(), engine.NewNode(*games.StandardConnect4())} {
+	for _, pos := range []engine.Position{
+		games.StandardConnect4(),
+		engine.NewNode(*games.StandardConnect4()),
+		engine.NewNode(games.NewRandomTree(7, 5)),
+	} {
 		_, pv, err := engine.SearchIterative(context.Background(), pos, 6, engine.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)

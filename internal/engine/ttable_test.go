@@ -308,3 +308,36 @@ func FuzzTTEntryPacking(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPNEntry holds a proof-number entry to its contract over any pair of
+// numbers: a StorePN → ProbePN round trip returns 0 and PNInf exactly,
+// every finite number up to 0xFFFE exactly, and any larger finite number
+// as 0xFFFE; and the alpha-beta view of the same entry (ProbeAt) reads it
+// as BoundPN with no best move, so the search body's bound switch, which
+// cuts only on BoundExact, BoundLower and BoundUpper, can never cut on it.
+func FuzzPNEntry(f *testing.F) {
+	f.Add(uint64(1), uint32(0), uint32(1))
+	f.Add(uint64(2), uint32(1), PNInf)
+	f.Add(uint64(0), PNInf, uint32(0))
+	f.Add(uint64(1<<63), uint32(pnPackedMax), uint32(pnPackedMax+1))
+	f.Add(^uint64(0), PNInf-1, uint32(pnPackedInf))
+	f.Fuzz(func(t *testing.T, hash uint64, pn, dn uint32) {
+		want := func(n uint32) uint32 {
+			if n != PNInf && n > pnPackedMax {
+				return pnPackedMax
+			}
+			return n
+		}
+		tab := NewTable(4)
+		tab.StorePN(hash, pn, dn)
+		gotPN, gotDN, ok := tab.ProbePN(hash)
+		if !ok || gotPN != want(pn) || gotDN != want(dn) {
+			t.Fatalf("StorePN(%#x, %d, %d) probes as (%d, %d, %v), want (%d, %d, true)",
+				hash, pn, dn, gotPN, gotDN, ok, want(pn), want(dn))
+		}
+		_, _, flag, best, hit := tab.ProbeAt(hash, 1)
+		if !hit || flag != BoundPN || best != -1 {
+			t.Fatalf("ProbeAt of a PN entry: flag %d, best %d, hit %v; want BoundPN, -1, true", flag, best, hit)
+		}
+	})
+}

@@ -14,6 +14,14 @@ package games
 // RandomTree implements engine.Game, so the search body runs on it
 // without allocating (through engine.Node), and engine.Position with
 // engine.Hasher (the seed is the identity) and engine.MoveAppender.
+//
+// No two paths reach the same node — every seed is mixed from its
+// parent's and the move index — so the tree has no transpositions, and
+// Key says so: a search of it, in either form, never keys, probes or
+// stores a transposition table, even one passed in SearchOptions. That
+// includes the drivers (SearchIterative, MTDF, SearchPVS), which on this
+// tree repeat each iteration's work without a table's move ordering or
+// bounds.
 
 import (
 	"fmt"
@@ -101,8 +109,9 @@ func (p RandomTree) Hash() uint64 {
 	return p.Seed ^ (uint64(p.Branch) * 0x2545f4914f6cdd1d)
 }
 
-// Key implements engine.Game: every node hashes.
-func (p RandomTree) Key() (uint64, bool) { return p.Hash(), true }
+// Key implements engine.Game: the hash is the node's identity, and ok is
+// false because the tree never transposes, so a table could never hit.
+func (p RandomTree) Key() (uint64, bool) { return p.Hash(), false }
 
 func (p RandomTree) String() string {
 	return fmt.Sprintf("random(seed=%d,b=%d)", p.Seed, p.Branch)

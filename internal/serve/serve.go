@@ -15,9 +15,10 @@
 // The pools are built once at New and reused for every request — the
 // whole point of the engine's resident-pool refactor: a request costs a
 // park/wake cycle on warm workers instead of worker construction, deque
-// allocation and goroutine spawns. The shared Table means every request
-// searches under the accumulated move-ordering knowledge of all previous
-// ones.
+// allocation and goroutine spawns. The shared Table means every search of
+// a game that transposes (Connect-4, Nim, ...) runs under the accumulated
+// move-ordering knowledge of all previous ones; a game that never
+// transposes (random) leaves the table alone, where no probe could hit.
 //
 // Overload semantics: concurrency is bounded by the pool count, queueing
 // by QueueDepth *leaders* (coalesced duplicates never hold queue slots).
