@@ -26,7 +26,8 @@ race:
 # one seeded faultnet.Injector; every root value must match the
 # sequential engine and membership must converge once faults heal), the
 # ring's resilience tests (epoch fencing, dead-ring fallback, quarantine,
-# crash reissue, rejoin on a new address, degraded empty ring and
+# crash reissue, rejoin on a new address, the restart fast path on a
+# known address (TestPeerRestartFastPath), degraded empty ring and
 # recovery, coordinator Close leaving no goroutine), the injector's
 # determinism and seed-replay tests, the pooled engine's panic-isolation
 # traps, and its idle protocol: helpers park after a gap and stay parked
@@ -34,13 +35,18 @@ race:
 # idle state (TestPoolCloseLeavesNoGoroutines); and the search body's one
 # horizon: pooled table searches store only above two plies to go, an
 # unlimited search splits, and the principal variation still runs the
-# full depth (TestHorizon*); and the ring's cascade: the eldest leaf goes
-# out alone, its brothers on the window it left, and the root still
-# matches the sequential engine at every expansion depth (TestCascade*).
+# full depth (TestHorizon*); and the cascade (TestCascade*), at two
+# levels: as a plain function under a recording dispatch — no network,
+# no clock — where the eldest leaf goes out alone, its brothers on the
+# window it left, a failing dispatch stops its node's later waves and
+# the function returns only after every concurrent brother, and the root
+# matches the sequential engine through an in-process twin at every
+# expansion depth (TestCascadeFunc*); and over the ring, where the same
+# holds end to end.
 # -short trims the seed matrix to fit a CI budget; the full matrix runs in
 # `test`.
 chaos:
-	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon|Cascade' \
+	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|PeerRestart|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon|Cascade' \
 		./internal/faultnet/ ./internal/shard/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the three decoders

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"gametree"
 	"gametree/internal/benchfmt"
 	"gametree/internal/engine"
 	"gametree/internal/games"
@@ -330,10 +329,6 @@ func solveBench(path string, reps int) error {
 	fmt.Printf("wrote %s (%d rows)\n", path, len(items))
 	return nil
 }
-
-// gtproveFacadeCheck pins at compile time that the public facade exposes
-// the solver this command builds on.
-var _ = gametree.SolveParallel
 
 func proveVCSRevision() string {
 	info, ok := debug.ReadBuildInfo()

@@ -110,3 +110,19 @@ func ExampleNewKayles() {
 	// Output:
 	// first player wins: true — Grundy: true
 }
+
+// Proof-number search on a resident pool proves a Nim position to the
+// verdict Sprague-Grundy predicts: the side to move wins exactly when
+// the nim-sum is nonzero.
+func ExampleSolveParallel() {
+	pool := gametree.NewEnginePool(2, nil, nil)
+	defer pool.Close()
+	for _, heaps := range [][]int{{1, 2, 4}, {1, 2, 3}} {
+		p := gametree.NewNim(heaps...)
+		r, _ := gametree.SolveParallel(context.Background(), pool, p, gametree.ProofOptions{})
+		fmt.Printf("nim %v: %s, nim-sum %d\n", heaps, r.Verdict, p.XorValue())
+	}
+	// Output:
+	// nim [1 2 4]: proven, nim-sum 7
+	// nim [1 2 3]: disproven, nim-sum 0
+}

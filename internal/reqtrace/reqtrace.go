@@ -57,7 +57,7 @@ const (
 	StageExpand      = "expand"       // coordinator: root expansion to the task frontier
 	StageRoute       = "route"        // coordinator: consistent-hash routing + dispatch of one cascade wave
 	StageRPC         = "rpc"          // coordinator: one task in flight, first dispatch to result
-	StageFold        = "fold"         // coordinator: negamax fold of the root's children
+	StageFold        = "fold"         // coordinator: the cascade's last folds, latest wave settled to root value
 	StageCompute     = "compute"      // worker: one task's pool search
 	StageDoneCache   = "done-cache"   // worker: a reissued duplicate re-answered from the result cache
 	StageRemoteProbe = "remote-probe" // worker: remote TT probe, send to reply

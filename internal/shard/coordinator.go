@@ -50,16 +50,13 @@ type Config struct {
 	// TaskTimeout is how long a dispatched task may stay unanswered
 	// before its first reissue to the next live ring successor (default
 	// 2s). Subsequent reissues back off exponentially with jitter up to
-	// RetryBackoffMax.
+	// retryBackoffCap times it.
 	TaskTimeout time.Duration
 	// RetryBudget bounds reissues per task: a task reissued more than
 	// this many times is quarantined — settled with a QuarantineError,
 	// or handed to the Fallback pool when one is configured — instead of
 	// being retried forever (default 6).
 	RetryBudget int
-	// RetryBackoffMax caps the per-task backoff between reissues
-	// (default 8x TaskTimeout).
-	RetryBackoffMax time.Duration
 	// Fallback, when non-nil, is a local resident pool the coordinator
 	// computes leaves on when the live ring is empty or a task exhausts
 	// its retry budget: answers stay exact, latency degrades, and the
@@ -81,11 +78,17 @@ type Config struct {
 	// Tracer records request-scoped spans (expand/route/rpc/fold/reissue)
 	// for tasks whose envelopes carry a trace ID. Optional (nil = off).
 	Tracer *reqtrace.Tracer
-	// RecoveryP99 is the crash-recovery threshold: after a worker death
-	// is detected, recovery is declared once the windowed p99 of task RPC
-	// latency falls back under it (default 500ms).
-	RecoveryP99 time.Duration
 }
+
+const (
+	// retryBackoffCap caps the per-task backoff between reissues, in
+	// units of TaskTimeout.
+	retryBackoffCap = 8
+	// recoveryP99 is the crash-recovery threshold: after a worker death
+	// is detected, recovery is declared once the windowed p99 of task RPC
+	// latency falls back under it.
+	recoveryP99 = 500 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.ExpandDepth <= 0 {
@@ -100,14 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.HelloEvery <= 0 {
 		c.HelloEvery = time.Second
 	}
-	if c.RecoveryP99 <= 0 {
-		c.RecoveryP99 = 500 * time.Millisecond
-	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 6
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 8 * c.TaskTimeout
 	}
 	return c
 }
@@ -266,7 +263,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		c.member[w] = true
 	}
 	c.localCtx, c.localCancel = context.WithCancel(context.Background())
-	c.recovery.threshold = cfg.RecoveryP99.Nanoseconds()
+	c.recovery.threshold = recoveryP99.Nanoseconds()
 	return c
 }
 
@@ -569,17 +566,15 @@ func (c *Coordinator) sweepLiveness(now time.Time) {
 }
 
 // backoffLocked computes the wait before a task's next reissue: the
-// base TaskTimeout doubled per attempt, capped at RetryBackoffMax, with
-// ±25% jitter so a burst of simultaneously-stale tasks does not reissue
-// in lockstep forever. Callers hold c.mu.
+// base TaskTimeout doubled per attempt, capped at retryBackoffCap times
+// it, with ±25% jitter so a burst of simultaneously-stale tasks does not
+// reissue in lockstep forever. Callers hold c.mu.
 func (c *Coordinator) backoffLocked(attempts int) time.Duration {
-	d := c.cfg.TaskTimeout
-	for i := 0; i < attempts && d < c.cfg.RetryBackoffMax; i++ {
+	d, limit := c.cfg.TaskTimeout, retryBackoffCap*c.cfg.TaskTimeout
+	for i := 0; i < attempts && d < limit; i++ {
 		d *= 2
 	}
-	if d > c.cfg.RetryBackoffMax {
-		d = c.cfg.RetryBackoffMax
-	}
+	d = min(d, limit)
 	return time.Duration(float64(d) * (0.75 + 0.5*c.rng.Float64()))
 }
 
@@ -704,177 +699,25 @@ func (c *Coordinator) runLocal(p *pendingTask) {
 	}()
 }
 
-// expandNode is the coordinator's view of the tree above the task
-// frontier: either a leaf (a task shipped to a worker) or an interior
-// node the cascade folds locally.
-type expandNode struct {
-	children []*expandNode
-	task     *pendingTask
-}
-
-// buildTree expands (game, pos) for `plies` more levels and returns the
-// tree with its leaf count. Terminal positions and exhausted depth
-// become leaves regardless of plies left.
-func (c *Coordinator) buildTree(game, pos string, depth, plies int, trace string) (*expandNode, int, error) {
-	if plies <= 0 || depth <= 0 {
-		return &expandNode{task: c.newTask(game, pos, depth, trace)}, 1, nil
-	}
-	children, err := serve.Expand(game, pos)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(children) == 0 {
-		return &expandNode{task: c.newTask(game, pos, depth, trace)}, 1, nil
-	}
-	n := &expandNode{children: make([]*expandNode, len(children))}
-	leaves := 0
-	for i, ch := range children {
-		sub, k, err := c.buildTree(game, ch, depth-1, plies-1, trace)
-		if err != nil {
-			return nil, 0, err
-		}
-		n.children[i] = sub
-		leaves += k
-	}
-	return n, leaves, nil
-}
-
-func (c *Coordinator) newTask(game, pos string, depth int, trace string) *pendingTask {
-	id := c.nextID.Add(1)
-	return &pendingTask{
-		env:  &Envelope{Kind: KindTask, ID: id, Game: game, Pos: pos, Depth: depth, Trace: trace},
-		key:  game + "|" + pos,
-		done: make(chan struct{}),
-	}
-}
-
-// result reads a settled task's answer.
-func (p *pendingTask) result() (value int32, best int, nodes int64, err error) {
-	if p.err != nil {
-		return 0, -1, 0, p.err
-	}
-	if p.res.Err != "" {
-		return 0, -1, 0, fmt.Errorf("shard: worker error: %s", p.res.Err)
-	}
-	return p.res.Value, p.res.Best, p.res.Nodes, nil
-}
-
-// cascadeRun is the state one Search shares across its cascade's
-// concurrent branches.
-type cascadeRun struct {
-	ctx      context.Context
-	trace    string
-	root     *expandNode
-	degraded atomic.Bool // a leaf was answered by the fallback pool
-}
-
-// cascade evaluates the expansion tree below n on the open window
-// (alpha, beta) the way a left-to-right alpha-beta search does: Section
-// 7's cascade across the ring. The eldest child's subtree is evaluated
-// first, on the node's window. Its value narrows alpha, and if that
-// reaches beta the younger brothers are never dispatched. Otherwise they
-// all go out at once on the narrowed window — leaf brothers as one
-// dispatch wave, interior brothers as concurrent cascades of their own —
-// and the node keeps the FIRST strict improvement over the eldest. The
-// value is fail-soft, like the engine's: exact inside the window, a bound
-// at or beyond either side. On the root's full window a brother that
-// fails high returns a bound no better than the eldest and never wins, so
-// the value and the root move index both match engine.Search exactly.
-func (c *Coordinator) cascade(run *cascadeRun, n *expandNode, alpha, beta int32) (value int32, best int, nodes int64, err error) {
-	if n.task != nil {
-		n.task.env.setWindow(alpha, beta)
-		if err := c.wave(run, []*pendingTask{n.task}); err != nil {
-			return 0, -1, 0, err
-		}
-		return n.task.result()
-	}
-	v, _, nodes, err := c.cascade(run, n.children[0], -beta, -alpha)
-	if err != nil {
-		return 0, -1, 0, err
-	}
-	value, best = -v, 0
-	brothers := n.children[1:]
-	if value >= beta {
-		brothers = nil // cutoff: the younger brothers are never dispatched
-	}
-	alpha = max(alpha, value)
-	type outcome struct {
-		v     int32
-		nodes int64
-		err   error
-	}
-	sub := make([]outcome, len(brothers))
-	var leaves []*pendingTask
-	var wg sync.WaitGroup
-	for i, b := range brothers {
-		if b.task != nil {
-			b.task.env.setWindow(-beta, -alpha)
-			leaves = append(leaves, b.task)
-			continue
-		}
-		wg.Add(1)
-		go func(o *outcome, b *expandNode) {
-			defer wg.Done()
-			o.v, _, o.nodes, o.err = c.cascade(run, b, -beta, -alpha)
-		}(&sub[i], b)
-	}
-	err = c.wave(run, leaves)
-	wg.Wait()
-
-	wallFold := time.Now().UnixNano()
-	for i, b := range brothers {
-		if err != nil {
-			break
-		}
-		o := sub[i]
-		if b.task != nil {
-			o.v, _, o.nodes, o.err = b.task.result()
-		}
-		if err = o.err; err != nil {
-			break
-		}
-		nodes += o.nodes
-		if -o.v > value {
-			value, best = -o.v, i+1
-		}
-	}
-	if n == run.root && run.trace != "" {
-		note := "ok"
-		if err != nil {
-			note = "err"
-		}
-		c.cfg.Tracer.Record(reqtrace.Span{
-			Trace: run.trace, Stage: reqtrace.StageFold,
-			StartNs: wallFold, DurNs: time.Now().UnixNano() - wallFold,
-			Note: note,
-		})
-	}
-	if err != nil {
-		return 0, -1, 0, err
-	}
-	return value, best, nodes, nil
-}
-
-// wave dispatches tasks, their windows set, to the live owners of their
-// position keys and waits until every one has settled (reissueLoop
-// handles retries meanwhile). With nobody alive and a fallback pool
-// configured, a task skips the ring entirely and computes here —
-// degraded, not hung. Cancelling the search or closing the coordinator
-// abandons the wave's outstanding tasks (workers finish and their
-// results are dropped as unknown IDs).
-func (c *Coordinator) wave(run *cascadeRun, tasks []*pendingTask) error {
-	if len(tasks) == 0 {
-		return nil
-	}
+// dispatch ships one cascade wave: each leaf becomes a task on its
+// window, routed to the live owner of its position key, and dispatch
+// waits until every one has settled (reissueLoop handles retries
+// meanwhile), then fills in the leaves' results. With nobody alive and a
+// fallback pool configured, a task skips the ring entirely and computes
+// here — degraded, not hung — and dispatch reports it. Cancelling the
+// search or closing the coordinator abandons the wave's outstanding tasks
+// (workers finish and their results are dropped as unknown IDs).
+func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves []*node) (degraded bool, err error) {
 	select {
-	case <-run.ctx.Done():
-		return engine.ErrCancelled
+	case <-ctx.Done():
+		return false, engine.ErrCancelled
 	case <-c.closed:
-		return ErrClosed
+		return false, ErrClosed
 	default:
 	}
 	now := time.Now()
 	wallRoute := now.UnixNano()
+	tasks := make([]*pendingTask, len(leaves))
 	var locals []*pendingTask
 	type sendItem struct {
 		to  int
@@ -882,10 +725,17 @@ func (c *Coordinator) wave(run *cascadeRun, tasks []*pendingTask) error {
 	}
 	var sends []sendItem
 	c.mu.Lock()
-	for _, p := range tasks {
-		p.first = now
-		p.firstWall = wallRoute
-		p.issueEpoch = c.epoch
+	for i, l := range leaves {
+		p := &pendingTask{
+			env:        &Envelope{Kind: KindTask, ID: c.nextID.Add(1), Game: game, Pos: l.pos, Depth: l.depth, Trace: trace},
+			key:        game + "|" + l.pos,
+			done:       make(chan struct{}),
+			first:      now,
+			firstWall:  wallRoute,
+			issueEpoch: c.epoch,
+		}
+		p.env.setWindow(l.alpha, l.beta)
+		tasks[i] = p
 		to, ok := c.ring.OwnerLiveString(p.key, func(q int) bool { return c.aliveLocked(q, now) })
 		if !ok && c.cfg.Fallback != nil {
 			p.local = true
@@ -912,9 +762,9 @@ func (c *Coordinator) wave(run *cascadeRun, tasks []*pendingTask) error {
 		}
 		c.cfg.Net.Send(faultnet.Packet{From: c.cfg.Self, To: s.to, Payload: s.env})
 	}
-	if run.trace != "" {
+	if trace != "" {
 		c.cfg.Tracer.Record(reqtrace.Span{
-			Trace: run.trace, Stage: reqtrace.StageRoute,
+			Trace: trace, Stage: reqtrace.StageRoute,
 			StartNs: wallRoute, DurNs: time.Now().UnixNano() - wallRoute,
 			Note: fmt.Sprintf("tasks=%d", len(tasks)),
 		})
@@ -923,23 +773,29 @@ func (c *Coordinator) wave(run *cascadeRun, tasks []*pendingTask) error {
 	for _, p := range tasks {
 		select {
 		case <-p.done:
-		case <-run.ctx.Done():
+		case <-ctx.Done():
 			c.abandon(tasks)
-			return engine.ErrCancelled
+			return false, engine.ErrCancelled
 		case <-c.closed:
 			c.abandon(tasks)
-			return ErrClosed
+			return false, ErrClosed
 		}
 	}
 	c.mu.Lock()
-	for _, p := range tasks {
-		if p.degraded {
-			run.degraded.Store(true)
-			break
+	defer c.mu.Unlock()
+	for i, p := range tasks {
+		degraded = degraded || p.degraded
+		switch {
+		case err != nil:
+		case p.err != nil:
+			err = p.err
+		case p.res.Err != "":
+			err = fmt.Errorf("shard: worker error: %s", p.res.Err)
+		default:
+			leaves[i].res = engine.Result{Value: p.res.Value, Best: p.res.Best, Nodes: p.res.Nodes}
 		}
 	}
-	c.mu.Unlock()
-	return nil
+	return degraded, err
 }
 
 // Search evaluates (game, position) to depth and returns the exact
@@ -957,7 +813,7 @@ func (c *Coordinator) Search(ctx context.Context, game, position string, depth i
 
 	trace := reqtrace.FromContext(ctx)
 	wallExpand := time.Now().UnixNano()
-	root, leaves, err := c.buildTree(game, canon, depth, c.cfg.ExpandDepth, trace)
+	root, leaves, err := expand(game, canon, depth, c.cfg.ExpandDepth)
 	if err != nil {
 		return engine.Result{}, err
 	}
@@ -969,11 +825,33 @@ func (c *Coordinator) Search(ctx context.Context, game, position string, depth i
 		})
 	}
 
-	run := &cascadeRun{ctx: ctx, trace: trace, root: root}
-	value, best, nodes, err := c.cascade(run, root, -inf, inf)
+	var degraded atomic.Bool
+	var settledNs atomic.Int64 // when the latest wave settled: the fold span's start
+	value, best, nodes, err := cascade(root, -inf, inf, func(wave []*node) error {
+		d, err := c.dispatch(ctx, game, trace, wave)
+		if d {
+			degraded.Store(true)
+		}
+		if trace != "" {
+			settledNs.Store(time.Now().UnixNano())
+		}
+		return err
+	})
+	if trace != "" {
+		note := "ok"
+		if err != nil {
+			note = "err"
+		}
+		start := settledNs.Load()
+		c.cfg.Tracer.Record(reqtrace.Span{
+			Trace: trace, Stage: reqtrace.StageFold,
+			StartNs: start, DurNs: time.Now().UnixNano() - start,
+			Note: note,
+		})
+	}
 	// Any leaf answered by the fallback pool makes the whole response
 	// degraded-but-exact; surface that to the serving tier.
-	if run.degraded.Load() {
+	if degraded.Load() {
 		serve.MarkDegraded(ctx)
 	}
 	if err != nil {

@@ -418,3 +418,70 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// restartNet is a fakeNet that also reports fresh processes on known
+// addresses, as transport.TCP does from its connection preamble, so a
+// test can fire the coordinator's restart handler by hand.
+type restartNet struct {
+	fakeNet
+	restarted func(addr string, oldID, newID uint64)
+}
+
+func (r *restartNet) SetRestartHandler(fn func(addr string, oldID, newID uint64)) {
+	r.restarted = fn
+}
+
+// TestPeerRestartFastPath: a restart reported on a worker's address
+// expires its liveness at once — long before DeadAfter — so the next
+// sweep sees the death edge and bumps the epoch; the fresh process's
+// first ping, with a new boot nonce, is a rejoin under another bump. A
+// restart on an address no worker uses changes nothing.
+func TestPeerRestartFastPath(t *testing.T) {
+	rn := &restartNet{}
+	coord := NewCoordinator(Config{
+		Net:         rn,
+		Self:        0,
+		Workers:     []int{1, 2},
+		TaskTimeout: 40 * time.Millisecond, // liveness sweep every 10ms
+		DeadAfter:   time.Minute,
+		HelloEvery:  time.Hour,
+		PeerAddrs:   map[int]string{1: "10.0.0.1:7001", 2: "10.0.0.2:7002"},
+	})
+	coord.Start()
+	defer coord.Close()
+	if rn.restarted == nil {
+		t.Fatal("coordinator installed no restart handler")
+	}
+	rn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindPing, Boot: 111}})
+	epoch0 := coord.Epoch()
+
+	rn.restarted("10.0.0.9:7009", 1, 2)
+	time.Sleep(50 * time.Millisecond) // five sweeps
+	if !coord.Alive(1) || !coord.Alive(2) || coord.Epoch() != epoch0 || coord.Rejoins() != 0 {
+		t.Fatalf("restart on an unknown address: alive=(%v,%v) epoch %d→%d rejoins %d; want nothing changed",
+			coord.Alive(1), coord.Alive(2), epoch0, coord.Epoch(), coord.Rejoins())
+	}
+
+	rn.restarted("10.0.0.1:7001", 1, 2)
+	if coord.Alive(1) {
+		t.Fatal("worker 1 still alive right after its address reported a restart")
+	}
+	if !coord.Alive(2) {
+		t.Fatal("worker 2 expired by a restart on worker 1's address")
+	}
+	waitUntil(t, 2*time.Second, func() bool { return coord.Epoch() > epoch0 })
+	if got := coord.Epoch(); got != epoch0+1 {
+		t.Fatalf("epoch after the death edge = %d, want %d", got, epoch0+1)
+	}
+
+	rn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindPing, Boot: 222}})
+	if !coord.Alive(1) {
+		t.Fatal("worker 1 not alive after the fresh process pinged")
+	}
+	if got := coord.Rejoins(); got != 1 {
+		t.Fatalf("rejoins = %d, want 1", got)
+	}
+	if got := coord.Epoch(); got != epoch0+2 {
+		t.Fatalf("epoch after the rejoin = %d, want %d", got, epoch0+2)
+	}
+}

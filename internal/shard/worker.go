@@ -36,20 +36,6 @@ type WorkerConfig struct {
 	// TableEntries sizes the local transposition table (0 disables it,
 	// which also disables the remote tier).
 	TableEntries int
-	// RemoteMinDepth gates the two-level table: probes and stores with
-	// remaining depth below it stay local (default 8). Every interior
-	// node above the engine's 2-ply split horizon probes and stores, so
-	// the gate is what keeps remote traffic rare: an envelope costs ~10µs
-	// of codec and socket work on each side, which is under 1% of a
-	// subtree only once that subtree runs to milliseconds — depth 8 on
-	// the cheapest game served (the hash-mix random tree, ~70ns/node).
-	RemoteMinDepth int
-	// RemoteWindow bounds in-flight remote probes; beyond it probes are
-	// skipped, never queued (default 256).
-	RemoteWindow int
-	// QueueLen bounds the inbound task queue (default 128); overflow
-	// tasks are dropped for the coordinator to reissue.
-	QueueLen int
 	// PingEvery paces liveness pings to the coordinator (default 500ms).
 	PingEvery time.Duration
 	// AdvertiseAddr is this worker's transport address, carried in pings
@@ -62,26 +48,30 @@ type WorkerConfig struct {
 	// Tracer records request-scoped spans (queue/compute/done-cache/
 	// remote-probe) for envelopes carrying a trace ID. Optional.
 	Tracer *reqtrace.Tracer
-
-	// DoneCache bounds the result-dedup cache (default 1024 results).
-	DoneCache int
 }
 
+const (
+	// remoteMinDepth gates the two-level table: probes and stores with
+	// remaining depth below it stay local. Every interior node above the
+	// engine's 2-ply split horizon probes and stores, so the gate is what
+	// keeps remote traffic rare: an envelope costs ~10µs of codec and
+	// socket work on each side, which is under 1% of a subtree only once
+	// that subtree runs to milliseconds — depth 8 on the cheapest game
+	// served (the hash-mix random tree, ~70ns/node).
+	remoteMinDepth = 8
+	// remoteWindow bounds in-flight remote probes; beyond it probes are
+	// skipped, never queued.
+	remoteWindow = 256
+	// taskQueueLen bounds the inbound task queue; overflow tasks are
+	// dropped for the coordinator to reissue.
+	taskQueueLen = 128
+	// doneCacheLen bounds the result-dedup cache, in results.
+	doneCacheLen = 1024
+)
+
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.RemoteMinDepth <= 0 {
-		c.RemoteMinDepth = 8
-	}
-	if c.RemoteWindow <= 0 {
-		c.RemoteWindow = 256
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 128
-	}
 	if c.PingEvery <= 0 {
 		c.PingEvery = 500 * time.Millisecond
-	}
-	if c.DoneCache <= 0 {
-		c.DoneCache = 1024
 	}
 	return c
 }
@@ -180,7 +170,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		table:       table,
 		pool:        pool,
 		tm:          cfg.Telemetry.Shard(pool.Workers()),
-		tasks:       make(chan queuedTask, cfg.QueueLen),
+		tasks:       make(chan queuedTask, taskQueueLen),
 		boot:        randBoot(),
 		inflight:    make(map[uint64]uint64),
 		doneCache:   make(map[uint64]*Envelope),
@@ -190,7 +180,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	w.curTrace.Store("")
 	if table != nil {
-		table.SetRemote(remoteClient{w}, cfg.RemoteMinDepth)
+		table.SetRemote(remoteClient{w}, remoteMinDepth)
 	}
 	return w
 }
@@ -416,7 +406,7 @@ func (w *Worker) runTask(qt queuedTask) {
 	delete(w.inflight, env.ID)
 	w.doneCache[env.ID] = res
 	w.doneOrder = append(w.doneOrder, env.ID)
-	for len(w.doneOrder) > w.cfg.DoneCache {
+	for len(w.doneOrder) > doneCacheLen {
 		delete(w.doneCache, w.doneOrder[0])
 		w.doneOrder = w.doneOrder[1:]
 	}
@@ -497,14 +487,14 @@ func (r remoteClient) Probe(hash uint64, depth int) {
 		w.mu.Unlock()
 		return
 	}
-	if len(w.outstanding) >= w.cfg.RemoteWindow {
+	if len(w.outstanding) >= remoteWindow {
 		// Window full: purge aged slots, and if still full, skip.
 		for h, sent := range w.outstanding {
 			if now.Sub(sent.at) > remoteWindowTTL {
 				delete(w.outstanding, h)
 			}
 		}
-		if len(w.outstanding) >= w.cfg.RemoteWindow {
+		if len(w.outstanding) >= remoteWindow {
 			w.mu.Unlock()
 			if w.tm != nil {
 				w.tm.RemoteSkips.Add(1)
