@@ -38,7 +38,7 @@ race:
 # full depth (TestHorizon*); and the cascade (TestCascade*), at two
 # levels: as a plain function under a recording dispatch — no network,
 # no clock — where the eldest leaf goes out alone, its brothers on the
-# window it left, a failing dispatch stops its node's later waves and
+# window it left, a failing dispatch stops every wave not yet started and
 # the function returns only after every concurrent brother, and the root
 # matches the sequential engine through an in-process twin at every
 # expansion depth (TestCascadeFunc*); and over the ring, where the same
@@ -87,13 +87,16 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Substrate benchmarks (pooled vs sequential) plus the machine-readable
-# BENCH_engine.json artifact with its telemetry section.
+# BENCH_engine.json artifact with its telemetry section. Both time the
+# split-dense worst-ordered M(4,8) arena tree (tree.Pos; the "mtree"
+# workload) and Connect-4.
 bench-engine:
 	$(GO) test -bench='BenchmarkEnginePooled' -benchmem -run='^$$' ./internal/engine/
 	$(GO) run ./cmd/gtbench -enginebench BENCH_engine.json
 
 # CI bench smoke: one benchmark iteration to prove the harness runs, then
-# two enginebench runs appended to a fresh trajectory — validated by the
+# two enginebench runs (the "mtree" arena tree and Connect-4) appended to
+# a fresh trajectory — validated by the
 # -checkbench gate (schema, a sequential and a pooled row per workload,
 # single-worker telemetry sanity; the pooled/sequential ratio is printed)
 # and diffed by gtstat (latest run vs the first; both ran on this

@@ -107,7 +107,7 @@ func parseInstance(game, spec string) (engine.Position, int) {
 			specErr("bad andor instance %q: want depth,branch[,bias[,seed]]", spec)
 		}
 		t := tree.IIDNor(branch, depth, bias, seed)
-		pos := games.NewNORTree(t, uint64(seed))
+		pos := engine.NewNode(tree.Pos{T: t})
 		// The arena tree is fully materialized, so the exact game value
 		// doubles as the oracle: the mover wins iff the NOR root is 0.
 		oracle := 0
@@ -205,7 +205,7 @@ func benchSuite() []benchInstance {
 	return []benchInstance{
 		{"nim", games.NewNim(6, 7, 8, 9)},
 		{"kayles", games.NewKayles(7, 6, 5)},
-		{"andor", games.NewNORTree(tree.IIDNor(3, 11, 0.38, 7), 7)},
+		{"andor", engine.NewNode(tree.Pos{T: tree.IIDNor(3, 11, 0.38, 7)})},
 	}
 }
 

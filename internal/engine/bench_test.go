@@ -2,19 +2,20 @@ package engine
 
 // Benchmarks of the execution substrate: the search body on the pooled
 // work-stealing cascade against the same body on a bare searcher. The
-// workload is a pessimally-ordered tree (every child improves on its
-// predecessor, so alpha-beta prunes little and almost every interior node
-// above the sequential horizon becomes a split point) — the regime where
-// per-split scheduling overhead dominates. The headline metrics are
+// workload is the paper's worst-ordered M(4,8) (every child improves on
+// its predecessor, so alpha-beta prunes little and almost every interior
+// node above the sequential horizon becomes a split point) — the regime
+// where per-split scheduling overhead dominates. The headline metrics are
 // nodes/sec and allocs/op; see BENCH_engine.json and EXPERIMENTS.md E12
 // for recorded numbers.
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
+
+	"gametree/internal/tree"
 )
 
 const (
@@ -22,22 +23,21 @@ const (
 	benchBranch = 4
 )
 
-var benchRoot = NewPessimalTree(benchDepth, benchBranch, 0)
+var benchRoot = Arena(tree.WorstOrderedMinMax(benchBranch, benchDepth, 1))
 
 func reportNodes(b *testing.B, nodes int64) {
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/sec")
 }
 
 // BenchmarkEnginePooled compares sequential and pooled at GOMAXPROCS
-// workers and sweeps the pooled worker count, every row on the
-// MoveAppender view of the tree (recycled move buffers).
+// workers and sweeps the pooled worker count, every row on the arena
+// tree as a value game (no allocation per node).
 func BenchmarkEnginePooled(b *testing.B) {
-	appender := (*BenchTreeAppender)(benchRoot)
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			nodes += Search(appender, benchDepth).Nodes
+			nodes += Search(benchRoot, benchDepth).Nodes
 		}
 		reportNodes(b, nodes)
 	})
@@ -45,7 +45,7 @@ func BenchmarkEnginePooled(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			r, err := SearchOpt(context.Background(), appender, benchDepth, SearchOptions{Workers: runtime.GOMAXPROCS(0)})
+			r, err := SearchOpt(context.Background(), benchRoot, benchDepth, SearchOptions{Workers: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func BenchmarkEnginePooled(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				r, err := SearchOpt(context.Background(), appender, benchDepth, SearchOptions{Workers: w})
+				r, err := SearchOpt(context.Background(), benchRoot, benchDepth, SearchOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -74,13 +74,12 @@ func BenchmarkEnginePooled(b *testing.B) {
 }
 
 // BenchmarkEnginePooledTT is the pooled substrate with the 4-way bucketed
-// transposition table in the loop, on a tree in which every node hashes.
+// transposition table in the loop, on an i.i.d. M(4,8) keyed at every
+// node.
 // Each iteration gets a fresh table: the root probes like every other
 // node, so a table kept across iterations would answer from one root hit.
 func BenchmarkEnginePooledTT(b *testing.B) {
-	rng := rand.New(rand.NewSource(78))
-	var next uint64
-	pos := buildDeepHashed(rng, 8, 4, &next)
+	pos := Keyed(tree.IIDMinMax(4, 8, -100, 100, 78), 0)
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64

@@ -5,60 +5,17 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"gametree/internal/tree"
 )
-
-// treePos adapts an explicit random tree to the Position interface so the
-// parallel engine can be validated against exhaustive search.
-type treePos struct {
-	kids []*treePos
-	val  int32
-}
-
-func (p *treePos) Moves() []Position {
-	out := make([]Position, len(p.kids))
-	for i, k := range p.kids {
-		out[i] = k
-	}
-	return out
-}
-
-func (p *treePos) Evaluate() int32 { return p.val }
-
-// buildRandomPos builds a random game DAG-free tree with values at the
-// leaves (negamax convention: leaf value is from the mover's perspective).
-func buildRandomPos(rng *rand.Rand, depth, maxKids int) *treePos {
-	p := &treePos{val: int32(rng.Intn(201) - 100)}
-	if depth == 0 {
-		return p
-	}
-	n := 1 + rng.Intn(maxKids)
-	for i := 0; i < n; i++ {
-		p.kids = append(p.kids, buildRandomPos(rng, depth-1, maxKids))
-	}
-	return p
-}
-
-// negamaxRef is an independent exhaustive reference.
-func negamaxRef(p *treePos, depth int) int32 {
-	if depth == 0 || len(p.kids) == 0 {
-		return p.val
-	}
-	best := int32(-1 << 30)
-	for _, k := range p.kids {
-		if v := -negamaxRef(k, depth-1); v > best {
-			best = v
-		}
-	}
-	return best
-}
 
 func TestSearchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
 		depth := 1 + rng.Intn(5)
-		p := buildRandomPos(rng, depth, 4)
-		want := negamaxRef(p, depth)
-		got := Search(p, depth)
+		tr := RandomArena(rng.Int63(), depth, 4)
+		want := tr.Evaluate()
+		got := Search(Arena(tr), depth)
 		if got.Value != want {
 			t.Fatalf("trial %d: Search=%d ref=%d", trial, got.Value, want)
 		}
@@ -69,7 +26,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
 		depth := 3 + rng.Intn(4)
-		p := buildRandomPos(rng, depth, 4)
+		p := Arena(RandomArena(rng.Int63(), depth, 4))
 		seq := Search(p, depth)
 		for _, workers := range []int{1, 2, 4, 8} {
 			par, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: workers})
@@ -88,30 +45,32 @@ func TestBestMoveIsOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		depth := 3 + rng.Intn(3)
-		p := buildRandomPos(rng, depth, 4)
-		if len(p.kids) < 2 {
+		tr := RandomArena(rng.Int63(), depth, 4)
+		kids := int(tr.Node(tr.Root()).NumChildren)
+		if kids < 2 {
 			continue
 		}
-		r, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: 4})
+		r, err := SearchOpt(context.Background(), Arena(tr), depth, SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Best < 0 || r.Best >= len(p.kids) {
+		if r.Best < 0 || r.Best >= kids {
 			t.Fatalf("trial %d: bad best index %d", trial, r.Best)
 		}
-		if got := -negamaxRef(p.kids[r.Best], depth-1); got != r.Value {
+		// The root is a MAX node, so its move is worth the child's value.
+		if got := tr.EvaluateAll()[tr.Child(tr.Root(), r.Best)]; got != r.Value {
 			t.Fatalf("trial %d: chosen move worth %d, root value %d", trial, got, r.Value)
 		}
 	}
 }
 
 func TestDepthZeroAndTerminal(t *testing.T) {
-	leaf := &treePos{val: 7}
+	leaf := Arena(tree.FromNested(tree.MinMax, 7))
 	if r := Search(leaf, 5); r.Value != 7 || r.Best != -1 {
 		t.Errorf("terminal: %+v", r)
 	}
-	deep := buildRandomPos(rand.New(rand.NewSource(4)), 3, 3)
-	if r := Search(deep, 0); r.Value != deep.val || r.Best != -1 {
+	deep := Arena(RandomArena(4, 3, 3))
+	if r := Search(deep, 0); r.Value != deep.Evaluate() || r.Best != -1 {
 		t.Errorf("depth 0: %+v", r)
 	}
 	// The pooled entry point runs the same body: same answers, no split.
@@ -120,15 +79,14 @@ func TestDepthZeroAndTerminal(t *testing.T) {
 		if r, err := SearchOpt(context.Background(), leaf, 5, opt); err != nil || r.Value != 7 || r.Best != -1 {
 			t.Errorf("terminal, %d workers: %+v %v", workers, r, err)
 		}
-		if r, err := SearchOpt(context.Background(), deep, 0, opt); err != nil || r.Value != deep.val || r.Best != -1 {
+		if r, err := SearchOpt(context.Background(), deep, 0, opt); err != nil || r.Value != deep.Evaluate() || r.Best != -1 {
 			t.Errorf("depth 0, %d workers: %+v %v", workers, r, err)
 		}
 	}
 }
 
 func TestCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p := buildRandomPos(rng, 10, 3)
+	p := Arena(RandomArena(5, 10, 3))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := SearchOpt(ctx, p, 10, SearchOptions{Workers: 4}); err != ErrCancelled {
@@ -136,7 +94,7 @@ func TestCancellation(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	big := buildRandomPos(rand.New(rand.NewSource(6)), 14, 4)
+	big := Arena(RandomArena(6, 14, 4))
 	start := time.Now()
 	_, err := SearchOpt(ctx2, big, 14, SearchOptions{Workers: 4})
 	if err != ErrCancelled && time.Since(start) > 5*time.Second {
@@ -145,19 +103,20 @@ func TestCancellation(t *testing.T) {
 }
 
 func TestPlay(t *testing.T) {
-	p := &treePos{kids: []*treePos{{val: -5}, {val: -9}}}
+	// The leaves sit at depth 1, so they score -5 and -9 for their mover.
 	// Negamax: root value = max(-(-5), -(-9)) = 9 via child 1.
+	p := Arena(tree.FromNested(tree.MinMax, []any{5, 9}))
 	idx, err := Play(context.Background(), p, 3, 2)
 	if err != nil || idx != 1 {
 		t.Errorf("Play = %d, %v; want 1", idx, err)
 	}
-	if _, err := Play(context.Background(), &treePos{}, 3, 2); err == nil {
+	if _, err := Play(context.Background(), Arena(tree.FromNested(tree.MinMax, 0)), 3, 2); err == nil {
 		t.Error("Play on terminal position should fail")
 	}
 }
 
 func TestNodeCounting(t *testing.T) {
-	p := buildRandomPos(rand.New(rand.NewSource(7)), 4, 3)
+	p := Arena(RandomArena(7, 4, 3))
 	seq := Search(p, 4)
 	if seq.Nodes <= 0 {
 		t.Error("no nodes counted")

@@ -4,14 +4,15 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"gametree/internal/tree"
 )
 
 func TestMTDFMatchesSearchOnHashedTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
-		var next uint64
 		depth := 2 + rng.Intn(4)
-		pos := buildHashed(rng, depth, 3, &next)
+		pos := Keyed(RandomArena(rng.Int63(), depth, 3), 0)
 		plain := Search(pos, depth)
 		for _, guess := range []int32{0, plain.Value, plain.Value + 50, plain.Value - 50} {
 			r, err := MTDF(context.Background(), pos, depth, guess, SearchOptions{Table: NewTable(1 << 12)})
@@ -27,10 +28,8 @@ func TestMTDFMatchesSearchOnHashedTrees(t *testing.T) {
 
 // One worker, so the node counts being compared are deterministic.
 func TestMTDFGoodGuessIsCheap(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var next uint64
 	depth := 6
-	pos := buildHashed(rng, depth, 3, &next)
+	pos := Keyed(RandomArena(2, depth, 3), 0)
 	plain := Search(pos, depth)
 	ctx := context.Background()
 	exact, err := MTDF(ctx, pos, depth, plain.Value, SearchOptions{Table: NewTable(1 << 14), Workers: 1})
@@ -52,9 +51,7 @@ func TestMTDFGoodGuessIsCheap(t *testing.T) {
 
 func TestMTDFWithoutTable(t *testing.T) {
 	// A nil table allocates an internal one; correctness unaffected.
-	rng := rand.New(rand.NewSource(3))
-	var next uint64
-	pos := buildHashed(rng, 4, 3, &next)
+	pos := Keyed(RandomArena(3, 4, 3), 0)
 	plain := Search(pos, 4)
 	if r, err := MTDF(context.Background(), pos, 4, 0, SearchOptions{}); err != nil || r.Value != plain.Value {
 		t.Errorf("MTDF %d != %d (err %v)", r.Value, plain.Value, err)
@@ -62,7 +59,7 @@ func TestMTDFWithoutTable(t *testing.T) {
 }
 
 func TestMTDFTerminal(t *testing.T) {
-	leaf := &treePos{val: 5}
+	leaf := Arena(tree.FromNested(tree.MinMax, 5))
 	if r, err := MTDF(context.Background(), leaf, 4, 0, SearchOptions{}); err != nil || r.Value != 5 {
 		t.Errorf("terminal: %+v (err %v)", r, err)
 	}

@@ -8,32 +8,8 @@ import (
 
 	"gametree/internal/engine"
 	"gametree/internal/games"
+	"gametree/internal/tree"
 )
-
-// seededTree is a random explicit tree in which every node hashes (a
-// unique id), so a table-backed search probes and stores at every
-// interior node — including, in a pooled search, the ones above the split
-// horizon.
-type seededTree struct {
-	kids []engine.Position
-	val  int32
-	id   uint64
-}
-
-func (p *seededTree) Moves() []engine.Position { return p.kids }
-func (p *seededTree) Evaluate() int32          { return p.val }
-func (p *seededTree) Hash() uint64             { return p.id }
-
-func newSeededTree(rng *rand.Rand, depth, maxKids int, next *uint64) *seededTree {
-	*next++
-	p := &seededTree{val: int32(rng.Intn(201) - 100), id: *next * 0x9e3779b97f4a7c15}
-	if depth > 0 {
-		for n := 1 + rng.Intn(maxKids); n > 0; n-- {
-			p.kids = append(p.kids, newSeededTree(rng, depth-1, maxKids, next))
-		}
-	}
-	return p
-}
 
 // TestOneBodyAgreement is the agreement net over the engine's whole
 // search surface: every entry point and driver is the same body, so on
@@ -53,13 +29,14 @@ func TestOneBodyAgreement(t *testing.T) {
 	}
 	var fixtures []fixture
 	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var next uint64
-		depth := 5 + rng.Intn(3)
-		fixtures = append(fixtures, fixture{fmt.Sprintf("tree/seed%d", seed), newSeededTree(rng, depth, 4, &next), depth, nil})
+		depth := 5 + rand.New(rand.NewSource(seed)).Intn(3)
+		fixtures = append(fixtures, fixture{fmt.Sprintf("tree/seed%d", seed), engine.Keyed(engine.RandomArena(seed, depth, 4), 0), depth, nil})
 	}
 	fixtures = append(fixtures,
-		fixture{"pessimal", (*engine.BenchTreeAppender)(engine.NewPessimalTree(7, 4, 0)), 7, nil},
+		fixture{"pessimal", engine.Arena(tree.WorstOrderedMinMax(4, 7, 1)), 7, nil},
+		fixture{"arena/minmax", engine.Arena(tree.IIDMinMax(4, 6, -100, 100, 5)), 6, nil},
+		fixture{"arena/minmax/horizon", engine.Arena(tree.IIDMinMax(4, 7, -100, 100, 6)), 5, nil},
+		fixture{"arena/nor", engine.Arena(tree.IIDNor(4, 7, 0.38, 7)), 7, nil},
 		fixture{"connect4", games.StandardConnect4(), 6, nil},
 		fixture{"tictactoe", games.TTT{}, 9, nil},
 		fixture{"connect4/native", engine.NewNode(*games.StandardConnect4()), 6, games.StandardConnect4()},
@@ -134,5 +111,41 @@ func TestOneBodyAgreement(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// movesOnly hides a position's MoveAppender, here and at every successor,
+// so the engine generates every node through Moves.
+type movesOnly struct{ engine.Position }
+
+func (p movesOnly) Moves() []engine.Position {
+	kids := p.Position.Moves()
+	for i, k := range kids {
+		kids[i] = movesOnly{k}
+	}
+	return kids
+}
+
+// TestScratchBufferReuse: a MoveAppender position searched through the
+// engine must see recycled buffers (the free list grows to the recursion
+// depth, not the node count) and still produce the plain-Moves value, on
+// Connect-4 openings.
+func TestScratchBufferReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 10; trial++ {
+		depth := 3 + rng.Intn(3)
+		p := games.StandardConnect4().Drop(rng.Intn(7)).Drop(rng.Intn(7))
+		plain := engine.Search(movesOnly{p}, depth)
+		viaAppend := engine.Search(p, depth)
+		if plain.Value != viaAppend.Value || plain.Nodes != viaAppend.Nodes {
+			t.Fatalf("trial %d: append path %v != plain %v", trial, viaAppend, plain)
+		}
+		par, err := engine.SearchOpt(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Value != plain.Value {
+			t.Fatalf("trial %d: parallel append path %d != %d", trial, par.Value, plain.Value)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func TestPooledMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {
 		depth := 3 + rng.Intn(4)
-		p := buildRandomPos(rng, depth, 4)
+		p := Arena(RandomArena(rng.Int63(), depth, 4))
 		seq := Search(p, depth)
 		for _, workers := range []int{1, 2, 4, 16} {
 			pooled, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: workers})
@@ -99,7 +99,7 @@ func TestPooledNodeParityOneWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		depth := 4 + rng.Intn(3)
-		p := buildRandomPos(rng, depth, 4)
+		p := Arena(RandomArena(rng.Int63(), depth, 4))
 		seq := Search(p, depth)
 		pooled, err := SearchOpt(context.Background(), p, depth, SearchOptions{Workers: 1})
 		if err != nil {
@@ -116,9 +116,7 @@ func TestPooledNodeParityOneWorker(t *testing.T) {
 // substrate: many workers, deep trees, a shared transposition table, and
 // several concurrent top-level searches over the same table.
 func TestSearchParallelRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var next uint64
-	pos := buildHashed(rng, 7, 3, &next)
+	pos := Keyed(RandomArena(23, 7, 3), 0)
 	want := Search(pos, 7).Value
 	table := NewTable(1 << 10) // tiny: force constant bucket collisions
 	var wg sync.WaitGroup
@@ -146,8 +144,7 @@ func TestSearchParallelRace(t *testing.T) {
 // TestPooledCancellationMidSearch: cancelling while workers are stealing
 // must stop the pool promptly and report ErrCancelled.
 func TestPooledCancellationMidSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	p := buildRandomPos(rng, 12, 4)
+	p := Arena(RandomArena(24, 12, 4))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -158,43 +155,4 @@ func TestPooledCancellationMidSearch(t *testing.T) {
 	if err := <-done; err != nil && err != ErrCancelled {
 		t.Fatalf("unexpected error: %v", err)
 	}
-}
-
-// TestScratchBufferReuse: a MoveAppender position searched through the
-// engine must see recycled buffers (the free list grows to the recursion
-// depth, not the node count) and still produce the plain-Moves value.
-func TestScratchBufferReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for trial := 0; trial < 10; trial++ {
-		depth := 3 + rng.Intn(3)
-		p := buildRandomPos(rng, depth, 4)
-		a := appendPos{p}
-		plain := Search(p, depth)
-		viaAppend := Search(a, depth)
-		if plain.Value != viaAppend.Value || plain.Nodes != viaAppend.Nodes {
-			t.Fatalf("trial %d: append path %v != plain %v", trial, viaAppend, plain)
-		}
-		par, err := SearchOpt(context.Background(), a, depth, SearchOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Value != plain.Value {
-			t.Fatalf("trial %d: parallel append path %d != %d", trial, par.Value, plain.Value)
-		}
-	}
-}
-
-// appendPos wraps treePos with a MoveAppender implementation.
-type appendPos struct{ p *treePos }
-
-func (a appendPos) Evaluate() int32 { return a.p.Evaluate() }
-
-func (a appendPos) Moves() []Position { return a.AppendMoves(nil) }
-
-func (a appendPos) AppendMoves(dst []Position) []Position {
-	dst = dst[:0]
-	for _, k := range a.p.kids {
-		dst = append(dst, appendPos{k})
-	}
-	return dst
 }

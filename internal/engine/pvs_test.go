@@ -6,13 +6,15 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"gametree/internal/tree"
 )
 
 func TestPVSMatchesNegamax(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
 		depth := 1 + rng.Intn(6)
-		pos := buildRandomPos(rng, depth, 4)
+		pos := Arena(RandomArena(rng.Int63(), depth, 4))
 		plain := Search(pos, depth)
 		pvs, err := SearchPVS(context.Background(), pos, depth, SearchOptions{})
 		if err != nil {
@@ -27,9 +29,8 @@ func TestPVSMatchesNegamax(t *testing.T) {
 func TestPVSWithTableMatchesOnTreeGames(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
-		var next uint64
 		depth := 3 + rng.Intn(3)
-		pos := buildHashed(rng, depth, 3, &next)
+		pos := Keyed(RandomArena(rng.Int63(), depth, 3), 0)
 		plain := Search(pos, depth)
 		pvs, err := SearchPVS(context.Background(), pos, depth, SearchOptions{Table: NewTable(1 << 12)})
 		if err != nil {
@@ -48,7 +49,7 @@ func TestPVSNodeEconomy(t *testing.T) {
 	var plainTotal, pvsTotal int64
 	for trial := 0; trial < 20; trial++ {
 		depth := 5
-		pos := buildRandomPos(rng, depth, 4)
+		pos := Arena(RandomArena(rng.Int63(), depth, 4))
 		plainTotal += Search(pos, depth).Nodes
 		pvs, err := SearchPVS(context.Background(), pos, depth, SearchOptions{})
 		if err != nil {
@@ -62,12 +63,12 @@ func TestPVSNodeEconomy(t *testing.T) {
 }
 
 func TestPVSTerminalAndHorizon(t *testing.T) {
-	leaf := &treePos{val: -4}
+	leaf := Arena(tree.FromNested(tree.MinMax, -4))
 	if r, err := SearchPVS(context.Background(), leaf, 3, SearchOptions{}); err != nil || r.Value != -4 || r.Best != -1 {
 		t.Errorf("terminal: %+v (err %v)", r, err)
 	}
-	deep := buildRandomPos(rand.New(rand.NewSource(4)), 3, 3)
-	if r, err := SearchPVS(context.Background(), deep, 0, SearchOptions{}); err != nil || r.Value != deep.val {
+	deep := Arena(RandomArena(4, 3, 3))
+	if r, err := SearchPVS(context.Background(), deep, 0, SearchOptions{}); err != nil || r.Value != deep.Evaluate() {
 		t.Errorf("horizon: %+v (err %v)", r, err)
 	}
 }
@@ -78,7 +79,7 @@ func TestPVSTerminalAndHorizon(t *testing.T) {
 func TestPVSCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pos := buildRandomPos(rand.New(rand.NewSource(9)), 10, 3)
+	pos := Arena(RandomArena(9, 10, 3))
 	r, err := SearchPVS(ctx, pos, 10, SearchOptions{})
 	if err != ErrCancelled {
 		t.Fatalf("pre-cancelled ctx: want ErrCancelled, got %v (result %+v)", err, r)
@@ -88,7 +89,7 @@ func TestPVSCancellation(t *testing.T) {
 	// not run the full tree.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	big := buildRandomPos(rand.New(rand.NewSource(10)), 14, 4)
+	big := Arena(RandomArena(10, 14, 4))
 	start := time.Now()
 	if _, err := SearchPVS(ctx2, big, 14, SearchOptions{}); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("timeout: want ErrCancelled, got %v", err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gametree/internal/telemetry"
+	"gametree/internal/tree"
 )
 
 // lazyDeep is an effectively infinite lazily-generated tree: Moves
@@ -38,10 +39,10 @@ func TestResidentPoolReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rp := NewPool(2, NewTable(1<<10), nil)
 	defer rp.Close()
-	var next uint64
 	for trial := 0; trial < 12; trial++ {
 		depth := 2 + rng.Intn(4)
-		pos := buildHashed(rng, depth, 4, &next)
+		seed := rng.Int63()
+		pos := Keyed(RandomArena(seed, depth, 4), uint64(seed))
 		want := Search(pos, depth)
 		got, err := rp.Search(context.Background(), pos, depth)
 		if err != nil {
@@ -62,7 +63,7 @@ func TestResidentPoolNodeParityPerSearch(t *testing.T) {
 	defer rp.Close()
 	for trial := 0; trial < 6; trial++ {
 		depth := 3 + rng.Intn(3)
-		pos := buildRandomPos(rng, depth, 3)
+		pos := Arena(RandomArena(rng.Int63(), depth, 3))
 		want := Search(pos, depth)
 		got, err := rp.Search(context.Background(), pos, depth)
 		if err != nil {
@@ -153,17 +154,17 @@ func TestDeadlineNoPartialResult(t *testing.T) {
 // table is deliberately tiny so goroutines evict each other constantly.
 func TestConcurrentSearchesSharedTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var next uint64
 	const nFix = 4
 	type fixture struct {
-		pos   hashedPos
+		pos   Node[KeyedPos]
 		depth int
 		want  int32
 	}
 	fixtures := make([]fixture, nFix)
 	for i := range fixtures {
 		depth := 3 + rng.Intn(3)
-		pos := buildHashed(rng, depth, 3, &next)
+		seed := rng.Int63()
+		pos := Keyed(RandomArena(seed, depth, 3), uint64(seed))
 		fixtures[i] = fixture{pos: pos, depth: depth, want: Search(pos, depth).Value}
 	}
 
@@ -269,7 +270,8 @@ func TestIdlePoolParks(t *testing.T) {
 
 	// The same stream of searches, first spaced by more than the grace
 	// spin and then back to back, counted in the same run. Each search
-	// visits the whole pessimal tree (≈5,000 nodes, longer than a wake).
+	// visits most of the worst-ordered M(4,6) (≈4,900 nodes, longer than a
+	// wake).
 	// Spaced out, every search finds the pool cold, so its helper parks
 	// after it: that count is the baseline. Back to back, the caller's own
 	// work between searches is a fifth of the grace spin: long enough for
@@ -277,7 +279,7 @@ func TestIdlePoolParks(t *testing.T) {
 	// cold. A descheduled caller can still turn one gap cold, which costs
 	// a park or two, so the bound is a fraction of the baseline rather
 	// than zero.
-	pos := (*BenchTreeAppender)(NewPessimalTree(6, 4, 0))
+	pos := Arena(tree.WorstOrderedMinMax(4, 6, 1))
 	const searches = 50
 	stream := func(gap func()) int64 {
 		before := parks()
@@ -374,7 +376,7 @@ func (r reachedRoot) Evaluate() int32 { return 0 }
 // before the pool was built.
 func TestPoolCloseLeavesNoGoroutines(t *testing.T) {
 	ctx := context.Background()
-	pos := buildRandomPos(rand.New(rand.NewSource(15)), 6, 4)
+	pos := Arena(RandomArena(15, 6, 4))
 	cases := []struct {
 		name string
 		run  func(t *testing.T)

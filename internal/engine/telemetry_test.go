@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gametree/internal/telemetry"
+	"gametree/internal/tree"
 )
 
 // TestTelemetrySingleWorkerExact pins the counter semantics where they
@@ -21,7 +22,7 @@ func TestTelemetrySingleWorkerExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		depth := 4 + rng.Intn(3)
-		p := buildRandomPos(rng, depth, 4)
+		p := Arena(RandomArena(rng.Int63(), depth, 4))
 		seq := Search(p, depth)
 
 		rec := telemetry.NewRecorder()
@@ -72,17 +73,16 @@ func TestTelemetrySingleWorkerExact(t *testing.T) {
 	}
 }
 
-// TestTelemetryPessimalTreeAccounting uses the fixed pessimal benchmark
-// tree at one worker, where scheduling is deterministic and every node is
+// TestTelemetryPessimalTreeAccounting uses the worst-ordered M(4,6) at
+// one worker, where scheduling is deterministic and every node is
 // uniform: each split queues branch-1 siblings, each of them is run or
 // skipped exactly once, and — a split only opens on a drained deque — at
 // most one split's worth of tasks is ever queued. (Which splits open is
 // pinned by TestYBWCNestedAccounting.)
 func TestTelemetryPessimalTreeAccounting(t *testing.T) {
 	const depth, branch = 6, 4
-	tree := NewPessimalTree(depth, branch, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchOpt(context.Background(), (*BenchTreeAppender)(tree), depth,
+	if _, err := SearchOpt(context.Background(), Arena(tree.WorstOrderedMinMax(branch, depth, 1)), depth,
 		SearchOptions{Workers: 1, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,39 +100,12 @@ func TestTelemetryPessimalTreeAccounting(t *testing.T) {
 	}
 }
 
-// deepHashed is a tree position whose children also hash (the shared
-// hashedPos fixture only hashes its root), so TT traffic happens at
-// every interior node above the split horizon.
-type deepHashed struct {
-	kids []Position
-	val  int32
-	id   uint64
-}
-
-func (h *deepHashed) Evaluate() int32   { return h.val }
-func (h *deepHashed) Moves() []Position { return h.kids }
-func (h *deepHashed) Hash() uint64      { return h.id }
-
-func buildDeepHashed(rng *rand.Rand, depth, maxKids int, next *uint64) *deepHashed {
-	h := &deepHashed{val: int32(rng.Intn(201) - 100), id: *next}
-	*next++
-	if depth == 0 {
-		return h
-	}
-	for i := 0; i < maxKids; i++ {
-		h.kids = append(h.kids, buildDeepHashed(rng, depth-1, maxKids, next))
-	}
-	return h
-}
-
 // TestTelemetryTTCounters: the table-backed search must report probe,
 // hit, store and eviction traffic, and the counters must be consistent
 // with each other (hits never exceed probes, evictions never exceed
 // stores).
 func TestTelemetryTTCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	var next uint64
-	pos := buildDeepHashed(rng, 7, 3, &next)
+	pos := Keyed(tree.IIDMinMax(3, 7, -100, 100, 32), 0)
 	rec := telemetry.NewRecorder()
 	table := NewTable(1 << 4) // tiny, to force evictions
 	if _, err := SearchOpt(context.Background(), pos, 7,
@@ -168,8 +141,7 @@ func TestTelemetryTTCounters(t *testing.T) {
 // that mid-run Snapshot is safe; the monotonicity check catches torn or
 // regressing reads.
 func TestTelemetrySnapshotDuringSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	p := buildRandomPos(rng, 8, 3)
+	p := Arena(RandomArena(33, 8, 3))
 	rec := telemetry.NewRecorder()
 	var done atomic.Bool
 	snaps := make(chan telemetry.Snapshot, 1)
@@ -208,10 +180,9 @@ func TestTelemetrySnapshotDuringSearch(t *testing.T) {
 // TestTelemetryTracingSpans: with tracing enabled, every joined split
 // must leave a well-formed span (ordered timestamps, a real task count).
 func TestTelemetryTracingSpans(t *testing.T) {
-	tree := NewPessimalTree(6, 4, 0)
 	rec := telemetry.NewRecorder()
 	rec.EnableTrace(0)
-	if _, err := SearchOpt(context.Background(), (*BenchTreeAppender)(tree), 6,
+	if _, err := SearchOpt(context.Background(), Arena(tree.WorstOrderedMinMax(4, 6, 1)), 6,
 		SearchOptions{Workers: 2, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +207,7 @@ func TestTelemetryTracingSpans(t *testing.T) {
 // TestTelemetryNilRecorderSearch: the uninstrumented path must stay
 // identical in value and node count to the instrumented one.
 func TestTelemetryNilRecorderSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	p := buildRandomPos(rng, 6, 4)
+	p := Arena(RandomArena(34, 6, 4))
 	plain, err := SearchOpt(context.Background(), p, 6, SearchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +229,8 @@ func TestTelemetryNilRecorderSearch(t *testing.T) {
 // sample, every split a deque-depth sample, every TT probe a depth
 // sample — and the quantiles must be ordered.
 func TestTelemetryHistograms(t *testing.T) {
-	tree := NewPessimalTree(8, 4, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchOpt(context.Background(), (*BenchTreeAppender)(tree), 8,
+	if _, err := SearchOpt(context.Background(), Arena(tree.WorstOrderedMinMax(4, 8, 1)), 8,
 		SearchOptions{Workers: 4, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +263,8 @@ func TestTelemetryHistograms(t *testing.T) {
 		t.Fatalf("task run quantiles disordered: p50=%v p99=%v", rep.TaskRunP50Us, rep.TaskRunP99Us)
 	}
 
-	// TT probe depth: table-backed search on the hashed fixture.
-	rng := rand.New(rand.NewSource(35))
-	var next uint64
-	pos := buildDeepHashed(rng, 6, 3, &next)
+	// TT probe depth: table-backed search on a tree keyed at every node.
+	pos := Keyed(tree.IIDMinMax(3, 6, -100, 100, 35), 0)
 	ttRec := telemetry.NewRecorder()
 	if _, err := SearchOpt(context.Background(), pos, 6,
 		SearchOptions{Table: NewTable(1 << 10), Workers: 2, Telemetry: ttRec}); err != nil {
@@ -315,10 +282,9 @@ func TestTelemetryHistograms(t *testing.T) {
 // reconcile with the counters (splits = split-open events, steals = steal
 // events) and replay cleanly through the JSONL round trip.
 func TestTelemetryEventLog(t *testing.T) {
-	tree := NewPessimalTree(7, 4, 0)
 	rec := telemetry.NewRecorder()
 	rec.EnableEvents(0)
-	if _, err := SearchOpt(context.Background(), (*BenchTreeAppender)(tree), 7,
+	if _, err := SearchOpt(context.Background(), Arena(tree.WorstOrderedMinMax(4, 7, 1)), 7,
 		SearchOptions{Workers: 4, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,7 @@ func TestNegativeDepthClamps(t *testing.T) {
 func TestSearchTTDepthUnlimited(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		var next uint64
-		pos := buildHashed(rng, 3+rng.Intn(3), 3, &next)
+		pos := Keyed(RandomArena(rng.Int63(), 3+rng.Intn(3), 3), 0)
 		plain := Search(pos, -1)
 		tab := NewTable(1 << 12)
 		tt, err := SearchOpt(context.Background(), pos, -1, SearchOptions{Table: tab, Workers: 1})
@@ -176,39 +175,13 @@ func TestNewTablePanics(t *testing.T) {
 	NewTable(0)
 }
 
-// hashedPos is a tree position with identity hashing for TT tests.
-type hashedPos struct {
-	*treePos
-	id uint64
-}
-
-func buildHashed(rng *rand.Rand, depth, maxKids int, next *uint64) hashedPos {
-	p := buildRandomPos(rng, 0, 1) // leaf shell; we rebuild kids below
-	p.kids = nil
-	p.val = int32(rng.Intn(201) - 100)
-	h := hashedPos{treePos: p, id: *next}
-	*next++
-	if depth == 0 {
-		return h
-	}
-	n := 1 + rng.Intn(maxKids)
-	for i := 0; i < n; i++ {
-		child := buildHashed(rng, depth-1, maxKids, next)
-		p.kids = append(p.kids, child.treePos)
-	}
-	return h
-}
-
-func (h hashedPos) Hash() uint64 { return h.id }
-
 func TestSearchTTMatchesPlain(t *testing.T) {
 	// Trees have no transpositions, so the TT can only help ordering —
 	// values must be identical to the plain search.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
-		var next uint64
 		depth := 2 + rng.Intn(4)
-		pos := buildHashed(rng, depth, 4, &next)
+		pos := Keyed(RandomArena(rng.Int63(), depth, 4), 0)
 		plain := Search(pos, depth)
 		tt, err := SearchOpt(context.Background(), pos, depth, SearchOptions{Table: NewTable(1 << 12), Workers: 1})
 		if err != nil || plain.Value != tt.Value {
@@ -220,9 +193,8 @@ func TestSearchTTMatchesPlain(t *testing.T) {
 func TestSearchIterativeMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 15; trial++ {
-		var next uint64
 		depth := 3 + rng.Intn(3)
-		pos := buildHashed(rng, depth, 3, &next)
+		pos := Keyed(RandomArena(rng.Int63(), depth, 3), 0)
 		direct := Search(pos, depth)
 		iter, pv, err := SearchIterative(context.Background(), pos, depth, SearchOptions{})
 		if err != nil {
@@ -250,9 +222,7 @@ func TestSearchIterativeMatchesDirect(t *testing.T) {
 }
 
 func TestSearchIterativeCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var next uint64
-	pos := buildHashed(rng, 12, 3, &next)
+	pos := Keyed(RandomArena(3, 12, 3), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := SearchIterative(ctx, pos, 12, SearchOptions{}); err != ErrCancelled {
@@ -263,9 +233,8 @@ func TestSearchIterativeCancellation(t *testing.T) {
 func TestSearchParallelTTMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
-		var next uint64
 		depth := 4 + rng.Intn(3)
-		pos := buildHashed(rng, depth, 3, &next)
+		pos := Keyed(RandomArena(rng.Int63(), depth, 3), 0)
 		plain := Search(pos, depth)
 		par, err := SearchOpt(context.Background(), pos, depth,
 			SearchOptions{Table: NewTable(1 << 12), Workers: 4})

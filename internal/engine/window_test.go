@@ -26,10 +26,8 @@ func TestSearchWindowContract(t *testing.T) {
 	}
 	var fixtures []fixture
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var next uint64
-		depth := 5 + rng.Intn(3)
-		fixtures = append(fixtures, fixture{fmt.Sprintf("tree/seed%d", seed), newSeededTree(rng, depth, 4, &next), depth})
+		depth := 5 + rand.New(rand.NewSource(seed)).Intn(3)
+		fixtures = append(fixtures, fixture{fmt.Sprintf("tree/seed%d", seed), engine.Keyed(engine.RandomArena(seed, depth, 4), 0), depth})
 	}
 	fixtures = append(fixtures,
 		fixture{"connect4", engine.NewNode(*games.StandardConnect4()), 6},

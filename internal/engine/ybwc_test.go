@@ -12,13 +12,14 @@ import (
 	"time"
 
 	"gametree/internal/telemetry"
+	"gametree/internal/tree"
 )
 
 // TestYBWCNodeParityOneWorker: with one worker the owner pops its own
 // tasks in sequential move order and the shared alpha mirrors the
 // sequential loop's, so the YBWC path must visit exactly the sequential
 // node count and return identical values and best moves — on the random
-// fixture suite and on the pessimal tree. The windows are finite inside
+// fixture suite and on the worst-ordered tree. The windows are finite inside
 // speculative subtrees, so nested beta cutoffs fire even with no
 // concurrency; the test also pins that those cutoffs happen at all.
 func TestYBWCNodeParityOneWorker(t *testing.T) {
@@ -27,7 +28,7 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 	var drains int64
 	for trial := 0; trial < 10; trial++ {
 		depth := 5 + rng.Intn(3)
-		p := buildRandomPos(rng, depth, 4)
+		p := Arena(RandomArena(rng.Int63(), depth, 4))
 		seq := Search(p, depth)
 
 		rec := telemetry.NewRecorder()
@@ -50,30 +51,29 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 		t.Fatal("no abort drains across the suite: nested split windows are not producing cutoffs")
 	}
 
-	// Pessimal tree: same parity on the fixture the benchmarks use.
+	// Worst-ordered tree: same parity on the fixture the benchmarks use.
 	const depth, branch = 7, 4
-	tree := (*BenchTreeAppender)(NewPessimalTree(depth, branch, 0))
-	seq := Search(tree, depth)
-	par, err := SearchOpt(ctx, tree, depth, SearchOptions{Workers: 1})
+	worst := Arena(tree.WorstOrderedMinMax(branch, depth, 1))
+	seq := Search(worst, depth)
+	par, err := SearchOpt(ctx, worst, depth, SearchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Value != seq.Value || par.Nodes != seq.Nodes {
-		t.Fatalf("pessimal tree: YBWC w=1 (value %d, nodes %d), sequential (value %d, nodes %d)",
+		t.Fatalf("worst-ordered tree: YBWC w=1 (value %d, nodes %d), sequential (value %d, nodes %d)",
 			par.Value, par.Nodes, seq.Value, seq.Nodes)
 	}
 }
 
 // TestYBWCNestedAccounting pins the split accounting of the recursive
-// discipline on the pessimal tree at one worker, where scheduling is
+// discipline on the worst-ordered tree at one worker, where scheduling is
 // deterministic: the eldest-first spine opens exactly depth-horizon splits
 // with no enclosing split (up == nil), and every other split opens inside
 // a speculative subtree and must be counted as nested.
 func TestYBWCNestedAccounting(t *testing.T) {
 	const depth, branch = 6, 4
-	tree := NewPessimalTree(depth, branch, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchOpt(context.Background(), (*BenchTreeAppender)(tree), depth,
+	if _, err := SearchOpt(context.Background(), Arena(tree.WorstOrderedMinMax(branch, depth, 1)), depth,
 		SearchOptions{Workers: 1, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestYBWCNestedAccounting(t *testing.T) {
 			c.Splits, c.NestedSplits, spine)
 	}
 	if c.NestedSplits == 0 {
-		t.Fatal("pessimal tree opened no nested splits: tasks are not re-entering the searcher")
+		t.Fatal("worst-ordered tree opened no nested splits: tasks are not re-entering the searcher")
 	}
 	if c.Tasks+c.Aborts < c.Splits {
 		t.Fatalf("task accounting: %d tasks + %d aborts < %d splits", c.Tasks, c.Aborts, c.Splits)

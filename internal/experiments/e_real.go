@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
 	"gametree/internal/alphabeta"
+	"gametree/internal/bounds"
 	"gametree/internal/core"
 	"gametree/internal/engine"
 	"gametree/internal/expand"
@@ -121,15 +123,7 @@ func E12MessagePassing(cfg Config) []*stats.Table {
 		"n", "ordering", "minimax", "alpha-beta", "SCOUT", "SSS*")
 	for _, ord := range []string{"best", "random", "worst"} {
 		for n := 6; n <= cfg.pick(12, 8); n += 3 {
-			var trm *tree.Tree
-			switch ord {
-			case "best":
-				trm = tree.BestOrderedMinMax(2, n, cfg.seed())
-			case "worst":
-				trm = tree.WorstOrderedMinMax(2, n, cfg.seed())
-			default:
-				trm = tree.IIDMinMax(2, n, -1_000_000, 1_000_000, cfg.seed())
-			}
+			trm := minmaxInstance(ord, 2, n, cfg.seed())
 			mm := alphabeta.Minimax(trm)
 			ab := alphabeta.AlphaBeta(trm)
 			sc := alphabeta.Scout(trm)
@@ -139,7 +133,67 @@ func E12MessagePassing(cfg Config) []*stats.Table {
 	}
 	tb5.AddNote("SSS* never exceeds alpha-beta (Stockman dominance); the gap is largest on worst-ordered trees")
 	tables = append(tables, tb5)
+
+	// The shipped engine on the paper's own instances, read as a game
+	// through tree.Pos, next to the step model and the minimal tree.
+	tb6 := stats.NewTable("E12h engine on M(d,n) vs Parallel alpha-beta steps and Knuth-Moore",
+		"d", "n", "ordering", "Knuth-Moore", "AB leaves", "PAB steps w=1", "PAB steps w=2",
+		"engine nodes W=1", "node overhead W=2", "scaling_x W=2")
+	reps := cfg.pick(21, 3)
+	for _, dn := range [][2]int{{2, cfg.pick(14, 8)}, {4, cfg.pick(8, 5)}} {
+		d, n := dn[0], dn[1]
+		for _, ord := range []string{"best", "random", "worst"} {
+			trm := minmaxInstance(ord, d, n, cfg.seed())
+			ab := alphabeta.AlphaBeta(trm)
+			pos := engine.NewNode(tree.Pos{T: trm})
+			nodes1, wall1 := medianSearch(pos, 1, n, reps, ab.Value)
+			nodes2, wall2 := medianSearch(pos, 2, n, reps, ab.Value)
+			tb6.AddRow(d, n, ord, bounds.KnuthMoore(d, n).String(), ab.Leaves,
+				mustAB(trm, 1, core.Options{}).Steps, mustAB(trm, 2, core.Options{}).Steps,
+				nodes1, nodes2/nodes1, float64(wall1)/float64(wall2))
+		}
+	}
+	tb6.AddNote("engine: a resident pool searching to the tree's height; node overhead is mean nodes at W=2 over W=1,")
+	tb6.AddNote("scaling_x the median wall clock at W=1 over W=2 (%d reps each); GOMAXPROCS=%d, NumCPU=%d",
+		reps, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	tb6.AddNote("PAB: the step model's Parallel alpha-beta of width w (steps; width 0 is AB leaves)")
+	tables = append(tables, tb6)
 	return tables
+}
+
+// minmaxInstance returns the named member of M(d,n): best-ordered,
+// worst-ordered or with i.i.d. leaves ("random").
+func minmaxInstance(ordering string, d, n int, seed int64) *tree.Tree {
+	switch ordering {
+	case "best":
+		return tree.BestOrderedMinMax(d, n, seed)
+	case "worst":
+		return tree.WorstOrderedMinMax(d, n, seed)
+	}
+	return tree.IIDMinMax(d, n, -1_000_000, 1_000_000, seed)
+}
+
+// medianSearch searches pos to depth reps times on a resident pool of w
+// workers, after one untimed warm-up, and returns the mean node count and
+// the median wall time. A value other than want panics.
+func medianSearch(pos engine.Position, w, depth, reps int, want int32) (float64, time.Duration) {
+	pool := engine.NewPool(w, nil, nil)
+	defer pool.Close()
+	var nodes int64
+	walls := make([]time.Duration, reps)
+	for i := -1; i < reps; i++ {
+		start := time.Now()
+		r, err := pool.Search(context.Background(), pos, depth)
+		if err != nil || r.Value != want {
+			panic(fmt.Sprintf("engine on M(d,n), W=%d: value %d (%v), want %d", w, r.Value, err, want))
+		}
+		if i >= 0 {
+			walls[i] = time.Since(start)
+			nodes += r.Nodes
+		}
+	}
+	slices.Sort(walls)
+	return float64(nodes) / float64(reps), walls[reps/2]
 }
 
 // E13Constant — Conclusion: "The provable constant c in Theorem 1 is

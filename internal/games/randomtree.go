@@ -5,8 +5,8 @@ package games
 // values) are pure functions of a 64-bit seed. Children derive their
 // seeds by mixing the parent seed with the move index, so the whole tree
 // is reproducible from the root seed without materializing a node — in
-// contrast to engine.NewPessimalTree, which allocates the full tree up
-// front. That makes RandomTree the serving-layer workload of choice: a
+// contrast to an arena tree searched through tree.Pos, which is built in
+// full up front. That makes RandomTree the serving-layer workload of choice: a
 // gtload request is just a seed, distinct seeds give independent trees,
 // and repeated seeds are byte-identical positions the server can
 // coalesce and cache.

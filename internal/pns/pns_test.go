@@ -129,13 +129,12 @@ func TestW1NodeParity(t *testing.T) {
 	}
 }
 
-// TestNORTree solves Horn-KB proof trees and random NOR trees through
-// the NORTree adapter: Proven must coincide with the NOR root
-// evaluating to 0.
-func TestNORTree(t *testing.T) {
+// TestArenaNOR solves random NOR trees read as games through tree.Pos:
+// Proven must coincide with the NOR root evaluating to 0.
+func TestArenaNOR(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		tr := tree.IIDNor(4, 3, 0.35, seed)
-		pos := games.NewNORTree(tr, uint64(seed)*0x9e3779b9)
+		pos := engine.NewNode(tree.Pos{T: tr})
 		want := verdictWord(tr.Evaluate() == 0)
 		s := New(pos, Options{})
 		res, err := s.Solve(context.Background())

@@ -7,6 +7,7 @@ package shard
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gametree/internal/engine"
 	"gametree/internal/serve"
@@ -65,9 +66,28 @@ func expand(game, pos string, depth, plies int) (*node, int, error) {
 // index both match engine.Search exactly.
 //
 // dispatch is called once per non-empty wave, possibly from several
-// goroutines at once, and fills in each leaf's res. cascade returns only
-// after every brother it started has returned, error or not.
+// goroutines at once, and fills in each leaf's res. The first error it
+// returns fails the whole cascade: a wave not yet started when it is
+// recorded is never dispatched, and its caller returns that error, so a
+// request that has failed stops spending worker compute. cascade returns
+// only after every brother it started has returned, error or not.
 func cascade(n *node, alpha, beta int32, dispatch func(leaves []*node) error) (value int32, best int, nodes int64, err error) {
+	var failed atomic.Pointer[error]
+	return fold(n, alpha, beta, func(leaves []*node) error {
+		if first := failed.Load(); first != nil {
+			return *first
+		}
+		err := dispatch(leaves)
+		if err != nil {
+			failed.CompareAndSwap(nil, &err)
+		}
+		return err
+	})
+}
+
+// fold is cascade's recursion, over a dispatch that stops after the
+// first failure.
+func fold(n *node, alpha, beta int32, dispatch func(leaves []*node) error) (value int32, best int, nodes int64, err error) {
 	if n.children == nil {
 		n.alpha, n.beta = alpha, beta
 		if err := dispatch([]*node{n}); err != nil {
@@ -75,7 +95,7 @@ func cascade(n *node, alpha, beta int32, dispatch func(leaves []*node) error) (v
 		}
 		return n.res.Value, n.res.Best, n.res.Nodes, nil
 	}
-	v, _, nodes, err := cascade(n.children[0], -beta, -alpha, dispatch)
+	v, _, nodes, err := fold(n.children[0], -beta, -alpha, dispatch)
 	if err != nil {
 		return 0, -1, 0, err
 	}
@@ -102,7 +122,7 @@ func cascade(n *node, alpha, beta int32, dispatch func(leaves []*node) error) (v
 		wg.Add(1)
 		go func(o *outcome, b *node) {
 			defer wg.Done()
-			o.v, _, o.nodes, o.err = cascade(b, -beta, -alpha, dispatch)
+			o.v, _, o.nodes, o.err = fold(b, -beta, -alpha, dispatch)
 		}(&sub[i], b)
 	}
 	if len(leaves) > 0 {

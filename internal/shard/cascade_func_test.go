@@ -203,9 +203,10 @@ func mixedTree(rng *rand.Rand, path string, height int) *node {
 
 // TestCascadeFuncDispatchError fails the k-th dispatch for every k a
 // full run makes: the cascade returns that error, the node whose wave
-// failed dispatches no later wave, and the cascade returns only after
-// every concurrent brother has — no dispatch still running, no goroutine
-// left behind.
+// failed dispatches no later wave, no wave anywhere starts once the
+// failure is recorded, and the cascade returns only after every
+// concurrent brother has — no dispatch still running, no goroutine left
+// behind.
 func TestCascadeFuncDispatchError(t *testing.T) {
 	errBoom := errors.New("boom")
 	// value is a stand-in leaf value: deterministic, so every run makes
@@ -244,15 +245,19 @@ func TestCascadeFuncDispatchError(t *testing.T) {
 	for k := 1; k <= calls; k++ {
 		base := runtime.NumGoroutine()
 		var running atomic.Int32
-		var returned, late atomic.Bool
+		var returned, late, failing, released, afterFailure atomic.Bool
 		rec := &recorder{}
 		rec.next = func(call int, wave []*node) error {
 			if returned.Load() {
 				late.Store(true)
 			}
+			if released.Load() {
+				afterFailure.Store(true)
+			}
 			running.Add(1)
 			defer running.Add(-1)
 			if call == k-1 {
+				failing.Store(true)
 				return errBoom
 			}
 			fill(wave)
@@ -260,6 +265,16 @@ func TestCascadeFuncDispatchError(t *testing.T) {
 			// its brothers would leave them dispatching after it.
 			for i := 0; i < 100; i++ {
 				runtime.Gosched()
+			}
+			// A wave the failure overtook returns only well after the
+			// failing dispatch has returned and the cascade has recorded
+			// its error, so a wave its return lets start would start
+			// after that too.
+			if failing.Load() {
+				for i := 0; i < 1000; i++ {
+					runtime.Gosched()
+				}
+				released.Store(true)
 			}
 			return nil
 		}
@@ -277,6 +292,9 @@ func TestCascadeFuncDispatchError(t *testing.T) {
 		}
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("k=%d: cascade returned %v, want the dispatch's error", k, err)
+		}
+		if afterFailure.Load() {
+			t.Fatalf("k=%d: a wave started after the failed dispatch's error was recorded", k)
 		}
 		failedNode := parent[rec.waves[k-1][0]]
 		for _, w := range rec.waves[k:] {

@@ -128,7 +128,6 @@ type pendingTask struct {
 	env       *Envelope
 	key       string // routing key: "game|pos"
 	to        int
-	sentAt    time.Time
 	first     time.Time // first dispatch, for the RPC histogram
 	firstWall int64     // first dispatch, wall clock, for the rpc span
 	done      chan struct{}
@@ -632,7 +631,6 @@ func (c *Coordinator) reissueStale() {
 			}
 		}
 		p.to = to
-		p.sentAt = now
 		p.nextDue = now.Add(c.backoffLocked(p.attempts))
 		p.issueEpoch = c.epoch
 		// Resend a copy: the original envelope may still be in the hands
@@ -743,7 +741,6 @@ func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves [
 			continue
 		}
 		p.to = to
-		p.sentAt = now
 		p.nextDue = now.Add(c.cfg.TaskTimeout)
 		p.env.SentNs = wallRoute
 		p.env.Epoch = c.epoch

@@ -110,7 +110,7 @@ func TestShardTraceReissueAndDoneCache(t *testing.T) {
 	env := &Envelope{Kind: KindTask, ID: 424242, Game: "random", Pos: "3:3", Depth: 2, Trace: trace}
 	p := &pendingTask{
 		env: env, key: "random|3:3", to: 1,
-		sentAt: stale, first: stale, firstWall: stale.UnixNano(),
+		first: stale, firstWall: stale.UnixNano(),
 		done: make(chan struct{}),
 	}
 	cl.coord.mu.Lock()
