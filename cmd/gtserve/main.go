@@ -21,6 +21,7 @@
 //	        -shard-peers 1=<w1>,2=<w2> -expand-depth 1
 //	                # the HTTP API with searches expanded at the root
 //	                # and fanned out to the workers by consistent hash
+//	                # with bounded loads
 //
 // Endpoints:
 //

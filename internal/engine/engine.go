@@ -302,10 +302,12 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 		// Splitting pays deque, join and merge machinery per sibling, so it
 		// is demand-driven: a worker opens a split point only when its own
 		// deque has drained — thieves took everything queued (or nothing was
-		// ever queued: the spine). A worker still holding queued tasks has
-		// already exposed unclaimed parallelism, so it searches the siblings
-		// in place instead; the recursion re-checks at every node, so the
-		// subtree starts splitting again the moment the queue empties.
+		// ever queued: the spine) — and never for a lone younger brother,
+		// which a thief would take while the owner waits at the join. A
+		// worker still holding queued tasks has already exposed unclaimed
+		// parallelism, so it searches the siblings in place instead; the
+		// recursion re-checks at every node, so the subtree starts
+		// splitting again the moment the queue empties.
 		// Without this gate every interior node above the horizon pays the
 		// split overhead and recursive splitting loses ~30% wall clock to
 		// splitting on the spine alone; with it, split points track steal
@@ -314,7 +316,7 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 			if e.interrupted() {
 				break
 			}
-			if j == 1 && e.own.hungry() {
+			if j == 1 && e.own.hungry(len(kids)-1) {
 				best, bestIdx = splitKids(e.own, kids, first, depth-1, alpha, beta, best)
 				break
 			}

@@ -13,6 +13,7 @@ import (
 
 	"gametree/internal/alphabeta"
 	"gametree/internal/engine"
+	"gametree/internal/telemetry"
 	"gametree/internal/tree"
 )
 
@@ -94,6 +95,27 @@ func TestEnginePaperTrees(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBinaryTreeOpensNoSplits: on the worst-ordered M(2,14) every node
+// has one younger brother, which is never a split point, so one- and
+// two-worker pools open no split and return the tree's value.
+func TestBinaryTreeOpensNoSplits(t *testing.T) {
+	const n = 14
+	tr := tree.WorstOrderedMinMax(2, n, 1)
+	want := tr.Evaluate()
+	for _, w := range []int{1, 2} {
+		rec := telemetry.NewRecorder()
+		pool := engine.NewPool(w, nil, rec)
+		r, err := pool.Search(context.Background(), engine.Arena(tr), n)
+		pool.Close()
+		if err != nil || r.Value != want {
+			t.Fatalf("w=%d: value %d (%v), want %d", w, r.Value, err, want)
+		}
+		if s := rec.Snapshot().Total.Splits; s != 0 {
+			t.Errorf("w=%d: %d splits on a binary tree, want 0", w, s)
 		}
 	}
 }

@@ -695,11 +695,15 @@ func (w *worker) join(sp *splitPoint) {
 	}
 }
 
-// hungry is the demand gate of the search body: the worker's own deque
-// has drained, so whatever it queued has been claimed and a new split
-// point would feed a thief rather than sit behind unclaimed tasks.
-func (w *worker) hungry() bool {
-	return w.pool.eager || w.dq.bottom.Load() <= w.dq.top.Load()
+// hungry is the demand gate of the search body, asked before a node's
+// younger brothers: split only when there are at least two of them and the
+// worker's own deque has drained, so whatever it queued has been claimed
+// and a new split point would feed a thief rather than sit behind
+// unclaimed tasks. A lone brother is never a split point: a thief that
+// takes it leaves the owner idle at the join with nothing of its own to
+// search, so two workers run a binary tree slower than one.
+func (w *worker) hungry(brothers int) bool {
+	return w.pool.eager || brothers > 1 && w.dq.bottom.Load() <= w.dq.top.Load()
 }
 
 // splitKids searches every child of a node but its eldest (already

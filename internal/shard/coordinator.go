@@ -48,7 +48,7 @@ type Config struct {
 	// shipping the frontier as tasks (default 1: the root's children).
 	ExpandDepth int
 	// TaskTimeout is how long a dispatched task may stay unanswered
-	// before its first reissue to the next live ring successor (default
+	// before its first reissue to another live worker (default
 	// 2s). Subsequent reissues back off exponentially with jitter up to
 	// retryBackoffCap times it.
 	TaskTimeout time.Duration
@@ -196,11 +196,12 @@ func (r *recoveryTracker) p99() int64 {
 }
 
 // Coordinator expands root positions, cascades the frontier to workers
-// eldest first (routed by consistent hash, each task on the window its
-// elder brothers left), reissues timed-out tasks to ring successors, and
-// folds worker results back into exact root values with the negamax
-// rule. It implements the serve.Backend contract (Search), so gtserve
-// can swap it in for the local pool set.
+// eldest first (routed by consistent hashing with bounded loads, each
+// task on the window its elder brothers left), reissues timed-out tasks
+// to another live worker by the same rule, and folds worker results back
+// into exact root values with the negamax rule. It implements the
+// serve.Backend contract (Search), so gtserve can swap it in for the
+// local pool set.
 type Coordinator struct {
 	cfg  Config
 	ring *Ring
@@ -225,6 +226,7 @@ type Coordinator struct {
 	fenced        int64 // stale-epoch results discarded
 	quarantined   int64 // tasks that exhausted their retry budget
 	degradedTasks int64 // leaves computed on the fallback pool
+	rerouted      int64 // tasks the load cap placed off their live hash owner
 
 	localCtx    context.Context // bounds fallback-pool searches; cancelled by Close
 	localCancel context.CancelFunc
@@ -594,10 +596,12 @@ func (c *Coordinator) reissueStale() {
 	var out []resend
 	var locals []*pendingTask
 	c.mu.Lock()
+	load := c.loadsLocked()
 	for _, p := range c.pending {
 		if p.local || now.Before(p.nextDue) {
 			continue
 		}
+		load[p.to]-- // the task leaves its worker, whatever happens next
 		p.attempts++
 		if p.attempts > c.cfg.RetryBudget {
 			c.quarantined++
@@ -610,25 +614,17 @@ func (c *Coordinator) reissueStale() {
 			}
 			continue
 		}
-		prev := p.to
-		to, ok := c.ring.OwnerLiveString(p.key, func(q int) bool {
-			return q != prev && c.aliveLocked(q, now)
-		})
+		to, ok := c.routeLocked(p.key, load, p.to, now)
 		if !ok {
-			to, ok = c.ring.OwnerLiveString(p.key, func(q int) bool {
-				return c.aliveLocked(q, now)
-			})
-			if !ok {
-				if c.cfg.Fallback != nil {
-					// The whole ring is dead: stop burning the retry budget
-					// on a void and compute the leaf here.
-					p.local = true
-					delete(c.pending, p.env.ID)
-					locals = append(locals, p)
-					continue
-				}
-				to = prev // everyone looks dead: retry where it was
+			if c.cfg.Fallback != nil {
+				// The whole ring is dead: stop burning the retry budget
+				// on a void and compute the leaf here.
+				p.local = true
+				delete(c.pending, p.env.ID)
+				locals = append(locals, p)
+				continue
 			}
+			to = p.to // everyone looks dead: retry where it was
 		}
 		p.to = to
 		p.nextDue = now.Add(c.backoffLocked(p.attempts))
@@ -656,6 +652,69 @@ func (c *Coordinator) reissueStale() {
 		}
 		c.cfg.Net.Send(faultnet.Packet{From: c.cfg.Self, To: r.to, Payload: r.env})
 	}
+}
+
+// noAvoid is routeLocked's avoid argument for a first dispatch: no
+// processor id is negative, so it passes over nobody.
+const noAvoid = -1
+
+// loadsLocked counts the in-flight ring tasks of every worker from
+// c.pending: the one source of truth for load, so no second counter can
+// drift from it. Callers hold c.mu and keep the map in step with the
+// tasks they place (routeLocked does).
+func (c *Coordinator) loadsLocked() map[int]int {
+	load := make(map[int]int, len(c.cfg.Workers))
+	for _, p := range c.pending {
+		if !p.local {
+			load[p.to]++
+		}
+	}
+	return load
+}
+
+// routeLocked picks the worker for a task with routing key key: consistent
+// hashing with bounded loads (Mirrokni, Thorup & Zadimoghaddam). It walks
+// the ring from the key's hash and takes the first live worker whose
+// in-flight count in load is below ceil((in-flight on live workers + 1) /
+// live workers); an idle ring keeps every key on its hash owner, and a
+// wave of brothers that hash to one owner spreads over the others instead
+// of queueing there. avoid is passed over while anyone else is live (a
+// reissue's previous worker). When no permitted worker is under the cap —
+// possible only when avoid is — the task goes to the plain live owner.
+// On success load counts the task on its worker; a placement other than
+// the plain live owner counts as rerouted. When no worker is live, ok is
+// false and to is the key's hash owner, as for Ring.OwnerLive. Callers
+// hold c.mu.
+func (c *Coordinator) routeLocked(key string, load map[int]int, avoid int, now time.Time) (to int, ok bool) {
+	live, inflight := 0, 0
+	for _, w := range c.cfg.Workers {
+		if c.aliveLocked(w, now) {
+			live++
+			inflight += load[w]
+		}
+	}
+	if live == 0 {
+		return c.ring.OwnerString(key), false
+	}
+	limit := (inflight + live) / live // ceil((inflight + 1) / live)
+	owner, hasOwner := 0, false
+	to, ok = c.ring.OwnerLiveString(key, func(q int) bool {
+		if !c.aliveLocked(q, now) || q == avoid && live > 1 {
+			return false
+		}
+		if !hasOwner {
+			owner, hasOwner = q, true
+		}
+		return load[q] < limit
+	})
+	if !ok {
+		to = owner
+	}
+	if to != owner {
+		c.rerouted++
+	}
+	load[to]++
+	return to, true
 }
 
 // runLocal computes one leaf on the fallback pool and settles it as
@@ -723,6 +782,7 @@ func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves [
 	}
 	var sends []sendItem
 	c.mu.Lock()
+	load := c.loadsLocked()
 	for i, l := range leaves {
 		p := &pendingTask{
 			env:        &Envelope{Kind: KindTask, ID: c.nextID.Add(1), Game: game, Pos: l.pos, Depth: l.depth, Trace: trace},
@@ -734,7 +794,7 @@ func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves [
 		}
 		p.env.setWindow(l.alpha, l.beta)
 		tasks[i] = p
-		to, ok := c.ring.OwnerLiveString(p.key, func(q int) bool { return c.aliveLocked(q, now) })
+		to, ok := c.routeLocked(p.key, load, noAvoid, now)
 		if !ok && c.cfg.Fallback != nil {
 			p.local = true
 			locals = append(locals, p)
@@ -949,6 +1009,7 @@ func (c *Coordinator) PromSection() func(io.Writer) error {
 		fenced := c.fenced
 		quarantined := c.quarantined
 		degradedTasks := c.degradedTasks
+		rerouted := c.rerouted
 		c.mu.Unlock()
 		var degraded int64
 		if !anyAlive {
@@ -999,6 +1060,10 @@ func (c *Coordinator) PromSection() func(io.Writer) error {
 		}
 		if err := telemetry.PromCounter(w, "gametree_shard_degraded_tasks_total",
 			"Leaves computed on the coordinator's local fallback pool.", degradedTasks); err != nil {
+			return err
+		}
+		if err := telemetry.PromCounter(w, "gametree_shard_rerouted_tasks_total",
+			"Tasks the bounded-load cap placed on a worker other than their live hash owner.", rerouted); err != nil {
 			return err
 		}
 		return telemetry.PromGauge(w, "gametree_shard_degraded",
