@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos fuzz bench bench-check bench-engine bench-smoke serve-smoke solve-smoke shard-smoke load stat vet lint
+.PHONY: all build test race chaos fuzz bench bench-check serve-smoke solve-smoke shard-smoke vet lint
 
 all: build test
 
@@ -82,33 +82,11 @@ bench:
 # bench/ is its own module (it imports gametree/internal/... through a
 # replace directive), so `go build ./...` at the root does not compile it:
 # an engine, serve or shard API change can break the benchmark unseen.
-# This vets and tests it against the working tree.
+# This vets and tests it against the working tree, and is the benchmark's
+# CI smoke: TestSmokeRunEmitsEveryMetric runs every workload briefly and
+# checks every answer.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# Substrate benchmarks (pooled vs sequential) plus the machine-readable
-# BENCH_engine.json artifact with its telemetry section. Both time the
-# split-dense worst-ordered M(4,8) arena tree (tree.Pos; the "mtree"
-# workload) and Connect-4.
-bench-engine:
-	$(GO) test -bench='BenchmarkEnginePooled' -benchmem -run='^$$' ./internal/engine/
-	$(GO) run ./cmd/gtbench -enginebench BENCH_engine.json
-
-# CI bench smoke: one benchmark iteration to prove the harness runs, then
-# two enginebench runs (the "mtree" arena tree and Connect-4) appended to
-# a fresh trajectory — validated by the
-# -checkbench gate (schema, a sequential and a pooled row per workload,
-# single-worker telemetry sanity; the pooled/sequential ratio is printed)
-# and diffed by gtstat (latest run vs the first; both ran on this
-# machine, so >15% is a real regression, not host noise). The Prometheus
-# exposition of the instrumented pass lands in /tmp/bench-smoke.prom.
-bench-smoke:
-	$(GO) test -bench='BenchmarkEnginePooled' -benchtime=1x -run='^$$' ./internal/engine/
-	rm -f /tmp/bench-smoke.json
-	$(GO) run ./cmd/gtbench -enginebench /tmp/bench-smoke.json -enginereps 2
-	$(GO) run ./cmd/gtbench -enginebench /tmp/bench-smoke.json -enginereps 2 -promout /tmp/bench-smoke.prom
-	$(GO) run ./cmd/gtbench -checkbench /tmp/bench-smoke.json
-	$(GO) run ./cmd/gtstat -threshold 0.15 /tmp/bench-smoke.json
 
 # Serving-layer smoke (CI gate): boot a race-built gtserve on an
 # ephemeral port, drive it with gtload, and assert exact search values,
@@ -121,7 +99,8 @@ serve-smoke:
 # exact Sprague-Grundy verdicts through /v1/solve, a concurrent solve
 # burst, a mid-solve client cancel (pns counters must go flat — workers
 # released — and the partial tree parked), then run the gtprove bench
-# suite into the artifact dir. Artifacts in solve-smoke-artifacts/.
+# suite, every verdict checked against its oracle. Artifacts in
+# solve-smoke-artifacts/.
 solve-smoke:
 	./scripts/solve_smoke.sh
 
@@ -133,16 +112,6 @@ solve-smoke:
 # Artifacts in shard-smoke-artifacts/.
 shard-smoke:
 	./scripts/shard_smoke.sh
-
-# Regenerate BENCH_serve.json: the per-request baseline and the resident
-# service measured on the identical workload, gated by gtstat on QPS.
-load:
-	./scripts/load_compare.sh BENCH_serve.json
-
-# Diff the committed trajectory: latest run vs all earlier runs, failing
-# on a >15% nodes/sec regression in any aligned configuration.
-stat:
-	$(GO) run ./cmd/gtstat BENCH_engine.json
 
 vet:
 	$(GO) vet ./...

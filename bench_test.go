@@ -188,7 +188,7 @@ func BenchmarkE12MessagePassing(b *testing.B) {
 
 // BenchmarkE12Engine — wall-clock parallel speedup on Connect-4, on the
 // pooled work-stealing substrate. nodes/sec and allocs/op are the headline
-// metrics; the worker sweep feeds BENCH_engine.json (cmd/gtbench -enginebench).
+// metrics; bench/ measures the same engine end to end (lib_connect4).
 func BenchmarkE12Engine(b *testing.B) {
 	pos := gametree.StandardConnect4()
 	const depth = 7

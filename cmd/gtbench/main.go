@@ -8,20 +8,8 @@
 //	gtbench -quick          # reduced sizes (seconds)
 //	gtbench -only E2,E6     # a subset
 //	gtbench -csv dir/       # additionally write each table as CSV
-//	gtbench -enginebench BENCH_engine.json
-//	                        # engine substrate benchmark only: write the
-//	                        # machine-readable BENCH_engine.json document
-//	gtbench -enginebench BENCH_engine.json -telemetry trace.json
-//	                        # ... and a Chrome trace_event file of the
-//	                        # instrumented run (chrome://tracing, Perfetto)
-//	gtbench -enginebench BENCH_engine.json -promout metrics.prom
-//	                        # ... and dump the Prometheus text exposition
-//	                        # of the instrumented run to a file
-//	gtbench -checkbench BENCH_engine.json
-//	                        # validate a previously written document (CI)
 //	gtbench -pprof localhost:6060 ...
-//	                        # serve net/http/pprof + expvar + /metrics
-//	                        # while running
+//	                        # serve net/http/pprof + expvar while running
 package main
 
 import (
@@ -37,65 +25,22 @@ import (
 	"time"
 
 	"gametree/internal/experiments"
-	"gametree/internal/telemetry"
 )
 
 func main() {
 	var (
-		quick   = flag.Bool("quick", false, "run reduced sizes")
-		only    = flag.String("only", "", "comma-separated experiment ids (e.g. E2,E6); empty = all")
-		csvDir  = flag.String("csv", "", "directory to write per-table CSV files")
-		jsonDir = flag.String("json", "", "directory to write per-table JSON files")
-		seed    = flag.Int64("seed", 0, "override base seed (0 = default)")
-		trials  = flag.Int("trials", 0, "override trials per data point (0 = default)")
-
-		engineBench = flag.String("enginebench", "", "write the engine substrate benchmark to this JSON file and exit")
-		engineDepth = flag.Int("enginedepth", 8, "search depth for -enginebench")
-		engineReps  = flag.Int("enginereps", 5, "repetitions per configuration for -enginebench")
-		deepProbe   = flag.Bool("deepprobe", false, "with -enginebench: add the Connect-4 depth-12 telemetry probe (minutes)")
-
-		checkBench   = flag.String("checkbench", "", "validate an -enginebench JSON document and exit (CI smoke gate)")
-		telemetryOut = flag.String("telemetry", "", "with -enginebench: also write a Chrome trace_event file of the instrumented run")
-		promOut      = flag.String("promout", "", "with -enginebench: write the final Prometheus exposition to this file")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. localhost:6060) while running")
+		quick     = flag.Bool("quick", false, "run reduced sizes")
+		only      = flag.String("only", "", "comma-separated experiment ids (e.g. E2,E6); empty = all")
+		csvDir    = flag.String("csv", "", "directory to write per-table CSV files")
+		jsonDir   = flag.String("json", "", "directory to write per-table JSON files")
+		seed      = flag.Int64("seed", 0, "override base seed (0 = default)")
+		trials    = flag.Int("trials", 0, "override trials per data point (0 = default)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) while running")
 	)
 	flag.Parse()
 
-	// Session recorder for the instrumented -enginebench passes; /metrics
-	// serves its live counters and histograms (PromHandler is nil-safe, so
-	// the endpoint also exists — all zeros — for plain suite runs).
-	rec := telemetry.NewRecorder()
-
 	if *pprofAddr != "" {
-		startPprof(*pprofAddr, rec)
-	}
-
-	if *checkBench != "" {
-		if err := checkEngineBench(*checkBench); err != nil {
-			fmt.Fprintln(os.Stderr, "gtbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *engineBench != "" {
-		if *engineDepth < 1 || *engineReps < 1 {
-			fmt.Fprintln(os.Stderr, "gtbench: -enginedepth and -enginereps must be at least 1")
-			os.Exit(1)
-		}
-		start := time.Now()
-		if err := runEngineBench(*engineBench, *engineDepth, *engineReps, *telemetryOut, rec, *deepProbe); err != nil {
-			fmt.Fprintln(os.Stderr, "gtbench:", err)
-			os.Exit(1)
-		}
-		if *promOut != "" {
-			if err := writeProm(*promOut, rec); err != nil {
-				fmt.Fprintln(os.Stderr, "gtbench:", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("wrote %s in %s\n", *engineBench, time.Since(start).Round(time.Millisecond))
-		return
+		startPprof(*pprofAddr)
 	}
 
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Trials: *trials}
@@ -155,19 +100,17 @@ func main() {
 
 // startPprof serves the default mux — which the blank net/http/pprof
 // import populates with /debug/pprof/ and the expvar import with
-// /debug/vars — on addr, in the background, plus a Prometheus /metrics
-// endpoint exposing the session recorder's counters and histograms.
+// /debug/vars — on addr, in the background.
 // Profile a live run with e.g.
 // `go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10`.
-func startPprof(addr string, rec *telemetry.Recorder) {
+func startPprof(addr string) {
 	expvar.NewString("gtbench_start").Set(time.Now().UTC().Format(time.RFC3339))
-	http.Handle("/metrics", telemetry.PromHandler(rec))
 	go func() {
 		if err := http.ListenAndServe(addr, nil); err != nil {
 			fmt.Fprintln(os.Stderr, "gtbench: pprof server:", err)
 		}
 	}()
-	fmt.Printf("pprof/expvar/metrics listening on http://%s/debug/pprof/\n", addr)
+	fmt.Printf("pprof/expvar listening on http://%s/debug/pprof/\n", addr)
 }
 
 func writeTable(dir, name string, render func(io.Writer) error) {

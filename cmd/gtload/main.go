@@ -1,24 +1,21 @@
-// Command gtload drives load at a gtserve instance (or at the engine
-// directly, for a baseline) and reports completed-request throughput,
-// latency quantiles and shed rates. It is the measurement half of the
-// serving experiment: the same workload run with -baseline (one
-// SearchParallelTT call per request, shared table, no residency, no
-// coalescing) and with -url (the resident service) produces two runs in
-// one benchfmt document whose rows align by Item key, so
-// `gtstat -metric qps` gates the service against the baseline.
+// Command gtload drives load at a gtserve instance and reports
+// completed-request throughput, latency quantiles, shed rates and
+// degraded-mode answers. It is the client behind the serving smoke
+// scripts: with -expect every completed answer is checked against a
+// known value, and any value that changes between two answers for the
+// same position fails the run.
 //
 // Usage:
 //
 //	gtload -url http://127.0.0.1:8080 -duration 5s -clients 8
-//	gtload -baseline -duration 5s -clients 8 -out BENCH_serve.json
 //	gtload -url ... -qps 200 -maxinflight 64      # open loop
 //	gtload -url ... -game ttt -depth 9 -expect 0  # exact-value assert
+//	gtload -url ... -solve -game nim              # drive /v1/solve
 //
 // The workload is a position mix: each request picks a position from a
 // fixed hot set with probability -dup (these coalesce and cache on the
 // server), otherwise a fresh never-repeated position. Generation is
-// deterministic per -seed, so baseline and serve runs measure the same
-// request stream.
+// deterministic per -seed, so two runs measure the same request stream.
 package main
 
 import (
@@ -31,44 +28,32 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gametree/internal/benchfmt"
-	"gametree/internal/engine"
 	"gametree/internal/metrics"
-	"gametree/internal/pns"
 	"gametree/internal/serve"
 )
 
 type config struct {
-	url      string
-	baseline bool
-	solve    bool
-	game     string
-	depth    int
-	branch   int
-	hot      int
-	dup      float64
-	seed     int64
+	url    string
+	solve  bool
+	game   string
+	depth  int
+	branch int
+	hot    int
+	dup    float64
+	seed   int64
 
 	clients     int
 	qps         float64
 	maxInflight int
 	duration    time.Duration
 	deadline    time.Duration
-	workers     int
-
-	shards int
 
 	expect    int64
 	hasExpect bool
-	out       string
-	label     string
-	chaos     bool
 
 	trace string // X-GT-Trace prefix; "" = no header
 }
@@ -175,11 +160,7 @@ func (w *workload) pick(cfg config) string {
 	return w.fresh(cfg, n)
 }
 
-// issuer performs one request and classifies the outcome.
-type issuer interface {
-	issue(ctx context.Context, position string) outcome
-}
-
+// outcome classifies one request.
 type outcome struct {
 	status    int // HTTP-style: 200, 429, 503, 504, 500
 	key       string
@@ -284,65 +265,10 @@ func (h *httpIssuer) issueSolve(ctx context.Context, position string) outcome {
 	return out
 }
 
-// baselineIssuer is the no-residency reference: every request is an
-// independent SearchParallelTT call, exactly what a stateless handler
-// would do — a fresh pool spun up per request, no coalescing, no result
-// cache, and (by default) a fresh per-request transposition table, so
-// duplicates are re-searched from scratch. With -baseline-shared-table
-// the table persists across requests, isolating the table's share of
-// the resident architecture's win from the cache/coalescing share.
-type baselineIssuer struct {
-	cfg   config
-	table *engine.Table // non-nil only with -baseline-shared-table
-}
-
-func (b *baselineIssuer) issue(ctx context.Context, position string) outcome {
-	pos, key, err := serve.ParsePosition(b.cfg.game, position)
-	if err != nil {
-		return outcome{status: 500}
-	}
-	table := b.table
-	if table == nil {
-		table = engine.NewTable(1 << 16)
-	}
-	sctx, cancel := context.WithTimeout(ctx, b.cfg.deadline)
-	defer cancel()
-	if b.cfg.solve {
-		res, err := pns.New(pos, pns.Options{Table: table}).Solve(sctx)
-		if err != nil {
-			if sctx.Err() != nil {
-				return outcome{status: 504}
-			}
-			return outcome{status: 500}
-		}
-		out := outcome{status: 200, nodes: res.Nodes}
-		if res.Verdict != pns.Unknown {
-			out.key = key
-			if res.Verdict == pns.Proven {
-				out.value = 1
-			}
-		}
-		return out
-	}
-	res, err := engine.SearchOpt(sctx, pos, b.cfg.depth, engine.SearchOptions{
-		Workers: b.cfg.workers,
-		Table:   table,
-	})
-	if err != nil {
-		if sctx.Err() != nil {
-			return outcome{status: 504}
-		}
-		return outcome{status: 500}
-	}
-	return outcome{status: 200, key: key, value: res.Value, nodes: res.Nodes}
-}
-
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.url, "url", "", "gtserve base URL (e.g. http://127.0.0.1:8080); empty requires -baseline")
-	flag.BoolVar(&cfg.baseline, "baseline", false, "run searches in-process, one SearchParallelTT per request")
+	flag.StringVar(&cfg.url, "url", "", "gtserve base URL (e.g. http://127.0.0.1:8080)")
 	flag.BoolVar(&cfg.solve, "solve", false, "drive POST /v1/solve (game must be nim or kayles); -expect asserts the verdict (1 proven, 0 disproven)")
-	sharedTable := flag.Bool("baseline-shared-table", false, "with -baseline: share one table across requests instead of a fresh per-request table")
 	flag.StringVar(&cfg.game, "game", "random", "workload game: random | ttt | connect4")
 	flag.IntVar(&cfg.depth, "depth", 8, "search depth per request")
 	flag.IntVar(&cfg.branch, "branch", 5, "branching factor (random game)")
@@ -354,21 +280,12 @@ func main() {
 	flag.IntVar(&cfg.maxInflight, "maxinflight", 256, "open loop: client-side in-flight cap")
 	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "load duration")
 	flag.DurationVar(&cfg.deadline, "deadline", 10*time.Second, "per-request deadline")
-	flag.IntVar(&cfg.workers, "workers", 0, "workers per search, stamped on the benchmark row (baseline: actually used; serve: must match the server)")
-	flag.IntVar(&cfg.shards, "shards", 0, "worker processes behind the server, stamped on the benchmark row (0 = single process)")
 	expect := flag.String("expect", "", "assert every completed value equals this integer")
-	flag.StringVar(&cfg.out, "out", "", "append a run to this benchfmt JSON document")
-	flag.StringVar(&cfg.label, "label", "", "run label (default: baseline | serve, or chaos with -chaos)")
-	flag.BoolVar(&cfg.chaos, "chaos", false, "fault-drill run: label the row chaos and report the degraded-mode request count")
 	flag.StringVar(&cfg.trace, "trace", "", "send X-GT-Trace: <prefix>-<n> on every request, force-sampling them for /debug/gttrace")
 	flag.Parse()
 
-	if cfg.url == "" && !cfg.baseline {
-		fmt.Fprintln(os.Stderr, "gtload: need -url or -baseline")
-		os.Exit(2)
-	}
-	if cfg.url != "" && cfg.baseline {
-		fmt.Fprintln(os.Stderr, "gtload: -url and -baseline are mutually exclusive")
+	if cfg.url == "" {
+		fmt.Fprintln(os.Stderr, "gtload: need -url")
 		os.Exit(2)
 	}
 	if cfg.solve && cfg.game != "nim" && cfg.game != "kayles" {
@@ -382,29 +299,9 @@ func main() {
 		}
 		cfg.hasExpect = true
 	}
-	if cfg.label == "" {
-		switch {
-		case cfg.chaos:
-			cfg.label = "chaos"
-		case cfg.baseline:
-			cfg.label = "baseline"
-		default:
-			cfg.label = "serve"
-		}
-	}
-
-	var is issuer
-	if cfg.baseline {
-		bi := &baselineIssuer{cfg: cfg}
-		if *sharedTable {
-			bi.table = engine.NewTable(1 << 20)
-		}
-		is = bi
-	} else {
-		is = &httpIssuer{cfg: cfg, client: &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: cfg.clients + cfg.maxInflight},
-		}}
-	}
+	is := &httpIssuer{cfg: cfg, client: &http.Client{
+		Transport: &http.Transport{MaxIdleConnsPerHost: cfg.clients + cfg.maxInflight},
+	}}
 
 	w := newWorkload(cfg)
 	var c counters
@@ -419,20 +316,13 @@ func main() {
 	}
 	wall := time.Since(start)
 
-	ok := report(cfg, &c, wall)
-	if cfg.out != "" {
-		if err := writeRun(cfg, &c, wall); err != nil {
-			fmt.Fprintln(os.Stderr, "gtload:", err)
-			ok = false
-		}
-	}
-	if !ok {
+	if !report(cfg, &c, wall) {
 		os.Exit(1)
 	}
 }
 
 // runClosed keeps -clients requests permanently in flight.
-func runClosed(ctx context.Context, cfg config, w *workload, is issuer, c *counters) {
+func runClosed(ctx context.Context, cfg config, w *workload, is *httpIssuer, c *counters) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.clients; i++ {
 		wg.Add(1)
@@ -450,7 +340,7 @@ func runClosed(ctx context.Context, cfg config, w *workload, is issuer, c *count
 // overload probe: arrivals above capacity must be shed by the server,
 // not absorbed by client back-pressure). The in-flight cap only bounds
 // client memory; requests hitting the cap count as dropped.
-func runOpen(ctx context.Context, cfg config, w *workload, is issuer, c *counters) {
+func runOpen(ctx context.Context, cfg config, w *workload, is *httpIssuer, c *counters) {
 	interval := time.Duration(float64(time.Second) / cfg.qps)
 	if interval <= 0 {
 		interval = time.Microsecond
@@ -481,7 +371,7 @@ func runOpen(ctx context.Context, cfg config, w *workload, is issuer, c *counter
 }
 
 // one issues a single request and accumulates its outcome.
-func one(ctx context.Context, cfg config, w *workload, is issuer, c *counters) {
+func one(ctx context.Context, cfg config, w *workload, is *httpIssuer, c *counters) {
 	pos := w.pick(cfg)
 	c.issued.Add(1)
 	t0 := time.Now()
@@ -523,8 +413,8 @@ func report(cfg config, c *counters, wall time.Duration) bool {
 	completed := c.completed.Load()
 	issued := c.issued.Load()
 	qps := float64(completed) / wall.Seconds()
-	fmt.Printf("gtload: label=%s game=%s depth=%d dup=%.2f hot=%d wall=%s\n",
-		cfg.label, cfg.game, cfg.depth, cfg.dup, cfg.hot, wall.Round(time.Millisecond))
+	fmt.Printf("gtload: game=%s depth=%d dup=%.2f hot=%d wall=%s\n",
+		cfg.game, cfg.depth, cfg.dup, cfg.hot, wall.Round(time.Millisecond))
 	p50, p99 := time.Duration(0), time.Duration(0)
 	if completed > 0 {
 		p50 = time.Duration(snap.P50())
@@ -554,80 +444,4 @@ func report(cfg config, c *counters, wall time.Duration) bool {
 		}
 	}
 	return ok
-}
-
-// writeRun appends this run to the benchfmt trajectory document.
-func writeRun(cfg config, c *counters, wall time.Duration) error {
-	snap := c.latency.Snapshot()
-	completed := c.completed.Load()
-	issued := c.issued.Load()
-	name := "search"
-	if cfg.solve {
-		name = "solve"
-	}
-	item := benchfmt.Item{
-		Workload: fmt.Sprintf("%s-d%d-dup%02.0f", cfg.game, cfg.depth, cfg.dup*100),
-		Name:     name,
-		Workers:  cfg.workers,
-		Shards:   cfg.shards,
-		Reps:     int(completed),
-		QPS:      float64(completed) / wall.Seconds(),
-	}
-	if completed > 0 {
-		item.NsPerOp = snap.Mean()
-		item.P50Ns = snap.P50()
-		item.P99Ns = snap.P99()
-	}
-	if issued > 0 {
-		item.ErrRate = float64(issued-completed) / float64(issued)
-	}
-	if completed > 0 {
-		item.NodesPerOp = float64(c.nodes.Load()) / float64(completed)
-		item.NodesPerSec = float64(c.nodes.Load()) / wall.Seconds()
-	}
-	item.Degraded = int(c.degraded.Load())
-
-	doc := &benchfmt.Doc{Schema: benchfmt.SchemaV2}
-	if _, statErr := os.Stat(cfg.out); statErr == nil {
-		var err error
-		if doc, err = benchfmt.Load(cfg.out); err != nil {
-			return err
-		}
-	}
-	doc.Machine = benchfmt.Machine{
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
-	doc.Append(benchfmt.Run{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Commit:     vcsRevision(),
-		Label:      cfg.label,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchmarks: []benchfmt.Item{item},
-	})
-	return benchfmt.Write(cfg.out, doc)
-}
-
-func vcsRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	rev, dirty := "unknown", false
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if dirty && rev != "unknown" {
-		rev += "-dirty"
-	}
-	return rev
 }

@@ -20,7 +20,7 @@
 //
 //	gtprove -game nim -pos 3,5,7 -workers 4   # seq PN vs PN² vs pooled PNS
 //	gtprove -game andor -pos 6,3,0.4,1        # random AND/OR search space
-//	gtprove -bench -out BENCH_prove.json      # benchfmt v2 trajectory
+//	gtprove -bench                            # PN benchmark suite, oracle-checked
 //
 // Unknown games or malformed instance specs exit with status 2 and a
 // usage summary on stderr.
@@ -55,14 +55,13 @@ func main() {
 		pn2      = flag.Int64("pn2", 64, "PN² nested-search budget for -game")
 		maxNodes = flag.Int64("maxnodes", 0, "expansion budget for -game (0 = unbounded)")
 		bench    = flag.Bool("bench", false, "run the proof-number benchmark suite")
-		benchOut = flag.String("out", "BENCH_prove.json", "output document for -bench")
 		reps     = flag.Int("reps", 3, "timed reps per -bench row")
 	)
 	flag.Parse()
 
 	switch {
 	case *bench:
-		if err := solveBench(*benchOut, *reps); err != nil {
+		if err := solveBench(*reps); err != nil {
 			fmt.Fprintln(os.Stderr, "gtprove:", err)
 			os.Exit(1)
 		}

@@ -1,20 +1,17 @@
 // Proof-number solver modes of gtprove: -game solves one combinatorial
 // game instance with sequential PN, PN² and pooled parallel PNS, and
-// -bench runs the fixed instance suite into BENCH_prove.json (benchfmt
-// v2 trajectory, same document discipline as gtbench).
+// -bench runs the fixed instance suite and prints one row per solver,
+// each verdict checked against the instance's oracle.
 package main
 
 import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
 
-	"gametree/internal/benchfmt"
 	"gametree/internal/engine"
 	"gametree/internal/games"
 	"gametree/internal/pns"
@@ -33,10 +30,11 @@ games and instance specs:
   andor   depth,branch[,bias[,seed]] for an i.i.d. random AND/OR
           (NOR) search space, e.g. -pos 6,3,0.4,1
 
-gtprove -bench [-out BENCH_prove.json] [-reps N]
+gtprove -bench [-reps N]
   runs the proof-number benchmark suite: sequential PN, PN² and pooled
-  parallel PNS at 1, 2 and 4 workers, appended to the benchfmt v2
-  trajectory document.
+  parallel PNS at 1, 2 and 4 workers, one printed row each; exits
+  non-zero when a solve does not finish or a verdict disagrees with the
+  instance's oracle.
 `)
 }
 
@@ -47,11 +45,10 @@ func specErr(format string, args ...any) {
 	os.Exit(2)
 }
 
-// parseInstance turns (game, spec) into a solvable position plus an
-// oracle verdict (1 = first player wins, 0 = loses): Sprague-Grundy
-// theory for nim and kayles, direct NOR evaluation of the materialized
-// arena for andor.
-func parseInstance(game, spec string) (engine.Position, int) {
+// parseInstance turns (game, spec) into a solvable position plus its
+// oracle verdict: Sprague-Grundy theory for nim and kayles, direct NOR
+// evaluation of the materialized arena for andor.
+func parseInstance(game, spec string) (engine.Position, pns.Verdict) {
 	if spec == "" {
 		specErr("-pos is required with -game")
 	}
@@ -72,21 +69,9 @@ func parseInstance(game, spec string) (engine.Position, int) {
 	}
 	switch game {
 	case "nim":
-		heaps := ints(64)
-		pos := games.NewNim(heaps...)
-		oracle := 0
-		if pos.XorValue() != 0 {
-			oracle = 1
-		}
-		return pos, oracle
+		return nimInstance(ints(64)...)
 	case "kayles":
-		rows := ints(64)
-		pos := games.NewKayles(rows...)
-		oracle := 0
-		if pos.GrundyValue() != 0 {
-			oracle = 1
-		}
-		return pos, oracle
+		return kaylesInstance(ints(64)...)
 	case "andor":
 		parts := strings.Split(spec, ",")
 		if len(parts) < 2 || len(parts) > 4 {
@@ -106,15 +91,7 @@ func parseInstance(game, spec string) (engine.Position, int) {
 			depth < 1 || depth > 16 || branch < 1 || branch > 8 || bias < 0 || bias > 1 {
 			specErr("bad andor instance %q: want depth,branch[,bias[,seed]]", spec)
 		}
-		t := tree.IIDNor(branch, depth, bias, seed)
-		pos := engine.NewNode(tree.Pos{T: t})
-		// The arena tree is fully materialized, so the exact game value
-		// doubles as the oracle: the mover wins iff the NOR root is 0.
-		oracle := 0
-		if t.Evaluate() == 0 {
-			oracle = 1
-		}
-		return pos, oracle
+		return andorInstance(branch, depth, bias, seed)
 	default:
 		specErr("unknown game %q", game)
 		panic("unreachable")
@@ -125,7 +102,7 @@ func parseInstance(game, spec string) (engine.Position, int) {
 // verdicts agree (and match the oracle when there is one), and print a
 // small comparison table.
 func solveGame(game, spec string, workers int, pn2Budget, maxNodes int64) error {
-	pos, oracle := parseInstance(game, spec)
+	pos, want := parseInstance(game, spec)
 	fmt.Printf("instance: %s %s\n", game, spec)
 	ctx := context.Background()
 	table := engine.NewTable(1 << 16)
@@ -176,15 +153,38 @@ func solveGame(game, spec string, workers int, pn2Budget, maxNodes int64) error 
 				rows[0].name, rows[0].res.Verdict, r.name, r.res.Verdict)
 		}
 	}
-	want := pns.Disproven
-	if oracle == 1 {
-		want = pns.Proven
-	}
 	if got := rows[0].res.Verdict; got != pns.Unknown && got != want {
 		return fmt.Errorf("oracle disagreement: oracle says %s, solver says %s", want, got)
 	}
 	fmt.Printf("oracle: %s (agrees)\n", want)
 	return nil
+}
+
+// oracle maps "the player to move wins" to the verdict a solver must reach.
+func oracle(moverWins bool) pns.Verdict {
+	if moverWins {
+		return pns.Proven
+	}
+	return pns.Disproven
+}
+
+// nimInstance: the mover wins iff the heap xor is nonzero.
+func nimInstance(heaps ...int) (engine.Position, pns.Verdict) {
+	pos := games.NewNim(heaps...)
+	return pos, oracle(pos.XorValue() != 0)
+}
+
+// kaylesInstance: the mover wins iff the Grundy value is nonzero.
+func kaylesInstance(rows ...int) (engine.Position, pns.Verdict) {
+	pos := games.NewKayles(rows...)
+	return pos, oracle(pos.GrundyValue() != 0)
+}
+
+// andorInstance: the arena tree is fully materialized, so the exact game
+// value doubles as the oracle: the mover wins iff the NOR root is 0.
+func andorInstance(branch, depth int, bias float64, seed int64) (engine.Position, pns.Verdict) {
+	t := tree.IIDNor(branch, depth, bias, seed)
+	return engine.NewNode(tree.Pos{T: t}), oracle(t.Evaluate() == 0)
 }
 
 func pnString(v uint32) string {
@@ -195,101 +195,88 @@ func pnString(v uint32) string {
 }
 
 // benchInstance is one suite entry: big enough that the pooled variant
-// has work to distribute, small enough for CI.
+// has work to distribute, small enough for CI. want is the oracle verdict
+// every row must reach.
 type benchInstance struct {
 	workload string
 	pos      engine.Position
+	want     pns.Verdict
 }
 
 func benchSuite() []benchInstance {
+	nim, nimWant := nimInstance(6, 7, 8, 9)
+	kayles, kaylesWant := kaylesInstance(7, 6, 5)
+	andor, andorWant := andorInstance(3, 11, 0.38, 7)
 	return []benchInstance{
-		{"nim", games.NewNim(6, 7, 8, 9)},
-		{"kayles", games.NewKayles(7, 6, 5)},
-		{"andor", engine.NewNode(tree.Pos{T: tree.IIDNor(3, 11, 0.38, 7)})},
+		{"nim", nim, nimWant},
+		{"kayles", kayles, kaylesWant},
+		{"andor", andor, andorWant},
 	}
 }
 
 // solveBench is the -bench mode. For each suite instance it measures
 // sequential PN, PN² and pooled PNS at 1, 2 and 4 workers — every rep on
-// a fresh transposition table so rows measure cold solves — and appends
-// one run to the benchfmt v2 document at path. A final warm-table rep
-// per workload is reported on stdout only (TT sharing effect, not a
-// trajectory row: it measures the table, not the solver).
-func solveBench(path string, reps int) error {
+// a fresh transposition table so rows measure cold solves — and prints
+// one row per solver. A row whose solve does not finish or whose verdict
+// disagrees with the instance's oracle is an error. A final warm-table
+// rep per workload shows the table's effect on a re-solve.
+func solveBench(reps int) error {
 	ctx := context.Background()
-	var items []benchfmt.Item
 
-	measure := func(workload, name string, workers int, f func() (pns.Result, error)) (benchfmt.Item, error) {
+	// measure prints one row over reps timed solves and returns nodes/op.
+	measure := func(bi benchInstance, name string, workers int, f func() (pns.Result, error)) (float64, error) {
 		if _, err := f(); err != nil { // warm-up rep, untimed
-			return benchfmt.Item{}, fmt.Errorf("%s/%s: %w", workload, name, err)
+			return 0, fmt.Errorf("%s/%s: %w", bi.workload, name, err)
 		}
 		var nodes int64
-		var verdict pns.Verdict
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			res, err := f()
 			if err != nil {
-				return benchfmt.Item{}, fmt.Errorf("%s/%s: %w", workload, name, err)
+				return 0, fmt.Errorf("%s/%s: %w", bi.workload, name, err)
 			}
 			if res.Verdict == pns.Unknown {
-				return benchfmt.Item{}, fmt.Errorf("%s/%s: solve did not finish", workload, name)
+				return 0, fmt.Errorf("%s/%s: solve did not finish", bi.workload, name)
+			}
+			if res.Verdict != bi.want {
+				return 0, fmt.Errorf("%s/%s(w=%d): verdict %s, oracle says %s",
+					bi.workload, name, workers, res.Verdict, bi.want)
 			}
 			nodes += res.Nodes
-			verdict = res.Verdict
 		}
 		elapsed := time.Since(start)
-		nsPerOp := float64(elapsed.Nanoseconds()) / float64(reps)
 		nodesPerOp := float64(nodes) / float64(reps)
-		it := benchfmt.Item{
-			Workload:    workload,
-			Name:        name,
-			Workers:     workers,
-			Reps:        reps,
-			NsPerOp:     nsPerOp,
-			NodesPerOp:  nodesPerOp,
-			NodesPerSec: nodesPerOp / (nsPerOp / 1e9),
-			Value:       int32(verdict),
-		}
+		nodesPerSec := nodesPerOp / (elapsed.Seconds() / float64(reps))
 		fmt.Printf("%-8s %-12s w=%d  %10.0f nodes/op  %12.0f nodes/sec  %s\n",
-			workload, name, workers, it.NodesPerOp, it.NodesPerSec, verdict)
-		return it, nil
+			bi.workload, name, workers, nodesPerOp, nodesPerSec, bi.want)
+		return nodesPerOp, nil
 	}
 
 	for _, bi := range benchSuite() {
-		seq, err := measure(bi.workload, "pn_seq", 0, func() (pns.Result, error) {
+		seqNodes, err := measure(bi, "pn_seq", 0, func() (pns.Result, error) {
 			return pns.New(bi.pos, pns.Options{Table: engine.NewTable(1 << 16)}).Solve(ctx)
 		})
 		if err != nil {
 			return err
 		}
-		items = append(items, seq)
-
-		pn2, err := measure(bi.workload, "pn2", 0, func() (pns.Result, error) {
+		if _, err := measure(bi, "pn2", 0, func() (pns.Result, error) {
 			return pns.New(bi.pos, pns.Options{Table: engine.NewTable(1 << 16), PN2Budget: 64}).Solve(ctx)
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		pn2.SpeedupVsSequential = pn2.NodesPerSec / seq.NodesPerSec
-		items = append(items, pn2)
-
 		for _, w := range []int{1, 2, 4} {
-			w := w
-			it, err := measure(bi.workload, "pns_pooled", w, func() (pns.Result, error) {
+			if _, err := measure(bi, "pns_pooled", w, func() (pns.Result, error) {
 				table := engine.NewTable(1 << 16)
 				pool := engine.NewPool(w, table, nil)
 				defer pool.Close()
 				return pns.New(bi.pos, pns.Options{Table: table}).SolveParallel(ctx, pool)
-			})
-			if err != nil {
+			}); err != nil {
 				return err
 			}
-			it.SpeedupVsSequential = it.NodesPerSec / seq.NodesPerSec
-			items = append(items, it)
 		}
 
-		// Warm-table effect, stdout only: re-solving over a table that
-		// already holds the proof touches almost nothing.
+		// Warm-table effect: re-solving over a table that already holds
+		// the proof touches almost nothing.
 		table := engine.NewTable(1 << 16)
 		if _, err := pns.New(bi.pos, pns.Options{Table: table}).Solve(ctx); err != nil {
 			return err
@@ -299,53 +286,7 @@ func solveBench(path string, reps int) error {
 			return err
 		}
 		fmt.Printf("%-8s warm-table resolve: %d expands (cold %0.f nodes/op)\n",
-			bi.workload, warm.Expands, seq.NodesPerOp)
+			bi.workload, warm.Expands, seqNodes)
 	}
-
-	doc := &benchfmt.Doc{Schema: benchfmt.SchemaV2}
-	if _, statErr := os.Stat(path); statErr == nil {
-		var err error
-		if doc, err = benchfmt.Load(path); err != nil {
-			return err
-		}
-	}
-	doc.Machine = benchfmt.Machine{
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
-	doc.Append(benchfmt.Run{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Commit:     proveVCSRevision(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchmarks: items,
-	})
-	if err := benchfmt.Write(path, doc); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d rows)\n", path, len(items))
 	return nil
-}
-
-func proveVCSRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	rev, dirty := "unknown", false
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if dirty && rev != "unknown" {
-		rev += "-dirty"
-	}
-	return rev
 }

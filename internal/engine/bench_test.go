@@ -6,8 +6,8 @@ package engine
 // its predecessor, so alpha-beta prunes little and almost every interior
 // node above the sequential horizon becomes a split point) — the regime
 // where per-split scheduling overhead dominates. The headline metrics are
-// nodes/sec and allocs/op; see BENCH_engine.json and EXPERIMENTS.md E12
-// for recorded numbers.
+// nodes/sec and allocs/op; see EXPERIMENTS.md E12 for recorded numbers
+// and bench/ for the end-to-end benchmark.
 
 import (
 	"context"

@@ -283,83 +283,3 @@ func TestValidate(t *testing.T) {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
-
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("drop=0.1,dup=0.02,reorder=0.05,delay=2ms,delayp=0.2,crash=3@50ms,stall=2@20ms+30ms,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Drop != 0.1 || cfg.Dup != 0.02 || cfg.Reorder != 0.05 {
-		t.Fatalf("probabilities wrong: %+v", cfg)
-	}
-	if cfg.Delay != 0.2 || cfg.DelayMax != 2*time.Millisecond {
-		t.Fatalf("delay wrong: %+v", cfg)
-	}
-	if len(cfg.Crashes) != 1 || cfg.Crashes[0] != (ProcCrash{Proc: 3, At: 50 * time.Millisecond}) {
-		t.Fatalf("crash wrong: %+v", cfg.Crashes)
-	}
-	if len(cfg.Stalls) != 1 || cfg.Stalls[0] != (ProcStall{Proc: 2, At: 20 * time.Millisecond, For: 30 * time.Millisecond}) {
-		t.Fatalf("stall wrong: %+v", cfg.Stalls)
-	}
-	if cfg.Seed != 7 {
-		t.Fatalf("seed wrong: %d", cfg.Seed)
-	}
-
-	cfg, err = ParseSpec("partition=1-2@50ms+200ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.Partitions) != 1 || cfg.Partitions[0] != (LinkPartition{A: 1, B: 2, At: 50 * time.Millisecond, For: 200 * time.Millisecond}) {
-		t.Fatalf("partition wrong: %+v", cfg.Partitions)
-	}
-
-	// delay without delayp means "always delay, bounded".
-	cfg, err = ParseSpec("delay=1ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Delay != 1 || cfg.DelayMax != time.Millisecond {
-		t.Fatalf("bare delay wrong: %+v", cfg)
-	}
-
-	// reorder plus delay bound: bound is jitter only, not always-delay.
-	cfg, err = ParseSpec("reorder=0.1,delay=1ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Delay != 0 || cfg.Reorder != 0.1 {
-		t.Fatalf("reorder+bound wrong: %+v", cfg)
-	}
-
-	for _, bad := range []string{
-		"drop",            // not key=value
-		"drop=2",          // out of range
-		"drop=x",          // not a number
-		"wibble=1",        // unknown key
-		"crash=3",         // missing @
-		"crash=-1@5ms",    // bad proc
-		"crash=1@xx",      // bad duration
-		"stall=1@5ms",     // missing +duration
-		"stall=1@5ms+0ms", // zero duration
-		"reorder=0.1",     // no jitter bound
-		"delayp=0.5",      // delayp without delay
-		"seed=abc",        // bad seed
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("spec %q should fail", bad)
-		}
-	}
-}
-
-func TestSummary(t *testing.T) {
-	cfg, err := ParseSpec("drop=0.1,crash=3@50ms,partition=1-2@50ms+200ms,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := cfg.Summary()
-	for _, want := range []string{"drop=10%", "crash=[3@50ms]", "partition=[1-2@50ms+200ms]", "seed=7"} {
-		if !bytes.Contains([]byte(s), []byte(want)) {
-			t.Errorf("summary %q missing %q", s, want)
-		}
-	}
-}

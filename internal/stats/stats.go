@@ -135,69 +135,3 @@ func LogLogSlope(x, y []float64) float64 {
 	s, _ := LinearFit(lx, ly)
 	return s
 }
-
-// MannWhitneyP returns the two-sided p-value of the Mann-Whitney U rank
-// test for the hypothesis that x and y are drawn from the same
-// distribution, using the normal approximation with midranks for ties,
-// a tie-corrected variance, and a continuity correction. Benchmark
-// samples are small (reps ~ 5-30) and heavy-tailed, which is exactly
-// the regime where this beats a t-test: it compares ranks, so one
-// GC-pause outlier cannot drag the verdict. Returns NaN if either
-// sample is empty, and 1 when every observation is tied.
-func MannWhitneyP(x, y []float64) float64 {
-	n1, n2 := len(x), len(y)
-	if n1 == 0 || n2 == 0 {
-		return math.NaN()
-	}
-	type obs struct {
-		v     float64
-		first bool // belongs to x
-	}
-	all := make([]obs, 0, n1+n2)
-	for _, v := range x {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range y {
-		all = append(all, obs{v, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Midranks over tie groups; accumulate x's rank sum and the tie
-	// correction term sum(t^3 - t).
-	var r1, tieTerm float64
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		t := float64(j - i)
-		rank := float64(i+j+1) / 2 // midrank, 1-based
-		for k := i; k < j; k++ {
-			if all[k].first {
-				r1 += rank
-			}
-		}
-		tieTerm += t*t*t - t
-		i = j
-	}
-
-	f1, f2 := float64(n1), float64(n2)
-	n := f1 + f2
-	u1 := r1 - f1*(f1+1)/2
-	mu := f1 * f2 / 2
-	sigma2 := f1 * f2 / 12 * ((n + 1) - tieTerm/(n*(n-1)))
-	if sigma2 <= 0 {
-		return 1 // every observation tied: no evidence either way
-	}
-	z := u1 - mu
-	switch {
-	case z > 0.5:
-		z -= 0.5
-	case z < -0.5:
-		z += 0.5
-	default:
-		z = 0
-	}
-	z /= math.Sqrt(sigma2)
-	return math.Erfc(math.Abs(z) / math.Sqrt2)
-}

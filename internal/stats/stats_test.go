@@ -183,52 +183,3 @@ func TestRenderJSON(t *testing.T) {
 		t.Errorf("decoded: %+v", decoded)
 	}
 }
-
-func TestMannWhitneyP(t *testing.T) {
-	// Identical samples: maximal p.
-	same := []float64{1, 2, 3, 4, 5}
-	if p := MannWhitneyP(same, same); p < 0.99 {
-		t.Fatalf("identical samples: p=%v, want ~1", p)
-	}
-	// Clearly separated samples: tiny p.
-	lo := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	hi := []float64{101, 102, 103, 104, 105, 106, 107, 108}
-	if p := MannWhitneyP(lo, hi); p > 0.01 {
-		t.Fatalf("separated samples: p=%v, want < 0.01", p)
-	}
-	// Symmetry: swapping the samples must not change the p-value.
-	a := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	b := []float64{2, 7, 1, 8, 2, 8, 1, 8}
-	pa, pb := MannWhitneyP(a, b), MannWhitneyP(b, a)
-	if math.Abs(pa-pb) > 1e-12 {
-		t.Fatalf("asymmetric: %v vs %v", pa, pb)
-	}
-	if pa <= 0 || pa > 1 {
-		t.Fatalf("p out of range: %v", pa)
-	}
-	// All observations tied: defined as 1, not NaN.
-	if p := MannWhitneyP([]float64{5, 5, 5}, []float64{5, 5}); p != 1 {
-		t.Fatalf("all tied: p=%v, want 1", p)
-	}
-	// Empty input: NaN.
-	if p := MannWhitneyP(nil, same); !math.IsNaN(p) {
-		t.Fatalf("empty sample: p=%v, want NaN", p)
-	}
-	// A modest shift on overlapping noise: p must fall between the
-	// extremes (sanity that the statistic actually discriminates).
-	n1 := []float64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
-	n2 := []float64{13, 14, 15, 16, 17, 18, 19, 20, 21, 22}
-	p := MannWhitneyP(n1, n2)
-	if p < 0.001 || p > 0.5 {
-		t.Fatalf("shifted overlap: p=%v, want intermediate", p)
-	}
-	// Hand-computed reference (matches scipy's two-sided asymptotic
-	// method with continuity): x=[1..5], y=[3..7] → rank sum 19.5,
-	// U=4.5, mu=12.5, tie-corrected sigma^2=22.5, z=7.5/sqrt(22.5),
-	// p = erfc(|z|/sqrt(2)) = 0.11385.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{3, 4, 5, 6, 7}
-	if p := MannWhitneyP(x, y); math.Abs(p-0.11385) > 1e-4 {
-		t.Fatalf("reference case: p=%v, want ~0.11385", p)
-	}
-}

@@ -43,26 +43,9 @@ echo "== exact-value burst (ttt, depth 9: every answer must be the draw) =="
 "$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 4 -duration 2s \
     -expect 0 | tee "$ART/gtload-ttt.txt"
 
-echo "== p99 gate: two warm ttt runs, tail must not regress =="
-# The burst above warmed the result cache, so these two identical runs
-# measure the steady-state serving path (cache hit + HTTP) with
-# thousands of samples each; gtstat gates tail latency between them — a
-# second run more than 50% worse at p99 on the same warm process is a
-# latency regression in the serving path, not workload noise. One
-# client, deliberately: concurrent clients queueing on a shared runner
-# put scheduler jitter in the tail (observed 2x between identical
-# 4-client runs), while the single-client p99 is repeatable to ~15%.
-# (The random workload below is the wrong place for this gate: tens of
-# samples dominated by cold searches.)
-"$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 1 -duration 2s \
-    -expect 0 -out "$ART/serve-bench.json" >>"$ART/gtload-ttt.txt"
-"$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 1 -duration 2s \
-    -expect 0 -out "$ART/serve-bench.json" >>"$ART/gtload-ttt.txt"
-go run ./cmd/gtstat -metric p99_ns -threshold 0.50 "$ART/serve-bench.json"
-
 echo "== mixed random workload (closed loop) =="
 "$BIN/gtload" -url "$URL" -game random -depth 7 -dup 0.75 -hot 8 \
-    -clients 4 -duration 2s -workers 2 | tee "$ART/gtload-random.txt"
+    -clients 4 -duration 2s | tee "$ART/gtload-random.txt"
 
 echo "== /metrics scrape =="
 curl -fsS "$URL/metrics" >"$ART/metrics.prom"

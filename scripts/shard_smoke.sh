@@ -26,7 +26,7 @@
 #     route tasks to the rejoined process, not just the survivor;
 #   - empty ring: both workers killed; the degraded gauge must flip, a
 #     burst must still return exact values from the coordinator's local
-#     fallback pool (gtload -chaos counts the degraded 200s), and the
+#     fallback pool (gtload counts the degraded 200s), and the
 #     gauge must close once a worker returns;
 #   - scaling (only when the host has >1 CPU): the same CPU-bound
 #     workload through a 2-worker ring must reach >= 1.3x the qps of a
@@ -108,11 +108,11 @@ curl -fsS "$W1HTTP/healthz" | grep -q '"role":"worker"'
 
 echo "== exact-value burst (ttt, depth 9: every answer must be the draw) =="
 "$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 4 -duration 2s \
-    -expect 0 -shards 2 | tee "$ART/gtload-ttt.txt"
+    -expect 0 | tee "$ART/gtload-ttt.txt"
 
 echo "== mixed random workload across the ring =="
 "$BIN/gtload" -url "$URL" -game random -depth 7 -dup 0.5 -hot 8 \
-    -clients 4 -duration 2s -shards 2 | tee "$ART/gtload-random.txt"
+    -clients 4 -duration 2s | tee "$ART/gtload-random.txt"
 
 echo "== /metrics from all three processes =="
 curl -fsS "$URL/metrics" >"$ART/coordinator-metrics.prom"
@@ -126,7 +126,7 @@ grep -q '^gametree_shard_rpc_ns_bucket' "$ART/coordinator-metrics.prom"
 
 echo "== distributed trace: merged ring view pulled mid-burst =="
 "$BIN/gtload" -url "$URL" -game random -depth 6 -dup 0 -clients 2 \
-    -duration 3s -shards 2 -trace smoke >"$ART/gtload-traced.txt" 2>&1 &
+    -duration 3s -trace smoke >"$ART/gtload-traced.txt" 2>&1 &
 LOAD=$!
 sleep 1.5
 # Pull a merged view WHILE the burst is running: every ring process
@@ -169,7 +169,7 @@ grep -q '"outcome":"search"' "$ART/access.jsonl" \
 
 echo "== kill -9 worker 2 mid-burst: values must stay exact =="
 "$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 4 -duration 6s \
-    -deadline 8s -expect 0 -shards 2 >"$ART/gtload-crash.txt" 2>&1 &
+    -deadline 8s -expect 0 >"$ART/gtload-crash.txt" 2>&1 &
 LOAD=$!
 sleep 2
 kill -9 "$W2PID"
@@ -180,7 +180,7 @@ cat "$ART/gtload-crash.txt"
 
 echo "== degraded ring still serves exact values =="
 "$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 2 -duration 1s \
-    -deadline 8s -expect 0 -shards 2 | tee "$ART/gtload-degraded.txt"
+    -deadline 8s -expect 0 | tee "$ART/gtload-degraded.txt"
 curl -fsS "$URL/metrics" >"$ART/coordinator-metrics-postcrash.prom"
 # Tasks in flight to the dead worker must have been reissued to the
 # survivor — the burst staying exact is the effect, this is the cause.
@@ -227,7 +227,7 @@ done
 # Post-rejoin routing: a fresh burst must land tasks on the restarted
 # worker (its counters start at zero), not just the survivor.
 "$BIN/gtload" -url "$URL" -game random -depth 6 -dup 0 -clients 4 \
-    -duration 2s -shards 2 | tee "$ART/gtload-rejoin.txt"
+    -duration 2s | tee "$ART/gtload-rejoin.txt"
 curl -fsS "$W2HTTP/metrics" >"$ART/worker2-rejoin-metrics.prom"
 w2tasks=$(metric gametree_shard_tasks_total "$ART/worker2-rejoin-metrics.prom")
 [ "${w2tasks:-0}" -gt 0 ] || { echo "shard_smoke: no tasks routed to the rejoined worker"; exit 1; }
@@ -247,7 +247,7 @@ for _ in $(seq 1 100); do
 done
 [ "${degraded:-0}" -eq 1 ] || { echo "shard_smoke: degraded gauge never flipped with an empty ring"; exit 1; }
 "$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 2 -duration 2s \
-    -deadline 8s -expect 0 -shards 2 -chaos | tee "$ART/gtload-emptyring.txt"
+    -deadline 8s -expect 0 | tee "$ART/gtload-emptyring.txt"
 grep -Eq 'degraded=[1-9]' "$ART/gtload-emptyring.txt" \
     || { echo "shard_smoke: empty-ring burst reported no degraded responses"; exit 1; }
 degraded_tasks=$(metric gametree_shard_degraded_tasks_total <(curl -fsS "$URL/metrics"))
@@ -277,7 +277,7 @@ if [ "$(nproc)" -ge 2 ]; then
     start_worker 1 1 1
     start_coordinator "1=$(tr -d '\n' <"$BIN/w1.shard")" 1
     "$BIN/gtload" -url "$URL" -game random -depth 7 -dup 0 -clients 4 \
-        -duration 3s -shards 1 >"$ART/gtload-s1.txt" 2>&1
+        -duration 3s >"$ART/gtload-s1.txt" 2>&1
     for p in "${PIDS[@]}"; do kill "$p" 2>/dev/null || true; wait "$p" 2>/dev/null || true; done
     PIDS=()
 
@@ -286,7 +286,7 @@ if [ "$(nproc)" -ge 2 ]; then
     start_worker 2 1,2 1
     start_coordinator "1=$(tr -d '\n' <"$BIN/w1.shard"),2=$(tr -d '\n' <"$BIN/w2.shard")" 1,2
     "$BIN/gtload" -url "$URL" -game random -depth 7 -dup 0 -clients 4 \
-        -duration 3s -shards 2 >"$ART/gtload-s2.txt" 2>&1
+        -duration 3s >"$ART/gtload-s2.txt" 2>&1
 
     q1=$(qps "$ART/gtload-s1.txt"); q2=$(qps "$ART/gtload-s2.txt")
     echo "shard_smoke: qps shards=1 $q1, shards=2 $q2"

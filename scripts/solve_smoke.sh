@@ -14,8 +14,9 @@
 #     partial tree parked for resume;
 #   - a follow-up solve on the freed pool completes (the token came
 #     back);
-#   - BENCH_prove.json: the gtprove suite (sequential PN, PN², pooled
-#     PNS at 1/2/4 workers) runs to completion and lands as an artifact.
+#   - the gtprove bench suite (sequential PN, PN², pooled PNS at 1/2/4
+#     workers) runs to completion with every verdict matching its
+#     oracle; its transcript lands as an artifact.
 #
 # Artifacts land in solve-smoke-artifacts/ (override: ARTIFACT_DIR).
 set -euo pipefail
@@ -34,7 +35,7 @@ trap cleanup EXIT
 go build -race -o "$BIN/gtserve" ./cmd/gtserve
 go build -race -o "$BIN/gtload" ./cmd/gtload
 # The bench binary is deliberately not race-built: its rows go into the
-# artifact and race instrumentation would make the numbers meaningless.
+# transcript and race instrumentation would make the numbers meaningless.
 go build -o "$BIN/gtprove" ./cmd/gtprove
 
 PORTFILE="$BIN/port"
@@ -117,7 +118,7 @@ SRV=""
 grep -q '"outcome":"solve"' "$ART/access.jsonl" \
     || { echo "solve_smoke: access log has no /v1/solve line"; exit 1; }
 
-echo "== gtprove bench suite -> BENCH_prove.json artifact =="
-"$BIN/gtprove" -bench -reps 2 -out "$ART/BENCH_prove.json" | tee "$ART/gtprove-bench.txt"
+echo "== gtprove bench suite (verdicts checked against their oracles) =="
+"$BIN/gtprove" -bench -reps 2 | tee "$ART/gtprove-bench.txt"
 
 echo "solve_smoke: PASS (cancel delta=$delta, parked=$parked)"
