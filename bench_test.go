@@ -29,8 +29,8 @@ func mustMetrics(b *testing.B) func(gametree.Metrics, error) gametree.Metrics {
 	}
 }
 
-func mustExpand(b *testing.B) func(gametree.ExpandMetrics, error) gametree.ExpandMetrics {
-	return func(m gametree.ExpandMetrics, err error) gametree.ExpandMetrics {
+func mustExpand(b *testing.B) func(gametree.Metrics, error) gametree.Metrics {
+	return func(m gametree.Metrics, err error) gametree.Metrics {
 		b.Helper()
 		if err != nil {
 			b.Fatal(err)
@@ -122,11 +122,11 @@ func BenchmarkE6ParallelAlphaBeta(b *testing.B) {
 // BenchmarkE7NodeExpansion — Theorem 4 in the node-expansion model.
 func BenchmarkE7NodeExpansion(b *testing.B) {
 	t := gametree.WorstCaseNOR(2, 12, 1)
-	seq := mustExpand(b)(gametree.NSequentialSolve(t, gametree.ExpandOptions{}))
-	var last gametree.ExpandMetrics
+	seq := mustExpand(b)(gametree.NSequentialSolve(t, gametree.Options{}))
+	var last gametree.Metrics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = mustExpand(b)(gametree.NParallelSolve(t, 1, gametree.ExpandOptions{}))
+		last = mustExpand(b)(gametree.NParallelSolve(t, 1, gametree.Options{}))
 	}
 	b.ReportMetric(float64(seq.Steps)/float64(last.Steps), "speedup")
 }
@@ -136,7 +136,7 @@ func BenchmarkE8Randomized(b *testing.B) {
 	t := gametree.WorstCaseNOR(2, 12, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustExpand(b)(gametree.RParallelSolve(t, 1, int64(i), gametree.ExpandOptions{}))
+		mustExpand(b)(gametree.RParallelSolve(t, 1, int64(i), gametree.Options{}))
 	}
 }
 

@@ -413,8 +413,12 @@ func report(cfg config, c *counters, wall time.Duration) bool {
 	completed := c.completed.Load()
 	issued := c.issued.Load()
 	qps := float64(completed) / wall.Seconds()
-	fmt.Printf("gtload: game=%s depth=%d dup=%.2f hot=%d wall=%s\n",
-		cfg.game, cfg.depth, cfg.dup, cfg.hot, wall.Round(time.Millisecond))
+	params := "game=" + cfg.game
+	if !cfg.solve { // a solve takes no depth
+		params += fmt.Sprintf(" depth=%d", cfg.depth)
+	}
+	fmt.Printf("gtload: %s dup=%.2f hot=%d wall=%s\n",
+		params, cfg.dup, cfg.hot, wall.Round(time.Millisecond))
 	p50, p99 := time.Duration(0), time.Duration(0)
 	if completed > 0 {
 		p50 = time.Duration(snap.P50())

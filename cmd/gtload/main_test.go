@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,5 +59,41 @@ func TestClosedLoopExactValue(t *testing.T) {
 	cfg.expect = 1
 	if report(cfg, &c, wall) {
 		t.Error("report with -expect 1 passed on the tic-tac-toe draw")
+	}
+}
+
+// reportOutput returns what report prints for cfg over empty counters.
+func reportOutput(t *testing.T, cfg config) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	var c counters
+	report(cfg, &c, time.Second)
+	os.Stdout = stdout
+	w.Close()
+	printed := string(<-out)
+	r.Close()
+	return printed
+}
+
+// TestReportDepthOnlyForSearch: /v1/solve takes no depth, so a solve
+// run's summary names none; a search run's names the depth it used.
+func TestReportDepthOnlyForSearch(t *testing.T) {
+	solve := config{solve: true, game: "nim", depth: 8}
+	if out := reportOutput(t, solve); strings.Contains(out, "depth=") {
+		t.Errorf("solve report names a depth:\n%s", out)
+	}
+	search := config{game: "ttt", depth: 9}
+	if out := reportOutput(t, search); !strings.Contains(out, "game=ttt depth=9 ") {
+		t.Errorf("search report lacks its depth:\n%s", out)
 	}
 }

@@ -87,25 +87,25 @@ func run(algo string, d, n, width, procs int, instance string, bias float64, lo,
 	case "parallel-ab":
 		return report(gametree.ParallelAlphaBeta(t, width, gametree.Options{}))(start)
 	case "n-sequential-solve":
-		return reportExpand(gametree.NSequentialSolve(t, gametree.ExpandOptions{}))(start)
+		return reportExpand(gametree.NSequentialSolve(t, gametree.Options{}))(start)
 	case "n-parallel-solve":
-		return reportExpand(gametree.NParallelSolve(t, width, gametree.ExpandOptions{}))(start)
+		return reportExpand(gametree.NParallelSolve(t, width, gametree.Options{}))(start)
 	case "n-sequential-ab":
-		return reportExpand(gametree.NSequentialAlphaBeta(t, gametree.ExpandOptions{}))(start)
+		return reportExpand(gametree.NSequentialAlphaBeta(t, gametree.Options{}))(start)
 	case "n-parallel-ab":
-		return reportExpand(gametree.NParallelAlphaBeta(t, width, gametree.ExpandOptions{}))(start)
+		return reportExpand(gametree.NParallelAlphaBeta(t, width, gametree.Options{}))(start)
 	case "r-sequential-solve":
 		v, work := gametree.RSequentialSolve(t, seed)
 		fmt.Printf("value=%d expansions=%d elapsed=%s\n", v, work, time.Since(start).Round(time.Microsecond))
 		return nil
 	case "r-parallel-solve":
-		return reportExpand(gametree.RParallelSolve(t, width, seed, gametree.ExpandOptions{}))(start)
+		return reportExpand(gametree.RParallelSolve(t, width, seed, gametree.Options{}))(start)
 	case "r-sequential-ab":
 		v, work := gametree.RSequentialAlphaBeta(t, seed)
 		fmt.Printf("value=%d expansions=%d elapsed=%s\n", v, work, time.Since(start).Round(time.Microsecond))
 		return nil
 	case "r-parallel-ab":
-		return reportExpand(gametree.RParallelAlphaBeta(t, width, seed, gametree.ExpandOptions{}))(start)
+		return reportExpand(gametree.RParallelAlphaBeta(t, width, seed, gametree.Options{}))(start)
 	case "msgpass":
 		m, err := gametree.EvaluateMessagePassing(t, gametree.MsgPassOptions{Processors: procs})
 		if err != nil {
@@ -196,7 +196,7 @@ func report(m gametree.Metrics, err error) func(time.Time) error {
 	}
 }
 
-func reportExpand(m gametree.ExpandMetrics, err error) func(time.Time) error {
+func reportExpand(m gametree.Metrics, err error) func(time.Time) error {
 	return func(start time.Time) error {
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -38,8 +39,10 @@ var valueRE = regexp.MustCompile(`(?m)^value=(-?\d+) `)
 
 // TestRunPrintsExactValue drives gtsim's run end to end: the Section 7
 // machine (one processor per level, p=1 and p=4 zones) on worst-case and
-// i.i.d. NOR instances, and the step-model Parallel SOLVE on the same
-// worst case, must each print value= equal to the instance's exact value.
+// i.i.d. NOR instances, the step-model Parallel SOLVE on the same worst
+// case, and the node-expansion N- simulators (SOLVE on NOR, alpha-beta on
+// the MIN/MAX instance of the same name) must each print value= equal to
+// the instance's exact value.
 func TestRunPrintsExactValue(t *testing.T) {
 	const n = 10
 	cases := []struct {
@@ -53,10 +56,14 @@ func TestRunPrintsExactValue(t *testing.T) {
 		{"msgpass", "iid", 1},
 		{"msgpass", "iid", 4},
 		{"parallel-solve", "worst", 4},
+		{"n-sequential-solve", "iid", 0},
+		{"n-parallel-solve", "worst", 0},
+		{"n-sequential-ab", "iid", 0},
+		{"n-parallel-ab", "iid", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.algo+"/"+c.instance+"/p"+strconv.Itoa(c.procs), func(t *testing.T) {
-			tr, err := buildInstance(c.instance, false, 2, n, -1, -1000, 1000, 0.5, 0.5, 1, 1)
+			tr, err := buildInstance(c.instance, strings.HasSuffix(c.algo, "-ab"), 2, n, -1, -1000, 1000, 0.5, 0.5, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

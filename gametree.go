@@ -38,7 +38,6 @@ import (
 	"gametree/internal/bounds"
 	"gametree/internal/core"
 	"gametree/internal/engine"
-	"gametree/internal/expand"
 	"gametree/internal/msgpass"
 	"gametree/internal/pns"
 	"gametree/internal/randomized"
@@ -135,12 +134,12 @@ func ProofTreeSize(t *Tree) int64 { return tree.ProofTreeSize(t) }
 // ---------------------------------------------------------------------------
 // Leaf-evaluation model (internal/core)
 
-// Metrics reports a leaf-evaluation-model run: steps (time), work (leaves
-// evaluated), processors (max leaves per step) and the per-degree step
-// histogram.
+// Metrics reports a simulated run in either cost model: steps (time),
+// work (leaves evaluated, or nodes expanded by the N- and R- functions),
+// processors (max units per step) and the per-degree step histogram.
 type Metrics = core.Metrics
 
-// Options configures a simulated run.
+// Options configures a simulated run in either cost model.
 type Options = core.Options
 
 // SequentialSolve runs the left-to-right sequential algorithm on a NOR
@@ -170,33 +169,27 @@ func ParallelAlphaBeta(t *Tree, w int, opt Options) (Metrics, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Node-expansion model (internal/expand)
-
-// ExpandMetrics reports a node-expansion-model run.
-type ExpandMetrics = expand.Metrics
-
-// ExpandOptions configures a node-expansion run.
-type ExpandOptions = expand.Options
+// Node-expansion model (internal/core, Section 5)
 
 // NSequentialSolve expands the leftmost frontier node per step.
-func NSequentialSolve(t *Tree, opt ExpandOptions) (ExpandMetrics, error) {
-	return expand.NSequentialSolve(t, opt)
+func NSequentialSolve(t *Tree, opt Options) (Metrics, error) {
+	return core.NSequentialSolve(t, opt)
 }
 
 // NParallelSolve expands all frontier nodes with pruning number at most w
 // per step (Theorem 4).
-func NParallelSolve(t *Tree, w int, opt ExpandOptions) (ExpandMetrics, error) {
-	return expand.NParallelSolve(t, w, opt)
+func NParallelSolve(t *Tree, w int, opt Options) (Metrics, error) {
+	return core.NParallelSolve(t, w, opt)
 }
 
 // NSequentialAlphaBeta is the node-expansion alpha-beta procedure.
-func NSequentialAlphaBeta(t *Tree, opt ExpandOptions) (ExpandMetrics, error) {
-	return expand.NSequentialAlphaBeta(t, opt)
+func NSequentialAlphaBeta(t *Tree, opt Options) (Metrics, error) {
+	return core.NSequentialAlphaBeta(t, opt)
 }
 
 // NParallelAlphaBeta is the node-expansion Parallel alpha-beta of width w.
-func NParallelAlphaBeta(t *Tree, w int, opt ExpandOptions) (ExpandMetrics, error) {
-	return expand.NParallelAlphaBeta(t, w, opt)
+func NParallelAlphaBeta(t *Tree, w int, opt Options) (Metrics, error) {
+	return core.NParallelAlphaBeta(t, w, opt)
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +202,7 @@ func RSequentialSolve(t *Tree, seed int64) (int32, int64) {
 }
 
 // RParallelSolve runs R-Parallel SOLVE of width w (Theorem 5).
-func RParallelSolve(t *Tree, w int, seed int64, opt ExpandOptions) (ExpandMetrics, error) {
+func RParallelSolve(t *Tree, w int, seed int64, opt Options) (Metrics, error) {
 	return randomized.RParallelSolve(t, w, seed, opt)
 }
 
@@ -219,7 +212,7 @@ func RSequentialAlphaBeta(t *Tree, seed int64) (int32, int64) {
 }
 
 // RParallelAlphaBeta runs R-Parallel alpha-beta of width w (Theorem 6).
-func RParallelAlphaBeta(t *Tree, w int, seed int64, opt ExpandOptions) (ExpandMetrics, error) {
+func RParallelAlphaBeta(t *Tree, w int, seed int64, opt Options) (Metrics, error) {
 	return randomized.RParallelAlphaBeta(t, w, seed, opt)
 }
 
@@ -449,8 +442,8 @@ func TeamAlphaBeta(t *Tree, p int, opt Options) (Metrics, error) {
 
 // NTeamSolve expands the leftmost p frontier nodes per step — the
 // node-expansion counterpart of TeamSolve.
-func NTeamSolve(t *Tree, p int, opt ExpandOptions) (ExpandMetrics, error) {
-	return expand.NTeamSolve(t, p, opt)
+func NTeamSolve(t *Tree, p int, opt Options) (Metrics, error) {
+	return core.NTeamSolve(t, p, opt)
 }
 
 // TraceParallelAlphaBeta is the MIN/MAX counterpart of TraceParallelSolve.

@@ -40,7 +40,7 @@ func TestPublicModelsAgree(t *testing.T) {
 	if err != nil || leaf.Value != want {
 		t.Errorf("leaf model: %v %v", leaf.Value, err)
 	}
-	nexp, err := gametree.NParallelSolve(tr, 1, gametree.ExpandOptions{})
+	nexp, err := gametree.NParallelSolve(tr, 1, gametree.Options{})
 	if err != nil || nexp.Value != want {
 		t.Errorf("node-expansion model: %v %v", nexp.Value, err)
 	}
@@ -74,11 +74,11 @@ func TestPublicMinMaxSurface(t *testing.T) {
 	if err != nil || par.Value != ab.Value {
 		t.Errorf("parallel alpha-beta: %+v %v", par, err)
 	}
-	np, err := gametree.NParallelAlphaBeta(tr, 1, gametree.ExpandOptions{})
+	np, err := gametree.NParallelAlphaBeta(tr, 1, gametree.Options{})
 	if err != nil || np.Value != ab.Value {
 		t.Errorf("node-expansion alpha-beta: %+v %v", np, err)
 	}
-	rp, err := gametree.RParallelAlphaBeta(tr, 1, 11, gametree.ExpandOptions{})
+	rp, err := gametree.RParallelAlphaBeta(tr, 1, 11, gametree.Options{})
 	if err != nil || rp.Value != ab.Value {
 		t.Errorf("randomized parallel alpha-beta: %+v %v", rp, err)
 	}
@@ -319,7 +319,7 @@ func TestPublicSurfaceRemainder(t *testing.T) {
 	if err != nil || ta.Value != mm.Evaluate() {
 		t.Errorf("team ab: %+v %v", ta, err)
 	}
-	nt, err := gametree.NTeamSolve(tr, 3, gametree.ExpandOptions{})
+	nt, err := gametree.NTeamSolve(tr, 3, gametree.Options{})
 	if err != nil || nt.Value != 1 {
 		t.Errorf("n-team: %+v %v", nt, err)
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"gametree/internal/tree"
-)
+import "gametree/internal/tree"
 
 // This file implements the fixed-processor-count variants of the width
 // algorithms: the paper's closing remark of Section 7 adapts the
@@ -17,121 +12,22 @@ import (
 // p >= the candidate count this is exactly Parallel SOLVE of width w;
 // with w large and p fixed it interpolates toward Team SOLVE.
 
-// candidate records a live leaf together with its pruning number.
-type candidate struct {
-	leaf tree.NodeID
-	pn   int
-}
-
-// collectWidthPN is collectWidth recording each selected leaf's pruning
-// number (the budget consumed on the way down).
-func (s *norState) collectWidthPN(v tree.NodeID, budget, pn int, out *[]candidate) {
-	nd := s.t.Node(v)
-	if nd.NumChildren == 0 {
-		*out = append(*out, candidate{leaf: v, pn: pn})
-		return
-	}
-	live := 0
-	for i := int32(0); i < nd.NumChildren; i++ {
-		c := nd.FirstChild + tree.NodeID(i)
-		if s.det[c] >= 0 {
-			continue
-		}
-		if budget-live < 0 {
-			return
-		}
-		s.collectWidthPN(c, budget-live, pn+live, out)
-		live++
-	}
-}
-
 // ParallelSolveFixed runs Parallel SOLVE of width w restricted to p
 // processors: at each step, of the live leaves with pruning number at
 // most w, evaluate the p with the smallest pruning numbers (ties left to
 // right). p <= 0 means unrestricted (identical to ParallelSolve).
 func ParallelSolveFixed(t *tree.Tree, w, p int, opt Options) (Metrics, error) {
-	if w < 0 {
-		return Metrics{}, fmt.Errorf("core: width must be >= 0, got %d", w)
+	if err := checkWidth("ParallelSolveFixed", w); err != nil {
+		return Metrics{}, err
 	}
-	if p <= 0 {
-		return ParallelSolve(t, w, opt)
-	}
-	s := newNorState(t)
-	var cands []candidate
-	return s.run(opt, func() {
-		cands = cands[:0]
-		s.collectWidthPN(0, w, 0, &cands)
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].pn < cands[j].pn })
-		if len(cands) > p {
-			cands = cands[:p]
-		}
-		for _, c := range cands {
-			s.selected = append(s.selected, c.leaf)
-		}
-	})
-}
-
-// collectWidthPN for the pruning process (MIN/MAX).
-func (s *minmaxState) collectWidthPN(v tree.NodeID, budget, pn int, out *[]candidate) {
-	nd := s.t.Node(v)
-	if nd.NumChildren == 0 {
-		*out = append(*out, candidate{leaf: v, pn: pn})
-		return
-	}
-	unfinished := 0
-	for i := int32(0); i < nd.NumChildren; i++ {
-		c := nd.FirstChild + tree.NodeID(i)
-		if s.deleted[c] || s.finished[c] {
-			continue
-		}
-		if budget-unfinished < 0 {
-			return
-		}
-		s.collectWidthPN(c, budget-unfinished, pn+unfinished, out)
-		unfinished++
-	}
+	return newNorState(t, leafEval).width(w, p, opt, nil)
 }
 
 // ParallelAlphaBetaFixed is the fixed-processor variant of Parallel
 // alpha-beta of width w. p <= 0 means unrestricted.
 func ParallelAlphaBetaFixed(t *tree.Tree, w, p int, opt Options) (Metrics, error) {
-	if w < 0 {
-		return Metrics{}, fmt.Errorf("core: width must be >= 0, got %d", w)
+	if err := checkWidth("ParallelAlphaBetaFixed", w); err != nil {
+		return Metrics{}, err
 	}
-	if p <= 0 {
-		return ParallelAlphaBeta(t, w, opt)
-	}
-	s := newMinmaxState(t)
-	var m Metrics
-	var cands []candidate
-	for !s.finished[0] {
-		cands = cands[:0]
-		s.collectWidthPN(0, w, 0, &cands)
-		if len(cands) == 0 {
-			return m, fmt.Errorf("core: no unfinished leaves selected but root unfinished (bug)")
-		}
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].pn < cands[j].pn })
-		if len(cands) > p {
-			cands = cands[:p]
-		}
-		s.selected = s.selected[:0]
-		for _, c := range cands {
-			s.selected = append(s.selected, c.leaf)
-		}
-		for _, l := range s.selected {
-			s.bumpEval(l)
-			s.finishLeaf(l)
-		}
-		if opt.RecordLeaves {
-			m.Leaves = append(m.Leaves, s.selected...)
-		}
-		m.recordStep(len(s.selected))
-		for s.prunePass() {
-		}
-		if err := opt.check(m.Steps); err != nil {
-			return m, err
-		}
-	}
-	m.Value = s.val[0]
-	return m, nil
+	return newMinmaxState(t, leafEval).width(w, p, opt, nil)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"gametree/internal/tree"
@@ -11,17 +10,16 @@ import (
 // pruned tree T~ (via deleted flags), finished nodes and their values in
 // T~, and the pruning rule "delete an unfinished v if alpha(v) >= beta(v)".
 // Sequential alpha-beta and Parallel alpha-beta of width w are the
-// instances of this process that evaluate, at each step, the unfinished
-// leaves of the pruned tree with pruning number 0 (resp. at most w).
+// instances of this process that expand, at each step, the unexpanded
+// nodes of the pruned tree with pruning number 0 (resp. at most w).
 type minmaxState struct {
-	t         *tree.Tree
+	frontier
 	deleted   []bool
 	finished  []bool
 	val       []int32 // value in the pruned tree; valid when finished
 	finKids   []int32 // finished, non-deleted children
 	liveKids  []int32 // non-deleted children
-	evalBelow []int32 // evaluated leaves in the subtree (guides the pruning walk)
-	selected  []tree.NodeID
+	workBelow []int32 // expansions in the subtree (guides the pruning walk)
 }
 
 const (
@@ -29,35 +27,43 @@ const (
 	posInf = math.MaxInt32
 )
 
-func newMinmaxState(t *tree.Tree) *minmaxState {
+func newMinmaxState(t *tree.Tree, cm costModel) *minmaxState {
 	if t.Kind != tree.MinMax {
 		panic("core: alpha-beta algorithms require a MinMax tree")
 	}
 	s := &minmaxState{
-		t:         t,
 		deleted:   make([]bool, t.Len()),
 		finished:  make([]bool, t.Len()),
 		val:       make([]int32, t.Len()),
 		finKids:   make([]int32, t.Len()),
 		liveKids:  make([]int32, t.Len()),
-		evalBelow: make([]int32, t.Len()),
+		workBelow: make([]int32, t.Len()),
 	}
 	for i := range s.liveKids {
 		s.liveKids[i] = t.Node(tree.NodeID(i)).NumChildren
 	}
+	s.init(t, s, cm)
 	return s
 }
 
-// finishLeaf marks leaf l as evaluated and propagates "finished" upward.
-// A node of the pruned tree is finished when every leaf below it in T~ is
-// evaluated; its value in T~ is then the max/min of its non-deleted
-// children's values.
-func (s *minmaxState) finishLeaf(l tree.NodeID) {
-	s.finished[l] = true
-	s.val[l] = s.t.LeafValue(l)
-	if p := s.t.Node(l).Parent; p != tree.None {
-		s.finKids[p]++
-		s.maybeFinish(p)
+func (s *minmaxState) done() bool   { return s.finished[0] }
+func (s *minmaxState) value() int32 { return s.val[0] }
+
+// expand finishes a leaf with its value, propagating "finished" upward,
+// and counts the expansion on the path to the root. A node of the pruned
+// tree is finished when every leaf below it in T~ is evaluated; its value
+// in T~ is then the max/min of its non-deleted children's values.
+func (s *minmaxState) expand(v tree.NodeID) {
+	if s.t.IsLeaf(v) {
+		s.finished[v], s.settled[v] = true, true
+		s.val[v] = s.t.LeafValue(v)
+		if p := s.t.Node(v).Parent; p != tree.None {
+			s.finKids[p]++
+			s.maybeFinish(p)
+		}
+	}
+	for x := v; x != tree.None; x = s.t.Node(x).Parent {
+		s.workBelow[x]++
 	}
 }
 
@@ -66,19 +72,12 @@ func (s *minmaxState) finishLeaf(l tree.NodeID) {
 func (s *minmaxState) maybeFinish(p tree.NodeID) {
 	for p != tree.None && !s.finished[p] && s.liveKids[p] > 0 && s.finKids[p] == s.liveKids[p] {
 		s.refreshValue(p)
-		s.finished[p] = true
+		s.finished[p], s.settled[p] = true, true
 		q := s.t.Node(p).Parent
 		if q != tree.None {
 			s.finKids[q]++
 		}
 		p = q
-	}
-}
-
-// bumpEval increments the evaluated-leaf counters on the path to the root.
-func (s *minmaxState) bumpEval(l tree.NodeID) {
-	for v := l; v != tree.None; v = s.t.Node(v).Parent {
-		s.evalBelow[v]++
 	}
 }
 
@@ -116,7 +115,7 @@ func (s *minmaxState) refreshValue(v tree.NodeID) {
 // pruned tree, possibly finishing ancestors whose remaining children are
 // all finished.
 func (s *minmaxState) deleteSubtree(v tree.NodeID) {
-	s.deleted[v] = true
+	s.deleted[v], s.settled[v] = true, true
 	p := s.t.Node(v).Parent
 	if p == tree.None {
 		return
@@ -128,13 +127,13 @@ func (s *minmaxState) deleteSubtree(v tree.NodeID) {
 	s.maybeFinish(p)
 }
 
-// prunePass walks the pruned tree top-down carrying the alpha/beta window
-// and applies the pruning rule. It only descends into subtrees that
-// contain at least one evaluated leaf: a subtree with no evaluated leaf
-// contains no finished node, hence no sibling contributions, hence no
-// descendant whose window is tighter than the subtree root's. Returns
-// whether anything was deleted.
-func (s *minmaxState) prunePass() bool {
+// prune walks the pruned tree top-down carrying the alpha/beta window and
+// applies the pruning rule. It only descends into subtrees with at least
+// one expansion: a subtree with none contains no finished node, hence no
+// sibling contributions, hence no descendant whose window is tighter than
+// the subtree root's. Under leaf evaluation the expansions below a node
+// are its evaluated leaves. Returns whether anything was deleted.
+func (s *minmaxState) prune() bool {
 	pruned := false
 	var walk func(v tree.NodeID, alpha, beta int64)
 	walk = func(v tree.NodeID, alpha, beta int64) {
@@ -176,7 +175,7 @@ func (s *minmaxState) prunePass() bool {
 		}
 		for i := int32(0); i < nd.NumChildren; i++ {
 			c := nd.FirstChild + tree.NodeID(i)
-			if s.deleted[c] || s.finished[c] {
+			if s.settled[c] {
 				continue
 			}
 			if ca >= cb {
@@ -184,7 +183,7 @@ func (s *minmaxState) prunePass() bool {
 				pruned = true
 				continue
 			}
-			if s.evalBelow[c] > 0 {
+			if s.workBelow[c] > 0 {
 				walk(c, ca, cb)
 			}
 		}
@@ -193,57 +192,6 @@ func (s *minmaxState) prunePass() bool {
 		walk(0, int64(negInf), int64(posInf))
 	}
 	return pruned
-}
-
-// collectWidth gathers the unfinished leaves of the pruned tree with
-// pruning number at most w, where the pruning number of an unfinished leaf
-// is the total number of unfinished left-siblings of its ancestors
-// (Section 4).
-func (s *minmaxState) collectWidth(v tree.NodeID, budget int) {
-	nd := s.t.Node(v)
-	if nd.NumChildren == 0 {
-		s.selected = append(s.selected, v)
-		return
-	}
-	unfinished := 0
-	for i := int32(0); i < nd.NumChildren; i++ {
-		c := nd.FirstChild + tree.NodeID(i)
-		if s.deleted[c] || s.finished[c] {
-			continue
-		}
-		if budget-unfinished < 0 {
-			return
-		}
-		s.collectWidth(c, budget-unfinished)
-		unfinished++
-	}
-}
-
-// run drives the step loop until the root is finished.
-func (s *minmaxState) run(w int, opt Options) (Metrics, error) {
-	var m Metrics
-	for !s.finished[0] {
-		s.selected = s.selected[:0]
-		s.collectWidth(0, w)
-		if len(s.selected) == 0 {
-			return m, fmt.Errorf("core: no unfinished leaves selected but root unfinished (bug)")
-		}
-		for _, l := range s.selected {
-			s.bumpEval(l)
-			s.finishLeaf(l)
-		}
-		if opt.RecordLeaves {
-			m.Leaves = append(m.Leaves, s.selected...)
-		}
-		m.recordStep(len(s.selected))
-		for s.prunePass() {
-		}
-		if err := opt.check(m.Steps); err != nil {
-			return m, err
-		}
-	}
-	m.Value = s.val[0]
-	return m, nil
 }
 
 // SequentialAlphaBeta runs the sequential alpha-beta pruning procedure in
@@ -259,23 +207,31 @@ func SequentialAlphaBeta(t *tree.Tree, opt Options) (Metrics, error) {
 // numbers are at most w. Width 0 is identical to Sequential alpha-beta;
 // width 1 is the algorithm of Theorem 3.
 func ParallelAlphaBeta(t *tree.Tree, w int, opt Options) (Metrics, error) {
-	if w < 0 {
-		return Metrics{}, fmt.Errorf("core: ParallelAlphaBeta requires width >= 0, got %d", w)
+	if err := checkWidth("ParallelAlphaBeta", w); err != nil {
+		return Metrics{}, err
 	}
-	s := newMinmaxState(t)
-	return s.run(w, opt)
+	return newMinmaxState(t, leafEval).width(w, 0, opt, nil)
+}
+
+// TeamAlphaBeta runs the Team parallelization of the alpha-beta pruning
+// process: at each step, evaluate the leftmost p unfinished leaves of the
+// current pruned tree. It is the MIN/MAX counterpart of TeamSolve
+// (Proposition 1's direct parallelization, with the same sqrt(p)
+// behavior).
+func TeamAlphaBeta(t *tree.Tree, p int, opt Options) (Metrics, error) {
+	if err := checkProcs("TeamAlphaBeta", p); err != nil {
+		return Metrics{}, err
+	}
+	return newMinmaxState(t, leafEval).team(p, opt)
 }
 
 // AlphaBetaBounds returns the alpha- and beta-bound of node v in the pruned
 // tree reached after evaluating the given leaves in one batch and pruning
 // to fixpoint. It exists for tests of Theorem 2's invariants.
 func AlphaBetaBounds(t *tree.Tree, evaluated []tree.NodeID, v tree.NodeID) (alpha, beta int64) {
-	s := newMinmaxState(t)
-	for _, l := range evaluated {
-		s.bumpEval(l)
-		s.finishLeaf(l)
-	}
-	for s.prunePass() {
+	s := newMinmaxState(t, leafEval)
+	s.expandAll(evaluated)
+	for s.prune() {
 	}
 	alpha, beta = int64(negInf), int64(posInf)
 	for x := v; x != tree.None; x = s.t.Node(x).Parent {
@@ -304,62 +260,4 @@ func AlphaBetaBounds(t *tree.Tree, evaluated []tree.NodeID, v tree.NodeID) (alph
 		}
 	}
 	return alpha, beta
-}
-
-// collectLeftmost gathers the leftmost `limit` unfinished leaves of the
-// pruned tree (the step of Team alpha-beta).
-func (s *minmaxState) collectLeftmost(v tree.NodeID, limit int) {
-	if len(s.selected) >= limit {
-		return
-	}
-	nd := s.t.Node(v)
-	if nd.NumChildren == 0 {
-		s.selected = append(s.selected, v)
-		return
-	}
-	for i := int32(0); i < nd.NumChildren; i++ {
-		c := nd.FirstChild + tree.NodeID(i)
-		if s.deleted[c] || s.finished[c] {
-			continue
-		}
-		s.collectLeftmost(c, limit)
-		if len(s.selected) >= limit {
-			return
-		}
-	}
-}
-
-// TeamAlphaBeta runs the Team parallelization of the alpha-beta pruning
-// process: at each step, evaluate the leftmost p unfinished leaves of the
-// current pruned tree. It is the MIN/MAX counterpart of TeamSolve
-// (Proposition 1's direct parallelization, with the same sqrt(p)
-// behavior).
-func TeamAlphaBeta(t *tree.Tree, p int, opt Options) (Metrics, error) {
-	if p < 1 {
-		return Metrics{}, fmt.Errorf("core: TeamAlphaBeta requires p >= 1, got %d", p)
-	}
-	s := newMinmaxState(t)
-	var m Metrics
-	for !s.finished[0] {
-		s.selected = s.selected[:0]
-		s.collectLeftmost(0, p)
-		if len(s.selected) == 0 {
-			return m, fmt.Errorf("core: no unfinished leaves selected but root unfinished (bug)")
-		}
-		for _, l := range s.selected {
-			s.bumpEval(l)
-			s.finishLeaf(l)
-		}
-		if opt.RecordLeaves {
-			m.Leaves = append(m.Leaves, s.selected...)
-		}
-		m.recordStep(len(s.selected))
-		for s.prunePass() {
-		}
-		if err := opt.check(m.Steps); err != nil {
-			return m, err
-		}
-	}
-	m.Value = s.val[0]
-	return m, nil
 }

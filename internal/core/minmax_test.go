@@ -225,21 +225,40 @@ func TestMinMaxDegreeHistogram(t *testing.T) {
 	}
 }
 
+// One row per cost model.
 func TestMinMaxSingleLeaf(t *testing.T) {
-	tr := tree.FromNested(tree.MinMax, 42)
-	m, err := SequentialAlphaBeta(tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Value != 42 || m.Work != 1 {
-		t.Errorf("single leaf: %+v", m)
+	for _, row := range []struct {
+		name string
+		run  func(*tree.Tree, Options) (Metrics, error)
+		leaf int32
+	}{
+		{"leaf", SequentialAlphaBeta, 42},
+		{"node", NSequentialAlphaBeta, 13},
+	} {
+		m, err := row.run(tree.FromNested(tree.MinMax, row.leaf), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Value != row.leaf || m.Work != 1 {
+			t.Errorf("%s single leaf: %+v", row.name, m)
+		}
 	}
 }
 
+// One row per cost model.
 func TestMinMaxStepLimit(t *testing.T) {
-	tr := tree.WorstOrderedMinMax(2, 8, 1)
-	if _, err := SequentialAlphaBeta(tr, Options{MaxSteps: 3}); err != ErrStepLimit {
-		t.Errorf("want ErrStepLimit, got %v", err)
+	for _, row := range []struct {
+		name string
+		run  func(*tree.Tree, Options) (Metrics, error)
+		tr   *tree.Tree
+		max  int64
+	}{
+		{"leaf", SequentialAlphaBeta, tree.WorstOrderedMinMax(2, 8, 1), 3},
+		{"node", NSequentialAlphaBeta, tree.WorstOrderedMinMax(2, 6, 1), 2},
+	} {
+		if _, err := row.run(row.tr, Options{MaxSteps: row.max}); err != ErrStepLimit {
+			t.Errorf("%s: want ErrStepLimit, got %v", row.name, err)
+		}
 	}
 }
 

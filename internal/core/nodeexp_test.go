@@ -1,11 +1,10 @@
-package expand
+package core
 
 import (
 	"math/rand"
 	"testing"
 
 	"gametree/internal/bounds"
-	"gametree/internal/core"
 	"gametree/internal/tree"
 )
 
@@ -48,42 +47,74 @@ func TestNAlphaBetaCorrectValue(t *testing.T) {
 }
 
 // Section 5: "The skeleton H_T consists of precisely those nodes of T that
-// are expanded by N-Sequential SOLVE on T."
+// are expanded by N-Sequential SOLVE on T." Both cost models run one
+// procedure, so the leaves among N-Sequential's expansions are the leaves
+// the leaf-evaluation run evaluates, in the same order and to the same
+// value; the MIN/MAX rows assert the same of N-Sequential alpha-beta.
 func TestNSequentialSolveExpandsExactlySkeleton(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		d := 2 + rng.Intn(2)
-		n := 1 + rng.Intn(5)
-		tr := tree.IIDNor(d, n, 0.5, rng.Int63())
-		seq, err := core.SequentialSolve(tr, core.Options{RecordLeaves: true})
+	type pair struct {
+		name      string
+		leaf, exp func(*tree.Tree, Options) (Metrics, error)
+	}
+	solve := pair{"solve", SequentialSolve, NSequentialSolve}
+	ab := pair{"alpha-beta", SequentialAlphaBeta, NSequentialAlphaBeta}
+	check := func(name string, p pair, tr *tree.Tree) {
+		t.Helper()
+		seq, err := p.leaf(tr, Options{RecordLeaves: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		h, _ := tree.Skeleton(tr, seq.Leaves)
-		m, err := NSequentialSolve(tr, Options{RecordNodes: true})
+		m, err := p.exp(tr, Options{RecordLeaves: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Work != int64(h.Len()) {
-			t.Fatalf("trial %d: S*(T)=%d expansions, skeleton has %d nodes", trial, m.Work, h.Len())
+			t.Fatalf("%s %s: S*(T)=%d expansions, skeleton has %d nodes", name, p.name, m.Work, h.Len())
 		}
-		// Cross-check membership: every expanded node is an ancestor of
-		// an evaluated leaf.
-		inL := map[tree.NodeID]bool{}
+		if m.Value != seq.Value {
+			t.Fatalf("%s %s: value %d, leaf model %d", name, p.name, m.Value, seq.Value)
+		}
+		// Every expanded node is an ancestor of an evaluated leaf, and the
+		// expanded leaves are the evaluated ones, in order.
+		inSkeleton := map[tree.NodeID]bool{}
 		for _, l := range seq.Leaves {
-			inL[l] = true
+			for v := l; v != tree.None && !inSkeleton[v]; v = tr.Node(v).Parent {
+				inSkeleton[v] = true
+			}
 		}
-		for _, v := range m.Expanded {
-			ok := false
-			for _, l := range seq.Leaves {
-				if tr.IsAncestor(v, l) {
-					ok = true
-					break
-				}
+		var leaves []tree.NodeID
+		for _, v := range m.Leaves {
+			if !inSkeleton[v] {
+				t.Fatalf("%s %s: expanded node %d not in skeleton", name, p.name, v)
 			}
-			if !ok {
-				t.Fatalf("trial %d: expanded node %d not in skeleton", trial, v)
+			if tr.IsLeaf(v) {
+				leaves = append(leaves, v)
 			}
+		}
+		if len(leaves) != len(seq.Leaves) {
+			t.Fatalf("%s %s: %d leaves expanded, %d evaluated", name, p.name, len(leaves), len(seq.Leaves))
+		}
+		for i := range leaves {
+			if leaves[i] != seq.Leaves[i] {
+				t.Fatalf("%s %s: leaf order differs at %d", name, p.name, i)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		d := 2 + rng.Intn(2)
+		n := 1 + rng.Intn(5)
+		check("iid trial", solve, tree.IIDNor(d, n, 0.5, rng.Int63()))
+	}
+	for d := 2; d <= 4; d++ {
+		for n := 2; n <= 7; n++ {
+			check("B worst", solve, tree.WorstCaseNOR(d, n, 1))
+			check("B best", solve, tree.BestCaseNOR(d, n, 1))
+			check("B iid", solve, tree.IIDNor(d, n, 0.5, int64(10*d+n)))
+			check("M worst", ab, tree.WorstOrderedMinMax(d, n, int64(d+n)))
+			check("M best", ab, tree.BestOrderedMinMax(d, n, int64(d+n)))
+			check("M iid", ab, tree.IIDMinMax(d, n, -50, 50, int64(10*d+n)))
 		}
 	}
 }
@@ -112,7 +143,7 @@ func TestProposition6(t *testing.T) {
 		d := 2 + rng.Intn(2)
 		n := 2 + rng.Intn(4)
 		tr := tree.IIDNor(d, n, 0.618, rng.Int63())
-		seq, err := core.SequentialSolve(tr, core.Options{RecordLeaves: true})
+		seq, err := SequentialSolve(tr, Options{RecordLeaves: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +188,7 @@ func TestNAlphaBetaWorkSandwich(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
 		tr := tree.IIDMinMax(2+rng.Intn(2), 1+rng.Intn(4), -50, 50, rng.Int63())
-		leafModel, err := core.SequentialAlphaBeta(tr, core.Options{})
+		leafModel, err := SequentialAlphaBeta(tr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,33 +220,18 @@ func TestNParallelFasterThanNSequential(t *testing.T) {
 	}
 }
 
-func TestExpandErrorsAndLimits(t *testing.T) {
-	tr := tree.WorstCaseNOR(2, 8, 1)
-	if _, err := NParallelSolve(tr, -1, Options{}); err == nil {
-		t.Error("negative width accepted")
-	}
-	if _, err := NSequentialSolve(tr, Options{MaxSteps: 2}); err != ErrStepLimit {
-		t.Errorf("want ErrStepLimit, got %v", err)
-	}
+// The width entry points of both cost models reject a negative width.
+func TestNegativeWidthRejected(t *testing.T) {
+	nor := tree.WorstCaseNOR(2, 8, 1)
 	mm := tree.WorstOrderedMinMax(2, 6, 1)
+	if _, err := NParallelSolve(nor, -1, Options{}); err == nil {
+		t.Error("NParallelSolve: negative width accepted")
+	}
 	if _, err := NParallelAlphaBeta(mm, -2, Options{}); err == nil {
-		t.Error("negative width accepted")
+		t.Error("NParallelAlphaBeta: negative width accepted")
 	}
-	if _, err := NSequentialAlphaBeta(mm, Options{MaxSteps: 2}); err != ErrStepLimit {
-		t.Errorf("want ErrStepLimit, got %v", err)
-	}
-}
-
-func TestExpandSingleLeaf(t *testing.T) {
-	nor := tree.FromNested(tree.NOR, 0)
-	m, err := NSequentialSolve(nor, Options{})
-	if err != nil || m.Value != 0 || m.Work != 1 {
-		t.Errorf("NOR leaf: %+v %v", m, err)
-	}
-	mm := tree.FromNested(tree.MinMax, 13)
-	m2, err := NSequentialAlphaBeta(mm, Options{})
-	if err != nil || m2.Value != 13 || m2.Work != 1 {
-		t.Errorf("MinMax leaf: %+v %v", m2, err)
+	if _, err := ParallelAlphaBeta(mm, -1, Options{}); err == nil {
+		t.Error("ParallelAlphaBeta: negative width accepted")
 	}
 }
 
@@ -244,19 +260,19 @@ func TestNTeamSolve(t *testing.T) {
 	}
 	// p=1 is N-Sequential SOLVE exactly.
 	tr := tree.WorstCaseNOR(2, 7, 1)
-	a, err := NTeamSolve(tr, 1, Options{RecordNodes: true})
+	a, err := NTeamSolve(tr, 1, Options{RecordLeaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NSequentialSolve(tr, Options{RecordNodes: true})
+	b, err := NSequentialSolve(tr, Options{RecordLeaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Work != b.Work || a.Steps != b.Steps {
 		t.Errorf("NTeamSolve(1) %+v != sequential %+v", a, b)
 	}
-	for i := range a.Expanded {
-		if a.Expanded[i] != b.Expanded[i] {
+	for i := range a.Leaves {
+		if a.Leaves[i] != b.Leaves[i] {
 			t.Fatalf("expansion order differs at %d", i)
 		}
 	}

@@ -2,35 +2,47 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gametree/internal/tree"
 )
 
-// norState is the shared step-synchronous machinery for the SOLVE family on
-// NOR trees. It tracks, per node, the determined value (-1 while unknown)
-// and the count of children determined to 0, which together drive both
+// norState is the determination rule of the SOLVE family on NOR trees.
+// It tracks, per node, the determined value (-1 while unknown) and the
+// count of children determined to 0, which together drive both
 // determination ("the value of v can be computed from the evaluated
 // leaves") and death ("some ancestor of v is determined").
 type norState struct {
-	t        *tree.Tree
+	frontier
 	det      []int8  // -1 unknown, else 0/1: the determined value of the node
 	zeroKids []int32 // number of children determined to 0
-	selected []tree.NodeID
 }
 
-func newNorState(t *tree.Tree) *norState {
+func newNorState(t *tree.Tree, cm costModel) *norState {
 	if t.Kind != tree.NOR {
 		panic("core: SOLVE algorithms require a NOR tree")
 	}
 	s := &norState{
-		t:        t,
 		det:      make([]int8, t.Len()),
 		zeroKids: make([]int32, t.Len()),
 	}
 	for i := range s.det {
 		s.det[i] = -1
 	}
+	s.init(t, s, cm)
 	return s
+}
+
+func (s *norState) prune() bool  { return false } // determination prunes as it goes
+func (s *norState) done() bool   { return s.det[0] >= 0 }
+func (s *norState) value() int32 { return int32(s.det[0]) }
+
+// expand determines a leaf by its value; an interior node's children are
+// generated implicitly (a node is generated iff its parent is expanded).
+func (s *norState) expand(v tree.NodeID) {
+	if s.t.IsLeaf(v) {
+		s.determine(v, int8(s.t.LeafValue(v)))
+	}
 }
 
 // determine records that val(v) = b and propagates determination upward:
@@ -42,6 +54,7 @@ func (s *norState) determine(v tree.NodeID, b int8) {
 			return // already determined (possibly by a different child)
 		}
 		s.det[v] = b
+		s.settled[v] = true
 		p := s.t.Node(v).Parent
 		if p == tree.None {
 			return
@@ -61,80 +74,6 @@ func (s *norState) determine(v tree.NodeID, b int8) {
 	}
 }
 
-// collectWidth gathers, in left-to-right order, every live leaf whose
-// pruning number is at most w (the step of Parallel SOLVE of width w).
-// The pruning number of a live leaf v is the total number of live
-// left-siblings of the ancestors of v (Section 2); the walk threads the
-// remaining budget down the tree, spending one unit per live left-sibling
-// passed over.
-func (s *norState) collectWidth(v tree.NodeID, budget int) {
-	nd := s.t.Node(v)
-	if nd.NumChildren == 0 {
-		s.selected = append(s.selected, v)
-		return
-	}
-	live := 0
-	for i := int32(0); i < nd.NumChildren; i++ {
-		c := nd.FirstChild + tree.NodeID(i)
-		if s.det[c] >= 0 {
-			continue // dead child: its value is determined
-		}
-		if budget-live < 0 {
-			return
-		}
-		s.collectWidth(c, budget-live)
-		live++
-	}
-}
-
-// collectLeftmost gathers the leftmost `limit` live leaves (the step of
-// Team SOLVE with p processors; limit=1 gives Sequential SOLVE).
-func (s *norState) collectLeftmost(v tree.NodeID, limit int) {
-	if len(s.selected) >= limit {
-		return
-	}
-	nd := s.t.Node(v)
-	if nd.NumChildren == 0 {
-		s.selected = append(s.selected, v)
-		return
-	}
-	for i := int32(0); i < nd.NumChildren; i++ {
-		c := nd.FirstChild + tree.NodeID(i)
-		if s.det[c] >= 0 {
-			continue
-		}
-		s.collectLeftmost(c, limit)
-		if len(s.selected) >= limit {
-			return
-		}
-	}
-}
-
-// run drives the step loop with the given per-step selector until the root
-// is determined.
-func (s *norState) run(opt Options, selectLeaves func()) (Metrics, error) {
-	var m Metrics
-	for s.det[0] < 0 {
-		s.selected = s.selected[:0]
-		selectLeaves()
-		if len(s.selected) == 0 {
-			return m, fmt.Errorf("core: no live leaves selected but root undetermined (bug)")
-		}
-		for _, l := range s.selected {
-			s.determine(l, int8(s.t.LeafValue(l)))
-		}
-		if opt.RecordLeaves {
-			m.Leaves = append(m.Leaves, s.selected...)
-		}
-		m.recordStep(len(s.selected))
-		if err := opt.check(m.Steps); err != nil {
-			return m, err
-		}
-	}
-	m.Value = int32(s.det[0])
-	return m, nil
-}
-
 // SequentialSolve runs the left-to-right sequential algorithm of Section 2:
 // at each step, evaluate the leftmost live leaf.
 func SequentialSolve(t *tree.Tree, opt Options) (Metrics, error) {
@@ -145,11 +84,10 @@ func SequentialSolve(t *tree.Tree, opt Options) (Metrics, error) {
 // leftmost p live leaves. Proposition 1 of the paper shows this achieves a
 // speedup of Theta(sqrt(p)) over Sequential SOLVE on uniform trees.
 func TeamSolve(t *tree.Tree, p int, opt Options) (Metrics, error) {
-	if p < 1 {
-		return Metrics{}, fmt.Errorf("core: TeamSolve requires p >= 1, got %d", p)
+	if err := checkProcs("TeamSolve", p); err != nil {
+		return Metrics{}, err
 	}
-	s := newNorState(t)
-	return s.run(opt, func() { s.collectLeftmost(0, p) })
+	return newNorState(t, leafEval).team(p, opt)
 }
 
 // ParallelSolve runs Parallel SOLVE of width w: at each step, evaluate all
@@ -157,43 +95,42 @@ func TeamSolve(t *tree.Tree, p int, opt Options) (Metrics, error) {
 // Sequential SOLVE; width 1 is the algorithm of Theorem 1, which achieves a
 // linear speedup with n+1 processors on every instance of B(d,n).
 func ParallelSolve(t *tree.Tree, w int, opt Options) (Metrics, error) {
-	if w < 0 {
-		return Metrics{}, fmt.Errorf("core: ParallelSolve requires width >= 0, got %d", w)
+	if err := checkWidth("ParallelSolve", w); err != nil {
+		return Metrics{}, err
 	}
-	s := newNorState(t)
-	return s.run(opt, func() { s.collectWidth(0, w) })
+	return newNorState(t, leafEval).width(w, 0, opt, nil)
 }
 
 // PruningNumbersNOR returns, for every currently live leaf of t given the
-// set of already-determined values, the pruning number computed directly
-// from the definition. It exists for tests that cross-check the budgeted
-// walk; production code uses collectWidth. The evaluated map gives values
-// of already-evaluated leaves.
+// set of already-determined values, its pruning number as the width
+// collector computes it. It exists for tests that cross-check the
+// collector against the definition. The evaluated map gives values of
+// already-evaluated leaves.
 func PruningNumbersNOR(t *tree.Tree, evaluated map[tree.NodeID]int32) map[tree.NodeID]int {
-	s := newNorState(t)
+	s := newNorState(t, leafEval)
 	for l, v := range evaluated {
 		s.determine(l, int8(v))
 	}
 	out := make(map[tree.NodeID]int)
-	var walk func(v tree.NodeID, pn int)
-	walk = func(v tree.NodeID, pn int) {
-		nd := t.Node(v)
-		if nd.NumChildren == 0 {
-			out[v] = pn
-			return
-		}
-		live := 0
-		for i := int32(0); i < nd.NumChildren; i++ {
-			c := nd.FirstChild + tree.NodeID(i)
-			if s.det[c] >= 0 {
-				continue
-			}
-			walk(c, pn+live)
-			live++
-		}
-	}
 	if s.det[0] < 0 {
-		walk(0, 0)
+		s.collectWidth(0, 0, math.MaxInt)
+	}
+	for _, c := range s.cands {
+		out[c.node] = c.pn
 	}
 	return out
+}
+
+func checkWidth(fn string, w int) error {
+	if w < 0 {
+		return fmt.Errorf("core: %s requires width >= 0, got %d", fn, w)
+	}
+	return nil
+}
+
+func checkProcs(fn string, p int) error {
+	if p < 1 {
+		return fmt.Errorf("core: %s requires p >= 1, got %d", fn, p)
+	}
+	return nil
 }

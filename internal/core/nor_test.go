@@ -325,7 +325,7 @@ func TestPruningNumbersAgainstDefinition(t *testing.T) {
 // definition: for each live leaf, sum over its ancestors the number of
 // live left-siblings.
 func naivePruningNumbers(t *tree.Tree, evaluated map[tree.NodeID]int32) map[tree.NodeID]int {
-	s := newNorState(t)
+	s := newNorState(t, leafEval)
 	for l, v := range evaluated {
 		s.determine(l, int8(v))
 	}
@@ -361,22 +361,41 @@ func naivePruningNumbers(t *tree.Tree, evaluated map[tree.NodeID]int32) map[tree
 	return out
 }
 
+// One row per cost model.
 func TestStepLimit(t *testing.T) {
-	tr := tree.WorstCaseNOR(2, 10, 1)
-	_, err := SequentialSolve(tr, Options{MaxSteps: 5})
-	if err != ErrStepLimit {
-		t.Errorf("want ErrStepLimit, got %v", err)
+	for _, row := range []struct {
+		name string
+		run  func(*tree.Tree, Options) (Metrics, error)
+		tr   *tree.Tree
+		max  int64
+	}{
+		{"leaf", SequentialSolve, tree.WorstCaseNOR(2, 10, 1), 5},
+		{"node", NSequentialSolve, tree.WorstCaseNOR(2, 8, 1), 2},
+	} {
+		_, err := row.run(row.tr, Options{MaxSteps: row.max})
+		if err != ErrStepLimit {
+			t.Errorf("%s: want ErrStepLimit, got %v", row.name, err)
+		}
 	}
 }
 
+// A lone leaf costs one step and one unit in both cost models.
 func TestSingleLeafTree(t *testing.T) {
-	tr := tree.FromNested(tree.NOR, 1)
-	m, err := ParallelSolve(tr, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Value != 1 || m.Steps != 1 || m.Work != 1 {
-		t.Errorf("single leaf: %+v", m)
+	for _, row := range []struct {
+		name string
+		run  func(*tree.Tree, Options) (Metrics, error)
+		leaf int32
+	}{
+		{"leaf", func(tr *tree.Tree, opt Options) (Metrics, error) { return ParallelSolve(tr, 1, opt) }, 1},
+		{"node", NSequentialSolve, 0},
+	} {
+		m, err := row.run(tree.FromNested(tree.NOR, row.leaf), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Value != row.leaf || m.Steps != 1 || m.Work != 1 {
+			t.Errorf("%s single leaf: %+v", row.name, m)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"gametree/internal/tree"
-)
+import "gametree/internal/tree"
 
 // This file instruments Parallel SOLVE with the proof objects of
 // Proposition 3: the base path of each step (the root-leaf path to the
@@ -73,67 +69,27 @@ func CompareCodes(a, b []int) int {
 // records, for every step, the base path, its code, and the leaves
 // evaluated. Metrics match ParallelSolve exactly.
 func TraceParallelSolve(t *tree.Tree, w int, opt Options) ([]StepTrace, Metrics, error) {
-	if w < 0 {
-		return nil, Metrics{}, fmt.Errorf("core: TraceParallelSolve requires width >= 0, got %d", w)
+	if err := checkWidth("TraceParallelSolve", w); err != nil {
+		return nil, Metrics{}, err
 	}
-	s := newNorState(t)
 	var traces []StepTrace
-	var m Metrics
-	for s.det[0] < 0 {
-		st := StepTrace{}
-		st.BasePath, st.Code = s.basePath()
-		s.selected = s.selected[:0]
-		s.collectWidth(0, w)
-		if len(s.selected) == 0 {
-			return traces, m, fmt.Errorf("core: no live leaves selected but root undetermined (bug)")
-		}
-		st.Leaves = append([]tree.NodeID(nil), s.selected...)
-		traces = append(traces, st)
-		for _, l := range s.selected {
-			s.determine(l, int8(s.t.LeafValue(l)))
-		}
-		if opt.RecordLeaves {
-			m.Leaves = append(m.Leaves, st.Leaves...)
-		}
-		m.recordStep(len(st.Leaves))
-		if err := opt.check(m.Steps); err != nil {
-			return traces, m, err
-		}
-	}
-	m.Value = int32(s.det[0])
-	return traces, m, nil
+	m, err := newNorState(t, leafEval).width(w, 0, opt, &traces)
+	return traces, m, err
 }
 
-// basePath returns the path from the root to the leftmost live leaf and
-// its code. The receiver's root must be live.
-func (s *norState) basePath() ([]tree.NodeID, []int) {
-	var path []tree.NodeID
-	var code []int
-	v := tree.NodeID(0)
-	path = append(path, v)
-	for !s.t.IsLeaf(v) {
-		nd := s.t.Node(v)
-		// Find the leftmost live child and count the live siblings to
-		// its right.
-		next := tree.None
-		liveRight := 0
-		for i := int32(0); i < nd.NumChildren; i++ {
-			c := nd.FirstChild + tree.NodeID(i)
-			if s.det[c] >= 0 {
-				continue
-			}
-			if next == tree.None {
-				next = c
-			} else {
-				liveRight++
-			}
-		}
-		if next == tree.None {
-			panic("core: basePath on a node with no live children")
-		}
-		path = append(path, next)
-		code = append(code, liveRight)
-		v = next
+// TraceParallelAlphaBeta is the MIN/MAX counterpart of TraceParallelSolve:
+// it runs Parallel alpha-beta of width w recording, for each step, the
+// base path (root to the leftmost unfinished leaf of the pruned tree) and
+// its code (per path node, the number of unfinished right-siblings).
+// Section 4 asserts without proof that "the conclusion of Proposition 3
+// remains valid for MIN/MAX trees"; the traces let tests check the
+// underlying code machinery — strict lexicographic decrease and the
+// degree identity — directly on the pruning process.
+func TraceParallelAlphaBeta(t *tree.Tree, w int, opt Options) ([]StepTrace, Metrics, error) {
+	if err := checkWidth("TraceParallelAlphaBeta", w); err != nil {
+		return nil, Metrics{}, err
 	}
-	return path, code
+	var traces []StepTrace
+	m, err := newMinmaxState(t, leafEval).width(w, 0, opt, &traces)
+	return traces, m, err
 }

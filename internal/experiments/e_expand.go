@@ -6,22 +6,21 @@ import (
 
 	"gametree/internal/bounds"
 	"gametree/internal/core"
-	"gametree/internal/expand"
 	"gametree/internal/randomized"
 	"gametree/internal/stats"
 	"gametree/internal/tree"
 )
 
-func mustNSolve(t *tree.Tree, w int, opt expand.Options) expand.Metrics {
-	m, err := expand.NParallelSolve(t, w, opt)
+func mustNSolve(t *tree.Tree, w int, opt core.Options) core.Metrics {
+	m, err := core.NParallelSolve(t, w, opt)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: NParallelSolve(%d): %v", w, err))
 	}
 	return m
 }
 
-func mustNAB(t *tree.Tree, w int, opt expand.Options) expand.Metrics {
-	m, err := expand.NParallelAlphaBeta(t, w, opt)
+func mustNAB(t *tree.Tree, w int, opt core.Options) core.Metrics {
+	m, err := core.NParallelAlphaBeta(t, w, opt)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: NParallelAlphaBeta(%d): %v", w, err))
 	}
@@ -40,8 +39,8 @@ func E7NodeExpansion(cfg Config) []*stats.Table {
 	for _, kind := range []string{"worst", "iid-critical"} {
 		for n := 4; n <= cfg.pick(14, 8); n += 2 {
 			tr := norInstance(kind, 2, n, cfg.seed())
-			seq := mustNSolve(tr, 0, expand.Options{})
-			par := mustNSolve(tr, 1, expand.Options{})
+			seq := mustNSolve(tr, 0, core.Options{})
+			par := mustNSolve(tr, 1, core.Options{})
 			speedup := float64(seq.Steps) / float64(par.Steps)
 			tb.AddRow(n, kind, seq.Steps, par.Steps, speedup, speedup/float64(n+1))
 		}
@@ -54,8 +53,8 @@ func E7NodeExpansion(cfg Config) []*stats.Table {
 		var sw, pw stats.Welford
 		for i := 0; i < cfg.trials(4); i++ {
 			tr := tree.IIDMinMax(2, n, -1_000_000, 1_000_000, cfg.seed()+int64(i*17))
-			sw.Add(float64(mustNAB(tr, 0, expand.Options{}).Steps))
-			pw.Add(float64(mustNAB(tr, 1, expand.Options{}).Steps))
+			sw.Add(float64(mustNAB(tr, 0, core.Options{}).Steps))
+			pw.Add(float64(mustNAB(tr, 1, core.Options{}).Steps))
 		}
 		speedup := sw.Mean() / pw.Mean()
 		tb2.AddRow(n, sw.Mean(), pw.Mean(), speedup, speedup/float64(n+1))
@@ -67,7 +66,7 @@ func E7NodeExpansion(cfg Config) []*stats.Table {
 	tr := norInstance("iid-critical", d, n, cfg.seed())
 	seqLeaf := mustSolve(tr, 0, core.Options{RecordLeaves: true})
 	h, _ := tree.Skeleton(tr, seqLeaf.Leaves)
-	par := mustNSolve(h, 1, expand.Options{})
+	par := mustNSolve(h, 1, core.Options{})
 	tb3 := stats.NewTable("E7c expansion-degree histogram on H_T vs Prop. 6 bound, B(2,"+strconv.Itoa(n)+")",
 		"degree k+1", "t*_{k+1}(H_T)", "(n-k+1)C(n,k)(d-1)^k", "within")
 	ok := true
@@ -101,8 +100,8 @@ func E8Randomized(cfg Config) []*stats.Table {
 			_, w := randomized.RSequentialSolve(tr, seed)
 			return w
 		})
-		parMean, err := randomized.ExpectedSteps(trials, cfg.seed(), func(seed int64) (expand.Metrics, error) {
-			return randomized.RParallelSolve(tr, 1, seed, expand.Options{})
+		parMean, err := randomized.ExpectedSteps(trials, cfg.seed(), func(seed int64) (core.Metrics, error) {
+			return randomized.RParallelSolve(tr, 1, seed, core.Options{})
 		})
 		if err != nil {
 			panic(err)
@@ -120,8 +119,8 @@ func E8Randomized(cfg Config) []*stats.Table {
 			_, w := randomized.RSequentialAlphaBeta(tr, seed)
 			return w
 		})
-		parMean, err := randomized.ExpectedSteps(trials, cfg.seed(), func(seed int64) (expand.Metrics, error) {
-			return randomized.RParallelAlphaBeta(tr, 1, seed, expand.Options{})
+		parMean, err := randomized.ExpectedSteps(trials, cfg.seed(), func(seed int64) (core.Metrics, error) {
+			return randomized.RParallelAlphaBeta(tr, 1, seed, core.Options{})
 		})
 		if err != nil {
 			panic(err)

@@ -12,7 +12,6 @@ import (
 	"gametree/internal/bounds"
 	"gametree/internal/core"
 	"gametree/internal/engine"
-	"gametree/internal/expand"
 	"gametree/internal/games"
 	"gametree/internal/msgpass"
 	"gametree/internal/stats"
@@ -31,7 +30,7 @@ func E12MessagePassing(cfg Config) []*stats.Table {
 	for _, kind := range []string{"worst", "iid-critical"} {
 		for n := 6; n <= cfg.pick(14, 8); n += 2 {
 			tr := norInstance(kind, 2, n, cfg.seed())
-			sim := mustNSolve(tr, 1, expand.Options{})
+			sim := mustNSolve(tr, 1, core.Options{})
 			m, err := msgpass.Evaluate(tr, msgpass.Options{})
 			if err != nil {
 				panic(err)

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"gametree/internal/expand"
+	"gametree/internal/core"
 	"gametree/internal/tree"
 )
 
@@ -98,7 +98,7 @@ func TestWorkWithinConstantOfSimulator(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 4 + rng.Intn(5)
 		tr := tree.IIDNor(2, n, 0.618, rng.Int63())
-		sim, err := expand.NParallelSolve(tr, 1, expand.Options{})
+		sim, err := core.NParallelSolve(tr, 1, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

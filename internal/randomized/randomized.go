@@ -15,7 +15,7 @@ package randomized
 import (
 	"math/rand"
 
-	"gametree/internal/expand"
+	"gametree/internal/core"
 	"gametree/internal/tree"
 )
 
@@ -101,21 +101,21 @@ func RSequentialAlphaBeta(t *tree.Tree, seed int64) (int32, int64) {
 
 // RParallelSolve runs R-Parallel SOLVE of width w: N-Parallel SOLVE on the
 // randomly permuted input tree.
-func RParallelSolve(t *tree.Tree, w int, seed int64, opt expand.Options) (expand.Metrics, error) {
-	return expand.NParallelSolve(tree.Permute(t, seed), w, opt)
+func RParallelSolve(t *tree.Tree, w int, seed int64, opt core.Options) (core.Metrics, error) {
+	return core.NParallelSolve(tree.Permute(t, seed), w, opt)
 }
 
 // RParallelAlphaBeta runs R-Parallel alpha-beta of width w: N-Parallel
 // alpha-beta on the randomly permuted input tree.
-func RParallelAlphaBeta(t *tree.Tree, w int, seed int64, opt expand.Options) (expand.Metrics, error) {
-	return expand.NParallelAlphaBeta(tree.Permute(t, seed), w, opt)
+func RParallelAlphaBeta(t *tree.Tree, w int, seed int64, opt core.Options) (core.Metrics, error) {
+	return core.NParallelAlphaBeta(tree.Permute(t, seed), w, opt)
 }
 
 // RSequentialSolveViaPermute is the "permute then run" form of
 // R-Sequential SOLVE. It exists to cross-check the lazy recursion: the two
 // have identical work distributions.
-func RSequentialSolveViaPermute(t *tree.Tree, seed int64, opt expand.Options) (expand.Metrics, error) {
-	return expand.NSequentialSolve(tree.Permute(t, seed), opt)
+func RSequentialSolveViaPermute(t *tree.Tree, seed int64, opt core.Options) (core.Metrics, error) {
+	return core.NSequentialSolve(tree.Permute(t, seed), opt)
 }
 
 // ExpectedWork estimates E[work] of a randomized run by averaging over
@@ -132,7 +132,7 @@ func ExpectedWork(trials int, baseSeed int64, run func(seed int64) int64) float6
 }
 
 // ExpectedSteps estimates E[steps] of a randomized parallel run.
-func ExpectedSteps(trials int, baseSeed int64, run func(seed int64) (expand.Metrics, error)) (float64, error) {
+func ExpectedSteps(trials int, baseSeed int64, run func(seed int64) (core.Metrics, error)) (float64, error) {
 	if trials <= 0 {
 		panic("randomized: trials must be positive")
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gametree/internal/expand"
+	"gametree/internal/core"
 	"gametree/internal/tree"
 )
 
@@ -18,7 +18,7 @@ func TestValueIndependentOfSeed(t *testing.T) {
 		if v, _ := RSequentialSolve(nor, seed); v != wantN {
 			return false
 		}
-		mp, err := RParallelSolve(nor, 1, seed, expand.Options{})
+		mp, err := RParallelSolve(nor, 1, seed, core.Options{})
 		if err != nil || mp.Value != wantN {
 			return false
 		}
@@ -27,7 +27,7 @@ func TestValueIndependentOfSeed(t *testing.T) {
 		if v, _ := RSequentialAlphaBeta(mm, seed); v != wantM {
 			return false
 		}
-		mp2, err := RParallelAlphaBeta(mm, 1, seed, expand.Options{})
+		mp2, err := RParallelAlphaBeta(mm, 1, seed, core.Options{})
 		return err == nil && mp2.Value == wantM
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -46,7 +46,7 @@ func TestLazyEqualsPermuteInExpectation(t *testing.T) {
 		return w
 	})
 	perm := ExpectedWork(trials, 5000, func(seed int64) int64 {
-		m, err := RSequentialSolveViaPermute(tr, seed, expand.Options{})
+		m, err := RSequentialSolveViaPermute(tr, seed, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +87,8 @@ func TestRParallelExpectedSpeedup(t *testing.T) {
 		_, w := RSequentialSolve(tr, seed)
 		return w
 	})
-	parMean, err := ExpectedSteps(trials, 11, func(seed int64) (expand.Metrics, error) {
-		return RParallelSolve(tr, 1, seed, expand.Options{})
+	parMean, err := ExpectedSteps(trials, 11, func(seed int64) (core.Metrics, error) {
+		return RParallelSolve(tr, 1, seed, core.Options{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +106,8 @@ func TestRAlphaBetaExpectedSpeedup(t *testing.T) {
 		_, w := RSequentialAlphaBeta(tr, seed)
 		return w
 	})
-	parMean, err := ExpectedSteps(trials, 13, func(seed int64) (expand.Metrics, error) {
-		return RParallelAlphaBeta(tr, 1, seed, expand.Options{})
+	parMean, err := ExpectedSteps(trials, 13, func(seed int64) (core.Metrics, error) {
+		return RParallelAlphaBeta(tr, 1, seed, core.Options{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestExpectedHelpersPanic(t *testing.T) {
 	}
 	mustPanic(func() { ExpectedWork(0, 1, func(int64) int64 { return 0 }) })
 	mustPanic(func() {
-		_, _ = ExpectedSteps(0, 1, func(int64) (expand.Metrics, error) { return expand.Metrics{}, nil })
+		_, _ = ExpectedSteps(0, 1, func(int64) (core.Metrics, error) { return core.Metrics{}, nil })
 	})
 	nor := tree.IIDNor(2, 2, 0.5, 1)
 	mm := tree.IIDMinMax(2, 2, 0, 5, 1)

@@ -58,13 +58,6 @@ func TestEventLogBound(t *testing.T) {
 	if len(events) != 3 || dropped != 7 {
 		t.Fatalf("bound broken: %d stored, %d dropped", len(events), dropped)
 	}
-	r.Reset()
-	if events, dropped := r.Events(); len(events) != 0 || dropped != 0 {
-		t.Fatalf("Reset kept events: %d stored, %d dropped", len(events), dropped)
-	}
-	if !r.EventsEnabled() {
-		t.Fatal("Reset cleared the events flag")
-	}
 }
 
 // TestEventTraceReplay: the Chrome-trace replay of a log must emit one

@@ -411,24 +411,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	return snap
 }
 
-// Reset zeroes every counter and histogram and drops recorded spans and
-// events; the epoch and the tracing/event flags are kept. Call only at
-// quiesce points.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.shards {
-		*s = Shard{}
-	}
-	r.spans = nil
-	r.dropped = 0
-	r.events = nil
-	r.droppedEvents = 0
-}
-
 // Report condenses a snapshot into the derived metrics the benchmarks and
 // CI publish: steal efficiency, abort-drain latency, TT hit rate, and
 // per-worker load skew.

@@ -20,7 +20,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	r.EnableTrace(10)
 	r.RecordSpan(Span{})
-	r.Reset()
 	if spans, dropped := r.Spans(); spans != nil || dropped != 0 {
 		t.Fatalf("nil recorder has spans %v dropped %d", spans, dropped)
 	}
@@ -122,29 +121,6 @@ func TestReportDerivations(t *testing.T) {
 	empty := NewRecorder().Snapshot().Report()
 	if empty.StealEfficiency != 0 || empty.TTHitRate != 0 || empty.AbortDrainMeanUs != 0 || empty.LoadSkew != 0 {
 		t.Fatalf("empty report has non-zero ratios: %+v", empty)
-	}
-}
-
-// TestReset zeroes counters and spans but keeps the shard set and the
-// tracing flag.
-func TestReset(t *testing.T) {
-	r := NewRecorder()
-	r.EnableTrace(0)
-	r.Shard(1).Tasks.Add(5)
-	r.RecordSpan(Span{Name: "split", End: 10})
-	r.Reset()
-	snap := r.Snapshot()
-	if len(snap.PerWorker) != 2 {
-		t.Fatalf("Reset dropped shards: %d", len(snap.PerWorker))
-	}
-	if snap.Total.Tasks != 0 {
-		t.Fatalf("Reset kept counters: %+v", snap.Total)
-	}
-	if spans, _ := r.Spans(); len(spans) != 0 {
-		t.Fatalf("Reset kept %d spans", len(spans))
-	}
-	if !r.TraceEnabled() {
-		t.Fatal("Reset cleared the tracing flag")
 	}
 }
 
