@@ -225,23 +225,14 @@ func TestMinMaxDegreeHistogram(t *testing.T) {
 	}
 }
 
-// One row per cost model.
 func TestMinMaxSingleLeaf(t *testing.T) {
-	for _, row := range []struct {
-		name string
-		run  func(*tree.Tree, Options) (Metrics, error)
-		leaf int32
-	}{
-		{"leaf", SequentialAlphaBeta, 42},
-		{"node", NSequentialAlphaBeta, 13},
-	} {
-		m, err := row.run(tree.FromNested(tree.MinMax, row.leaf), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Value != row.leaf || m.Work != 1 {
-			t.Errorf("%s single leaf: %+v", row.name, m)
-		}
+	tr := tree.FromNested(tree.MinMax, 42)
+	m, err := SequentialAlphaBeta(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Value != 42 || m.Work != 1 {
+		t.Errorf("single leaf: %+v", m)
 	}
 }
 

@@ -235,6 +235,20 @@ func TestNegativeWidthRejected(t *testing.T) {
 	}
 }
 
+// A lone leaf is one expansion: one step and one unit of work.
+func TestExpandSingleLeaf(t *testing.T) {
+	nor := tree.FromNested(tree.NOR, 0)
+	m, err := NSequentialSolve(nor, Options{})
+	if err != nil || m.Value != 0 || m.Steps != 1 || m.Work != 1 {
+		t.Errorf("NOR leaf: %+v %v", m, err)
+	}
+	mm := tree.FromNested(tree.MinMax, 13)
+	m2, err := NSequentialAlphaBeta(mm, Options{})
+	if err != nil || m2.Value != 13 || m2.Work != 1 {
+		t.Errorf("MinMax leaf: %+v %v", m2, err)
+	}
+}
+
 func TestNTeamSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 25; trial++ {

@@ -379,23 +379,14 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-// A lone leaf costs one step and one unit in both cost models.
 func TestSingleLeafTree(t *testing.T) {
-	for _, row := range []struct {
-		name string
-		run  func(*tree.Tree, Options) (Metrics, error)
-		leaf int32
-	}{
-		{"leaf", func(tr *tree.Tree, opt Options) (Metrics, error) { return ParallelSolve(tr, 1, opt) }, 1},
-		{"node", NSequentialSolve, 0},
-	} {
-		m, err := row.run(tree.FromNested(tree.NOR, row.leaf), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Value != row.leaf || m.Steps != 1 || m.Work != 1 {
-			t.Errorf("%s single leaf: %+v", row.name, m)
-		}
+	tr := tree.FromNested(tree.NOR, 1)
+	m, err := ParallelSolve(tr, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Value != 1 || m.Steps != 1 || m.Work != 1 {
+		t.Errorf("single leaf: %+v", m)
 	}
 }
 
