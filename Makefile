@@ -28,7 +28,13 @@ race:
 # ring's resilience tests (epoch fencing, dead-ring fallback, quarantine,
 # crash reissue, rejoin on a new address, the restart fast path on a
 # known address (TestPeerRestartFastPath), degraded empty ring and
-# recovery, coordinator Close leaving no goroutine), the injector's
+# recovery, coordinator Close leaving no goroutine), the failure
+# protocol's seeded explorer (TestProtocolExplorer: the clock-free
+# protocol value driven through generated crash, rejoin, restart, delay,
+# duplicate, stale-reply, partition and tick interleavings with no
+# network, checking settle-once, the fence, fallback, the load cap, the
+# epoch and the folded root after every step; 40 seeds under -short,
+# 200 in `test`), the injector's
 # determinism and seed-replay tests, the pooled engine's panic-isolation
 # traps, and its idle protocol: helpers park after a gap and stay parked
 # (TestIdlePoolParks), and Pool.Close leaves no goroutine behind in any
@@ -46,7 +52,7 @@ race:
 # -short trims the seed matrix to fit a CI budget; the full matrix runs in
 # `test`.
 chaos:
-	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|PeerRestart|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon|Cascade' \
+	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|ProtocolExplorer|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|PeerRestart|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon|Cascade' \
 		./internal/faultnet/ ./internal/shard/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the three decoders

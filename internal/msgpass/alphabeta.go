@@ -132,6 +132,7 @@ type abRun struct {
 	procs      []*abProcessor
 	nprocs     int
 	rootResult chan int64
+	rootSent   atomic.Bool // the root value is out: every processor stops
 	expansions atomic.Int64
 	messages   atomic.Int64
 	workSpin   int
@@ -256,6 +257,7 @@ func (r *abRun) send(level int, m abMessage) {
 		if m.typ != abVal {
 			panic("msgpass: only val messages go to the coordinator")
 		}
+		r.rootSent.Store(true)
 		select {
 		case r.rootResult <- m.val:
 		default:
@@ -272,6 +274,8 @@ func (r *abRun) expand() {
 	}
 }
 
+// loop runs the processor until the root value is sent; see the SOLVE
+// machine's loop.
 func (p *abProcessor) loop() {
 	for {
 		msgs, halted := p.mb.drain(!p.hasWork())
@@ -281,8 +285,14 @@ func (p *abProcessor) loop() {
 		for _, m := range msgs {
 			p.sh.MsgsRecv.Add(1)
 			p.handle(m)
+			if p.r.rootSent.Load() {
+				return
+			}
 		}
 		p.stepWork()
+		if p.r.rootSent.Load() {
+			return
+		}
 	}
 }
 

@@ -176,6 +176,7 @@ type run struct {
 	nprocs     int
 	rec        *telemetry.Recorder // timebase for message queue residence
 	rootResult chan int8
+	rootSent   atomic.Bool // the root value is out: every processor stops
 	expansions atomic.Int64
 	messages   atomic.Int64
 	byType     [5]atomic.Int64
@@ -321,6 +322,7 @@ func (r *run) send(level int, m message) {
 		if m.typ != msgVal {
 			panic("msgpass: only val messages go to the coordinator")
 		}
+		r.rootSent.Store(true)
 		select {
 		case r.rootResult <- m.val:
 		default: // a second (stale) root report is impossible, but harmless
@@ -352,6 +354,10 @@ func spin(n int) {
 	atomic.StoreUint64(&spinSink, z)
 }
 
+// loop runs the processor until the root value is sent. It stops at
+// that moment, not when Evaluate halts the mailboxes later, so no
+// expansion is counted after the answer and one processor always gives
+// one count.
 func (p *processor) loop() {
 	for {
 		msgs, halted := p.mb.drain(!p.hasWork())
@@ -362,8 +368,14 @@ func (p *processor) loop() {
 			p.sh.MsgsRecv.Add(1)
 			p.sh.Hist[telemetry.HistMsgResidenceNs].Observe(p.r.rec.Now() - m.sentNs)
 			p.handle(m)
+			if p.r.rootSent.Load() {
+				return
+			}
 		}
 		p.stepWork()
+		if p.r.rootSent.Load() {
+			return
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package msgpass
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"gametree/internal/bounds"
 	"gametree/internal/core"
 	"gametree/internal/tree"
 )
@@ -192,6 +194,44 @@ func TestMessageTypeAccounting(t *testing.T) {
 	for i, name := range []string{"S-SOLVE*", "P-SOLVE*", "P-SOLVE**", "P-SOLVE***", "val"} {
 		if m.ByType[i] == 0 {
 			t.Errorf("message type %s never sent", name)
+		}
+	}
+}
+
+// TestOneProcessorRepeats: with one processor nothing races, so 20 runs
+// of either machine on one tree give one expansion count and one message
+// count. The processor stops when the root value is sent; before it did,
+// work done between that send and the halt was counted by chance.
+func TestOneProcessorRepeats(t *testing.T) {
+	runs := 20
+	if testing.Short() {
+		runs = 5
+	}
+	type machine struct {
+		name string
+		tr   *tree.Tree
+		eval func(*tree.Tree, Options) (Metrics, error)
+	}
+	var ms []machine
+	for n := 10; n <= 14; n += 2 {
+		ms = append(ms,
+			machine{fmt.Sprintf("SOLVE B(2,%d)", n), tree.IIDNor(2, n, bounds.StationaryBias(2), 1989_05), Evaluate},
+			machine{fmt.Sprintf("alpha-beta M(2,%d)", n), tree.IIDMinMax(2, n, -1_000_000, 1_000_000, 1989_05), EvaluateAlphaBeta})
+	}
+	for _, m := range ms {
+		first, err := m.eval(m.tr, Options{Processors: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < runs; i++ {
+			got, err := m.eval(m.tr, Options{Processors: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Expansions != first.Expansions || got.Messages != first.Messages || got.Value != first.Value {
+				t.Fatalf("%s run %d: %d expansions, %d messages, value %d; run 0: %d, %d, %d",
+					m.name, i, got.Expansions, got.Messages, got.Value, first.Expansions, first.Messages, first.Value)
+			}
 		}
 	}
 }

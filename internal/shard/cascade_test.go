@@ -48,7 +48,7 @@ func TestCascadeMatchesSearch(t *testing.T) {
 			}
 		}
 	}
-	if n := cl.coord.Pending(); n != 0 {
+	if n := state(cl.coord).pending; n != 0 {
 		t.Errorf("%d tasks left pending after all searches returned", n)
 	}
 }
@@ -82,11 +82,11 @@ func TestCascadeEldestFirst(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	waitUntil(t, 10*time.Second, func() bool { return coord.Pending() == 1 })
+	waitUntil(t, 10*time.Second, func() bool { return state(coord).pending == 1 })
 	time.Sleep(50 * time.Millisecond) // room for a wrongly early second wave
 	tasks := sentTasks(fn)
-	if len(tasks) != 1 || coord.Pending() != 1 {
-		t.Fatalf("before the eldest settled: %d tasks sent, %d pending; want 1 and 1", len(tasks), coord.Pending())
+	if len(tasks) != 1 || state(coord).pending != 1 {
+		t.Fatalf("before the eldest settled: %d tasks sent, %d pending; want 1 and 1", len(tasks), state(coord).pending)
 	}
 	eldest := tasks[0]
 	if eldest.Alpha != nil || eldest.Beta != nil {
@@ -95,7 +95,7 @@ func TestCascadeEldestFirst(t *testing.T) {
 	const v0 = 4
 	fn.inject(faultnet.Packet{From: 1, To: 0, Payload: &Envelope{Kind: KindResult, ID: eldest.ID, Epoch: eldest.Epoch, Value: v0, Nodes: 10}})
 
-	waitUntil(t, 10*time.Second, func() bool { return coord.Pending() == 2 })
+	waitUntil(t, 10*time.Second, func() bool { return state(coord).pending == 2 })
 	tasks = sentTasks(fn)
 	if len(tasks) != 3 {
 		t.Fatalf("after the eldest settled: %d tasks sent, want 3", len(tasks))

@@ -34,7 +34,7 @@ func TestCoordinatorCloseLeavesNoGoroutines(t *testing.T) {
 			_, err := cl.coord.Search(ctx, game, pos, depth)
 			done <- err
 		}()
-		waitUntil(t, 5*time.Second, func() bool { return cl.coord.Pending() > 0 })
+		waitUntil(t, 5*time.Second, func() bool { return state(cl.coord).pending > 0 })
 		return done
 	}
 	cases := []struct {

@@ -77,7 +77,7 @@ func TestEpochFencing(t *testing.T) {
 
 	// random 3:2 has two children. The cascade dispatches the eldest
 	// alone; its brother waits for the eldest's value.
-	waitUntil(t, 10*time.Second, func() bool { return coord.Pending() == 1 })
+	waitUntil(t, 10*time.Second, func() bool { return state(coord).pending == 1 })
 	eldest := pendingIDs(coord)[0]
 
 	// Two pings from worker 1 with different boot nonces: the second is a
@@ -87,7 +87,7 @@ func TestEpochFencing(t *testing.T) {
 	if got := coord.Epoch(); got != 2 {
 		t.Fatalf("epoch after forged restart = %d, want 2", got)
 	}
-	if got := coord.Rejoins(); got != 1 {
+	if got := state(coord).rejoins; got != 1 {
 		t.Fatalf("rejoins = %d, want 1", got)
 	}
 	// A ping from a non-member must not move the epoch.
@@ -100,7 +100,7 @@ func TestEpochFencing(t *testing.T) {
 	waitUntil(t, 10*time.Second, func() bool {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		p := coord.pending[eldest]
+		p := coord.proto.pending[eldest]
 		return p != nil && p.issueEpoch == 2
 	})
 
@@ -112,7 +112,7 @@ func TestEpochFencing(t *testing.T) {
 	if got := coord.FencedResults(); got != 1 {
 		t.Fatalf("fenced = %d, want 1", got)
 	}
-	if got := coord.Pending(); got != 1 {
+	if got := state(coord).pending; got != 1 {
 		t.Fatalf("pending = %d after a fenced result, want 1 (fenced result settled a task)", got)
 	}
 
@@ -125,7 +125,7 @@ func TestEpochFencing(t *testing.T) {
 	})
 	younger := pendingIDs(coord)[0]
 	coord.mu.Lock()
-	env := coord.pending[younger].env
+	env := coord.proto.pending[younger].env
 	coord.mu.Unlock()
 	if env.Alpha != nil || env.Beta == nil || *env.Beta != 5 {
 		t.Fatalf("younger brother's window (alpha=%v beta=%v), want (nil, 5)", env.Alpha, env.Beta)
@@ -139,7 +139,7 @@ func TestEpochFencing(t *testing.T) {
 	if got := coord.FencedResults(); got != 2 {
 		t.Fatalf("fenced = %d, want 2", got)
 	}
-	if got := coord.Pending(); got != 1 {
+	if got := state(coord).pending; got != 1 {
 		t.Fatalf("pending = %d after a fenced result, want 1 (fenced result settled a task)", got)
 	}
 
@@ -161,8 +161,8 @@ func TestEpochFencing(t *testing.T) {
 func pendingIDs(c *Coordinator) []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]uint64, 0, len(c.pending))
-	for id := range c.pending {
+	ids := make([]uint64, 0, len(c.proto.pending))
+	for id := range c.proto.pending {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -202,22 +202,22 @@ func TestReissueStaleDeadRingFallsBackLocal(t *testing.T) {
 	if got.Value != want.Value || got.Best != want.Best {
 		t.Fatalf("degraded search (v=%d best=%d), sequential (v=%d best=%d)", got.Value, got.Best, want.Value, want.Best)
 	}
-	if coord.DegradedTasks() == 0 {
+	if state(coord).degradedTasks == 0 {
 		t.Error("no tasks recorded as degraded")
 	}
-	if !coord.DegradedMode() {
+	if !state(coord).degradedMode {
 		t.Error("ring fully dead but DegradedMode reports false")
 	}
-	if coord.Pending() != 0 {
-		t.Errorf("%d tasks left pending", coord.Pending())
+	if state(coord).pending != 0 {
+		t.Errorf("%d tasks left pending", state(coord).pending)
 	}
 
 	// With the ring known-dead up front, dispatch skips it entirely.
-	before := coord.Quarantined()
+	before := state(coord).quarantined
 	if _, err := coord.Search(ctx, "random", "6:3", 4); err != nil {
 		t.Fatalf("second degraded search: %v", err)
 	}
-	if coord.Quarantined() != before {
+	if state(coord).quarantined != before {
 		t.Error("degraded searches burned retry budget")
 	}
 }
@@ -255,11 +255,11 @@ func TestQuarantineTypedError(t *testing.T) {
 	if qe.Key == "" || qe.Task == 0 {
 		t.Errorf("quarantine error missing identity: %+v", qe)
 	}
-	if coord.Quarantined() == 0 {
+	if state(coord).quarantined == 0 {
 		t.Error("quarantine not counted")
 	}
-	if coord.Pending() != 0 {
-		t.Errorf("%d tasks left pending after quarantine", coord.Pending())
+	if state(coord).pending != 0 {
+		t.Errorf("%d tasks left pending after quarantine", state(coord).pending)
 	}
 }
 
@@ -310,7 +310,7 @@ func TestShardWorkerRejoinNewAddress(t *testing.T) {
 	t.Cleanup(w.Close)
 
 	waitUntil(t, 10*time.Second, func() bool { return cl.coord.Alive(1) })
-	if got := cl.coord.Rejoins(); got < 1 {
+	if got := state(cl.coord).rejoins; got < 1 {
 		t.Errorf("rejoins = %d, want >= 1", got)
 	}
 	// At least the rejoin bump; the death edge adds another when the
@@ -356,12 +356,12 @@ func TestShardDegradedEmptyRingThenRecover(t *testing.T) {
 	if _, err := cl.coord.Search(ctx, "random", "8:3", 5); err != nil {
 		t.Fatalf("healthy search: %v", err)
 	}
-	if cl.coord.DegradedMode() {
+	if state(cl.coord).degradedMode {
 		t.Fatal("degraded with a live worker")
 	}
 
 	cl.workers[0].Close()
-	waitUntil(t, 10*time.Second, func() bool { return cl.coord.DegradedMode() })
+	waitUntil(t, 10*time.Second, func() bool { return state(cl.coord).degradedMode })
 
 	for _, pos := range []string{"21:3", "22:3", "23:3"} {
 		want := reference(t, "random", pos, 5)
@@ -374,7 +374,7 @@ func TestShardDegradedEmptyRingThenRecover(t *testing.T) {
 				pos, got.Value, got.Best, want.Value, want.Best)
 		}
 	}
-	if cl.coord.DegradedTasks() == 0 {
+	if state(cl.coord).degradedTasks == 0 {
 		t.Error("no degraded tasks counted on an empty ring")
 	}
 
@@ -391,9 +391,9 @@ func TestShardDegradedEmptyRingThenRecover(t *testing.T) {
 	})
 	w.Start()
 	t.Cleanup(w.Close)
-	waitUntil(t, 10*time.Second, func() bool { return !cl.coord.DegradedMode() })
+	waitUntil(t, 10*time.Second, func() bool { return !state(cl.coord).degradedMode })
 
-	before := cl.coord.DegradedTasks()
+	before := state(cl.coord).degradedTasks
 	want := reference(t, "random", "31:3", 5)
 	got, err := cl.coord.Search(ctx, "random", "31:3", 5)
 	if err != nil {
@@ -402,7 +402,7 @@ func TestShardDegradedEmptyRingThenRecover(t *testing.T) {
 	if got.Value != want.Value || got.Best != want.Best {
 		t.Fatalf("post-recovery: got (v=%d best=%d), sequential (v=%d best=%d)", got.Value, got.Best, want.Value, want.Best)
 	}
-	if after := cl.coord.DegradedTasks(); after != before {
+	if after := state(cl.coord).degradedTasks; after != before {
 		t.Errorf("healthy-ring search still degraded tasks (%d -> %d)", before, after)
 	}
 }
@@ -457,9 +457,9 @@ func TestPeerRestartFastPath(t *testing.T) {
 
 	rn.restarted("10.0.0.9:7009", 1, 2)
 	time.Sleep(50 * time.Millisecond) // five sweeps
-	if !coord.Alive(1) || !coord.Alive(2) || coord.Epoch() != epoch0 || coord.Rejoins() != 0 {
+	if !coord.Alive(1) || !coord.Alive(2) || coord.Epoch() != epoch0 || state(coord).rejoins != 0 {
 		t.Fatalf("restart on an unknown address: alive=(%v,%v) epoch %d→%d rejoins %d; want nothing changed",
-			coord.Alive(1), coord.Alive(2), epoch0, coord.Epoch(), coord.Rejoins())
+			coord.Alive(1), coord.Alive(2), epoch0, coord.Epoch(), state(coord).rejoins)
 	}
 
 	rn.restarted("10.0.0.1:7001", 1, 2)
@@ -478,7 +478,7 @@ func TestPeerRestartFastPath(t *testing.T) {
 	if !coord.Alive(1) {
 		t.Fatal("worker 1 not alive after the fresh process pinged")
 	}
-	if got := coord.Rejoins(); got != 1 {
+	if got := state(coord).rejoins; got != 1 {
 		t.Fatalf("rejoins = %d, want 1", got)
 	}
 	if got := coord.Epoch(); got != epoch0+2 {

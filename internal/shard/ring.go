@@ -94,9 +94,6 @@ func NewRing(procs []int) *Ring {
 	return r
 }
 
-// Procs returns the ring membership (a copy).
-func (r *Ring) Procs() []int { return append([]int(nil), r.procs...) }
-
 // Owner returns the processor owning a key hash, ignoring liveness.
 func (r *Ring) Owner(key uint64) int {
 	p, _ := r.walk(key, nil)

@@ -1,8 +1,8 @@
 package shard
 
-// Bounded-load routing, tested on routeLocked itself: no network, no
-// worker, only a coordinator whose liveness the test sets by hand and a
-// pending map it fills the way dispatch does.
+// Bounded-load routing, tested on the protocol's route itself: no
+// network, no worker, only a coordinator whose liveness the test sets by
+// hand and a pending map it fills the way placement does.
 
 import (
 	"fmt"
@@ -18,10 +18,10 @@ func routeCoord(workers []int, dead ...int) *Coordinator {
 	c := NewCoordinator(Config{Net: &fakeNet{}, Workers: workers})
 	now := time.Now()
 	for _, w := range workers {
-		c.lastPing[w] = now
+		c.proto.lastPing[w] = now
 	}
 	for _, w := range dead {
-		delete(c.lastPing, w)
+		delete(c.proto.lastPing, w)
 	}
 	return c
 }
@@ -37,18 +37,18 @@ func keysOwnedBy(r *Ring, proc, n int) []string {
 	return keys
 }
 
-// place routes key as dispatch does — one load map per wave, the task
+// place routes key as placement does — one load map per wave, the task
 // entered into pending once routed — and checks that the map still
 // equals a recount of pending.
 func place(t *testing.T, c *Coordinator, load map[int]int, key string, avoid int) int {
 	t.Helper()
-	to, ok := c.routeLocked(key, load, avoid, time.Now())
+	to, ok := c.proto.route(key, load, avoid, time.Now())
 	if !ok {
 		t.Fatalf("%s: no live worker", key)
 	}
 	id := c.nextID.Add(1)
-	c.pending[id] = &pendingTask{env: &Envelope{ID: id}, key: key, to: to}
-	if got := c.loadsLocked(); fmt.Sprint(got) != fmt.Sprint(load) {
+	c.proto.pending[id] = &pendingTask{env: &Envelope{ID: id}, key: key, to: to}
+	if got := c.proto.loads(); fmt.Sprint(got) != fmt.Sprint(load) {
 		t.Fatalf("load map %v drifted from pending %v", load, got)
 	}
 	return to
@@ -58,9 +58,9 @@ func place(t *testing.T, c *Coordinator, load map[int]int, key string, avoid int
 // land two on each of two live workers, not four on one.
 func TestRouteSpreadsOneOwnersWave(t *testing.T) {
 	c := routeCoord([]int{1, 2})
-	load := c.loadsLocked()
+	load := c.proto.loads()
 	got := map[int]int{}
-	for _, k := range keysOwnedBy(c.ring, 1, 4) {
+	for _, k := range keysOwnedBy(c.proto.ring, 1, 4) {
 		got[place(t, c, load, k, noAvoid)]++
 	}
 	if got[1] != 2 || got[2] != 2 {
@@ -70,8 +70,8 @@ func TestRouteSpreadsOneOwnersWave(t *testing.T) {
 	if err := c.PromSection()(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if want := "gametree_shard_rerouted_tasks_total 2\n"; c.rerouted != 2 || !strings.Contains(prom.String(), want) {
-		t.Fatalf("rerouted %d, want 2 on /metrics as %q", c.rerouted, want)
+	if want := "gametree_shard_rerouted_tasks_total 2\n"; c.proto.rerouted != 2 || !strings.Contains(prom.String(), want) {
+		t.Fatalf("rerouted %d, want 2 on /metrics as %q", c.proto.rerouted, want)
 	}
 }
 
@@ -82,13 +82,13 @@ func TestRouteIdleKeepsAffinity(t *testing.T) {
 	c := routeCoord([]int{1, 2, 3})
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("connect4|%d", i)
-		to, ok := c.routeLocked(k, c.loadsLocked(), noAvoid, time.Now())
-		if !ok || to != c.ring.OwnerString(k) {
-			t.Fatalf("%s: routed to %d (ok %v), hash owner %d", k, to, ok, c.ring.OwnerString(k))
+		to, ok := c.proto.route(k, c.proto.loads(), noAvoid, time.Now())
+		if !ok || to != c.proto.ring.OwnerString(k) {
+			t.Fatalf("%s: routed to %d (ok %v), hash owner %d", k, to, ok, c.proto.ring.OwnerString(k))
 		}
 	}
-	if c.rerouted != 0 {
-		t.Fatalf("rerouted %d on an idle ring, want 0", c.rerouted)
+	if c.proto.rerouted != 0 {
+		t.Fatalf("rerouted %d on an idle ring, want 0", c.proto.rerouted)
 	}
 }
 
@@ -97,15 +97,15 @@ func TestRouteIdleKeepsAffinity(t *testing.T) {
 // hash owner.
 func TestRouteSkipsDeadWorker(t *testing.T) {
 	c := routeCoord([]int{1, 2, 3}, 2)
-	load := c.loadsLocked()
-	keys := append(keysOwnedBy(c.ring, 2, 20), keysOwnedBy(c.ring, 1, 10)...)
+	load := c.proto.loads()
+	keys := append(keysOwnedBy(c.proto.ring, 2, 20), keysOwnedBy(c.proto.ring, 1, 10)...)
 	for _, k := range keys {
 		if to := place(t, c, load, k, noAvoid); to == 2 {
 			t.Fatalf("%s routed to the dead worker", k)
 		}
 	}
 	c = routeCoord([]int{1, 2, 3}, 1, 2, 3)
-	if to, ok := c.routeLocked("random|0", c.loadsLocked(), noAvoid, time.Now()); ok || to != c.ring.OwnerString("random|0") {
+	if to, ok := c.proto.route("random|0", c.proto.loads(), noAvoid, time.Now()); ok || to != c.proto.ring.OwnerString("random|0") {
 		t.Fatalf("dead ring: routed to %d (ok %v), want the hash owner and ok false", to, ok)
 	}
 }
@@ -120,12 +120,12 @@ func TestRouteReissueAvoidsPrevious(t *testing.T) {
 		load := map[int]int{1: rng.Intn(4), 2: rng.Intn(4), 3: rng.Intn(4)}
 		prev := 1 + rng.Intn(3)
 		k := fmt.Sprintf("random|%d", i)
-		if to, ok := c.routeLocked(k, load, prev, time.Now()); !ok || to == prev {
+		if to, ok := c.proto.route(k, load, prev, time.Now()); !ok || to == prev {
 			t.Fatalf("%s: reissue from %d went to %d (ok %v), loads %v", k, prev, to, ok, load)
 		}
 	}
 	c = routeCoord([]int{1, 2, 3}, 1, 3)
-	if to, ok := c.routeLocked("random|0", map[int]int{2: 5}, 2, time.Now()); !ok || to != 2 {
+	if to, ok := c.proto.route("random|0", map[int]int{2: 5}, 2, time.Now()); !ok || to != 2 {
 		t.Fatalf("lone live worker 2: reissue went to %d (ok %v)", to, ok)
 	}
 }
@@ -136,11 +136,11 @@ func TestRouteReissueAvoidsPrevious(t *testing.T) {
 func TestRouteNeverExceedsCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := routeCoord([]int{1, 2, 3})
-	hot := keysOwnedBy(c.ring, 3, 50)
+	hot := keysOwnedBy(c.proto.ring, 3, 50)
 	for i := 0; i < 2000; i++ {
-		if len(c.pending) > 0 && rng.Intn(3) == 0 {
-			for id := range c.pending {
-				delete(c.pending, id) // a task settles
+		if len(c.proto.pending) > 0 && rng.Intn(3) == 0 {
+			for id := range c.proto.pending {
+				delete(c.proto.pending, id) // a task settles
 				break
 			}
 			continue
@@ -149,8 +149,8 @@ func TestRouteNeverExceedsCap(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			k = fmt.Sprintf("random|x%d", i)
 		}
-		load := c.loadsLocked()
-		limit := (len(c.pending) + 3) / 3 // ceil((in-flight + 1) / live)
+		load := c.proto.loads()
+		limit := (len(c.proto.pending) + 3) / 3 // ceil((in-flight + 1) / live)
 		if to := place(t, c, load, k, noAvoid); load[to] > limit {
 			t.Fatalf("placement %d: worker %d holds %d, cap %d", i, to, load[to], limit)
 		}

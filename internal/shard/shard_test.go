@@ -150,8 +150,8 @@ func TestShardExactValues(t *testing.T) {
 				tc.game, tc.pos, tc.depth, got.Value, got.Best, want.Value, want.Best)
 		}
 	}
-	if cl.coord.Pending() != 0 {
-		t.Errorf("%d tasks left pending after all searches returned", cl.coord.Pending())
+	if state(cl.coord).pending != 0 {
+		t.Errorf("%d tasks left pending after all searches returned", state(cl.coord).pending)
 	}
 	if n := cl.coordRec.Snapshot().Total.ShardTasks; n == 0 {
 		t.Error("coordinator recorded no shard tasks")

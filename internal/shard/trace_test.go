@@ -110,14 +110,14 @@ func TestShardTraceReissueAndDoneCache(t *testing.T) {
 	env := &Envelope{Kind: KindTask, ID: 424242, Game: "random", Pos: "3:3", Depth: 2, Trace: trace}
 	p := &pendingTask{
 		env: env, key: "random|3:3", to: 1,
-		first: stale, firstWall: stale.UnixNano(),
-		done: make(chan struct{}),
+		first: stale,
+		done:  make(chan struct{}),
 	}
 	cl.coord.mu.Lock()
-	cl.coord.pending[env.ID] = p
+	cl.coord.proto.pending[env.ID] = p
 	cl.coord.mu.Unlock()
 
-	cl.coord.reissueStale()
+	cl.coord.step((*protocol).tick)
 
 	reissues := findSpans(cl.coordTracer, trace, reqtrace.StageReissue)
 	if len(reissues) != 1 {
