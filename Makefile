@@ -56,29 +56,33 @@ chaos:
 		./internal/faultnet/ ./internal/shard/ ./internal/engine/
 
 # Fuzzing on a bounded budget, split evenly between the three decoders
-# of outside input, the Connect-4 bitboard, the table's entry word and its
-# proof-number entries:
+# of outside input, the Connect-4 bitboard, the canonical Nim and Kayles
+# positions, the table's entry word and its proof-number entries:
 # the length-prefixed TCP frame reader must never panic or over-allocate
 # on arbitrary bytes, the shard envelope codec must never panic, must
 # refuse a task with an empty window and must round-trip whatever it
 # accepts, the serving layer's position parsers (all five registered
 # games) must never panic, must re-parse their own canonical forms to
 # themselves, and must expand only to positions that parse, the bitboard
-# must agree with the []int8 oracle after any sequence of drops, and a
+# must agree with the []int8 oracle after any sequence of drops, Nim and
+# Kayles must generate exactly one successor per distinct position (the
+# Sprague-Grundy value is the mex of theirs) under a hash blind to part
+# order and zero parts, and a
 # transposition-table entry must unpack to what was packed, with depth,
 # best move and generation clamped or wrapped to their fields, and a
 # proof-number pair must read back exact up to 0xFFFE (and infinity),
 # saturated above it, from an entry alpha-beta sees as BoundPN only.
-# The seeded unit forms of all six already ride in `test` and `race`;
+# The seeded unit forms of all seven already ride in `test` and `race`;
 # this throws randomized mutations at them for FUZZTIME in total (whole
 # seconds, default 30s) and is wired into the CI race matrix.
 FUZZTIME ?= 30s
 fuzz:
-	each=$$(( $(FUZZTIME:s=) / 6 ))s; \
+	each=$$(( $(FUZZTIME:s=) / 7 ))s; \
 	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$$each ./internal/transport/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzEnvelopeCodec -fuzztime=$$each ./internal/shard/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzConnect4 -fuzztime=$$each ./internal/games/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzImpartialMoves -fuzztime=$$each ./internal/games/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzTTEntryPacking -fuzztime=$$each ./internal/engine/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzPNEntry -fuzztime=$$each ./internal/engine/
 

@@ -2,7 +2,6 @@ package games
 
 import (
 	"fmt"
-	"sort"
 
 	"gametree/internal/engine"
 )
@@ -14,17 +13,17 @@ import (
 // closed-form oracle for the engine on yet another move structure
 // (splitting positions into independent components).
 type Kayles struct {
-	Rows []int // lengths of the remaining independent rows
+	// Rows holds the lengths of the remaining independent rows, nonzero
+	// and in ascending order. NewKayles and Moves build positions in this
+	// canonical form, so that row order never splits one position into
+	// several table keys.
+	Rows []int
 }
 
-// NewKayles returns a position with the given row lengths.
+// NewKayles returns a position with the given row lengths, in canonical
+// form. Negative lengths panic.
 func NewKayles(rows ...int) Kayles {
-	for _, r := range rows {
-		if r < 0 {
-			panic("games: negative Kayles row")
-		}
-	}
-	return Kayles{Rows: append([]int(nil), rows...)}
+	return Kayles{Rows: canonicalParts(rows, "games: negative Kayles row")}
 }
 
 // kaylesGrundyTable holds the Grundy values for rows 0..83; from 71 on the
@@ -62,34 +61,22 @@ func (p Kayles) GrundyValue() int {
 	return g
 }
 
-// Moves returns every position reachable by removing one pin or two
-// adjacent pins from one row (splitting it into the two remaining parts).
+// Moves returns one successor per distinct position reachable by
+// removing one pin or two adjacent pins from one row, splitting it into
+// the two remaining parts. Removing take pins at offset o leaves parts o
+// and r-o-take, the mirror of offset r-o-take, so only o <= r-o-take is
+// generated; a row equal to the one before it would only repeat that
+// row's successors, so it is skipped. Every successor is in canonical
+// form.
 func (p Kayles) Moves() []engine.Position {
-	var out []engine.Position
-	emit := func(rowIdx, left, right int) {
-		q := Kayles{Rows: make([]int, 0, len(p.Rows)+1)}
-		for j, r := range p.Rows {
-			if j == rowIdx {
-				continue
-			}
-			q.Rows = append(q.Rows, r)
-		}
-		if left > 0 {
-			q.Rows = append(q.Rows, left)
-		}
-		if right > 0 {
-			q.Rows = append(q.Rows, right)
-		}
-		out = append(out, q)
-	}
+	out := make([]engine.Position, 0, p.TotalPins())
 	for i, r := range p.Rows {
+		if i > 0 && r == p.Rows[i-1] {
+			continue
+		}
 		for take := 1; take <= 2 && take <= r; take++ {
-			// Removing `take` pins starting at offset o splits the row
-			// into o and r-o-take. Offsets o and r-o-take produce
-			// mirror-duplicate positions; generating all is simplest
-			// and still correct.
-			for o := 0; o+take <= r; o++ {
-				emit(i, o, r-o-take)
+			for o := 0; o <= r-o-take; o++ {
+				out = append(out, Kayles{Rows: withPart(p.Rows, i, o, r-o-take)})
 			}
 		}
 	}
@@ -115,16 +102,12 @@ func (p Kayles) TotalPins() int {
 	return n
 }
 
-// Hash returns a canonical position hash (rows sorted: row order is
-// irrelevant to the game value).
+// Hash returns a position hash over the canonical row lengths, so every
+// row order of one position shares a key. It neither copies nor
+// allocates.
 func (p Kayles) Hash() uint64 {
-	s := append([]int(nil), p.Rows...)
-	sort.Ints(s)
 	h := uint64(1469598103934665603)
-	for _, r := range s {
-		if r == 0 {
-			continue
-		}
+	for _, r := range p.Rows {
 		h ^= uint64(r)
 		h *= 1099511628211
 		h ^= 0xaa
@@ -133,11 +116,7 @@ func (p Kayles) Hash() uint64 {
 	return h
 }
 
-func (p Kayles) String() string {
-	s := append([]int(nil), p.Rows...)
-	sort.Ints(s)
-	return fmt.Sprintf("kayles%v", s)
-}
+func (p Kayles) String() string { return fmt.Sprintf("kayles%v", p.Rows) }
 
 var _ engine.Position = Kayles{}
 var _ engine.Hasher = Kayles{}

@@ -2,7 +2,6 @@ package games
 
 import (
 	"fmt"
-	"sort"
 
 	"gametree/internal/engine"
 )
@@ -12,18 +11,16 @@ import (
 // in closed form (the Sprague–Grundy xor rule), which makes it the perfect
 // correctness oracle for the search engine.
 type Nim struct {
+	// Heaps holds the nonzero heap sizes in ascending order. NewNim and
+	// Moves build positions in this canonical form, so that heap order
+	// never splits one position into several table keys.
 	Heaps []int
 }
 
-// NewNim returns a Nim position with the given heaps. Negative heap sizes
-// panic.
+// NewNim returns a Nim position with the given heaps, in canonical form.
+// Negative heap sizes panic.
 func NewNim(heaps ...int) Nim {
-	for _, h := range heaps {
-		if h < 0 {
-			panic("games: negative Nim heap")
-		}
-	}
-	return Nim{Heaps: append([]int(nil), heaps...)}
+	return Nim{Heaps: canonicalParts(heaps, "games: negative Nim heap")}
 }
 
 // XorValue returns the nim-sum. The side to move wins under perfect play
@@ -36,15 +33,18 @@ func (p Nim) XorValue() int {
 	return x
 }
 
-// Moves returns every position reachable by removing 1..h objects from a
-// single heap.
+// Moves returns one successor per distinct position reachable by removing
+// 1..h objects from a single heap: a heap equal to the one before it
+// would only repeat that heap's successors, so it is skipped. Every
+// successor is in canonical form.
 func (p Nim) Moves() []engine.Position {
-	var out []engine.Position
+	out := make([]engine.Position, 0, p.TotalObjects())
 	for i, h := range p.Heaps {
+		if i > 0 && h == p.Heaps[i-1] {
+			continue
+		}
 		for take := 1; take <= h; take++ {
-			q := Nim{Heaps: append([]int(nil), p.Heaps...)}
-			q.Heaps[i] -= take
-			out = append(out, q)
+			out = append(out, Nim{Heaps: withPart(p.Heaps, i, h-take)})
 		}
 	}
 	return out
@@ -71,22 +71,19 @@ func (p Nim) TotalObjects() int {
 	return n
 }
 
-func (p Nim) String() string {
-	s := append([]int(nil), p.Heaps...)
-	sort.Ints(s)
-	return fmt.Sprintf("nim%v", s)
-}
+func (p Nim) String() string { return fmt.Sprintf("nim%v", p.Heaps) }
 
 var _ engine.Position = Nim{}
 
-// Hash returns a position hash (FNV-1a over the heap sizes in order),
-// enabling the engine's transposition table.
+// Hash returns a position hash, enabling the engine's transposition
+// table: FNV-1a over the canonical heap sizes, so every heap order of one
+// position shares a key. It neither copies nor allocates.
 func (p Nim) Hash() uint64 {
 	h := uint64(1469598103934665603)
 	for _, heap := range p.Heaps {
 		h ^= uint64(heap)
 		h *= 1099511628211
-		h ^= 0xff // separator so (1,12) and (11,2) differ
+		h ^= 0xff // separator so (1,12) and (2,11) differ
 		h *= 1099511628211
 	}
 	return h

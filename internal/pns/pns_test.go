@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -75,21 +76,29 @@ func TestSolveMatchesSpragueGrundy(t *testing.T) {
 }
 
 // TestSequentialMatchesOracle covers the sequential baseline and PN²
-// on the same oracles.
+// on the same oracles, Nim and Kayles. Each solve gets a fresh table:
+// over a shared one the PN² solve would find the root the plain solve
+// had just stored and never reach its second level.
 func TestSequentialMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	table := engine.NewTable(1 << 14)
 	for i := 0; i < 20; i++ {
-		pos := randomNim(rng)
-		want := verdictWord(pos.XorValue() != 0)
-		for _, pn2 := range []int64{0, 8} {
-			s := New(pos, Options{PN2Budget: pn2, Table: table})
-			res, err := s.Solve(context.Background())
-			if err != nil {
-				t.Fatalf("nim %v pn2=%d: %v", pos, pn2, err)
-			}
-			if res.Verdict != want {
-				t.Fatalf("nim %v pn2=%d: verdict %v, want %v", pos, pn2, res.Verdict, want)
+		nim, kayles := randomNim(rng), randomKayles(rng)
+		for _, in := range []struct {
+			pos  engine.Position
+			want Verdict
+		}{
+			{nim, verdictWord(nim.XorValue() != 0)},
+			{kayles, verdictWord(kayles.GrundyValue() != 0)},
+		} {
+			for _, pn2 := range []int64{0, 8} {
+				s := New(in.pos, Options{PN2Budget: pn2, Table: engine.NewTable(1 << 12)})
+				res, err := s.Solve(context.Background())
+				if err != nil {
+					t.Fatalf("%v pn2=%d: %v", in.pos, pn2, err)
+				}
+				if res.Verdict != in.want {
+					t.Fatalf("%v pn2=%d: verdict %v, want %v", in.pos, pn2, res.Verdict, in.want)
+				}
 			}
 		}
 	}
@@ -129,6 +138,72 @@ func TestW1NodeParity(t *testing.T) {
 	}
 }
 
+// multisets appends to out every nondecreasing sequence of k values in
+// lo..hi that extends prefix.
+func multisets(out [][]int, prefix []int, k, lo, hi int) [][]int {
+	if len(prefix) == k {
+		return append(out, append([]int(nil), prefix...))
+	}
+	for v := lo; v <= hi; v++ {
+		out = multisets(out, append(prefix, v), k, v, hi)
+	}
+	return out
+}
+
+// TestSolveMixTransposes solves every small Nim and Kayles position — Nim
+// with 3 or 4 heaps of 1..9, Kayles with 2 or 3 rows of 1..7, 772 in all
+// — smallest first over one table, the order a server meets them in.
+// Every verdict must match Sprague–Grundy, and the total expansion count
+// stays small only while each distinct position has one table key and
+// one successor: heap-order keys and duplicate successors cost 15× more.
+func TestSolveMixTransposes(t *testing.T) {
+	type instance struct {
+		pos   engine.Position
+		want  Verdict
+		total int
+	}
+	var all []instance
+	for _, g := range []struct {
+		kayles        bool
+		parts, lo, hi int
+	}{{false, 3, 1, 9}, {false, 4, 1, 9}, {true, 2, 1, 7}, {true, 3, 1, 7}} {
+		for _, m := range multisets(nil, nil, g.parts, g.lo, g.hi) {
+			total := 0
+			for _, v := range m {
+				total += v
+			}
+			if g.kayles {
+				pos := games.NewKayles(m...)
+				all = append(all, instance{pos, verdictWord(pos.GrundyValue() != 0), total})
+			} else {
+				pos := games.NewNim(m...)
+				all = append(all, instance{pos, verdictWord(pos.XorValue() != 0), total})
+			}
+		}
+	}
+	if len(all) != 772 {
+		t.Fatalf("%d positions, want 772", len(all))
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].total < all[j].total })
+
+	table := engine.NewTable(1 << 16)
+	var expands int64
+	for _, in := range all {
+		res, err := New(in.pos, Options{Table: table}).Solve(context.Background())
+		if err != nil {
+			t.Fatalf("%v: %v", in.pos, err)
+		}
+		if res.Verdict != in.want {
+			t.Fatalf("%v: verdict %v, Sprague–Grundy says %v", in.pos, res.Verdict, in.want)
+		}
+		expands += res.Expands
+	}
+	if expands > 2000 {
+		t.Fatalf("772 solves over one table took %d expansions, want at most 2000", expands)
+	}
+	t.Logf("772 solves, %d expansions", expands)
+}
+
 // TestArenaNOR solves random NOR trees read as games through tree.Pos:
 // Proven must coincide with the NOR root evaluating to 0.
 func TestArenaNOR(t *testing.T) {
@@ -148,34 +223,43 @@ func TestArenaNOR(t *testing.T) {
 }
 
 // TestMaxNodesResume stops a solve on a tiny expansion budget, checks
-// the partial state, then resumes the same solver to completion.
+// the partial state, then resumes the same solver to completion: plain
+// PN, and PN², whose nested expansions count toward the budget.
 func TestMaxNodesResume(t *testing.T) {
-	pos := games.NewNim(3, 5, 7)
-	s := New(pos, Options{MaxNodes: 5})
-	res, err := s.Solve(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Unknown {
-		t.Fatalf("budget 5 solved nim[3 5 7] already: %+v", res)
-	}
-	if res.Expands < 5 {
-		t.Fatalf("stopped after %d expands, budget was 5", res.Expands)
-	}
-	prog := s.Progress()
-	if prog.PN == 0 || prog.DN == 0 {
-		t.Fatalf("partial progress claims a solved root: %+v", prog)
-	}
-	s.opt.MaxNodes = 0
-	res2, err := s.Solve(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Verdict != verdictWord(pos.XorValue() != 0) {
-		t.Fatalf("resumed verdict %v", res2.Verdict)
-	}
-	if res2.Expands <= res.Expands {
-		t.Fatalf("resume did not continue counting: %d then %d", res.Expands, res2.Expands)
+	for _, tc := range []struct {
+		name string
+		pos  games.Nim
+		opt  Options
+	}{
+		{"pn", games.NewNim(3, 5, 7), Options{MaxNodes: 5}},
+		{"pn2", games.NewNim(5, 6, 7, 9), Options{MaxNodes: 20, PN2Budget: 4, Table: engine.NewTable(1 << 12)}},
+	} {
+		s := New(tc.pos, tc.opt)
+		res, err := s.Solve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Unknown {
+			t.Fatalf("%s: budget %d solved %v already: %+v", tc.name, tc.opt.MaxNodes, tc.pos, res)
+		}
+		if res.Expands < tc.opt.MaxNodes {
+			t.Fatalf("%s: stopped after %d expands, budget was %d", tc.name, res.Expands, tc.opt.MaxNodes)
+		}
+		prog := s.Progress()
+		if prog.PN == 0 || prog.DN == 0 {
+			t.Fatalf("%s: partial progress claims a solved root: %+v", tc.name, prog)
+		}
+		s.SetMaxNodes(0)
+		res2, err := s.Solve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Verdict != verdictWord(tc.pos.XorValue() != 0) {
+			t.Fatalf("%s: resumed verdict %v", tc.name, res2.Verdict)
+		}
+		if res2.Expands <= res.Expands {
+			t.Fatalf("%s: resume did not continue counting: %d then %d", tc.name, res.Expands, res2.Expands)
+		}
 	}
 }
 

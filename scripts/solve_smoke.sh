@@ -83,7 +83,7 @@ pn_nodes() {
 # A four-heap Nim far beyond any smoke budget, streamed; curl gives up
 # after 2 seconds, which closes the connection mid-solve.
 curl -sS -m 2 -X POST -H 'Content-Type: application/json' \
-    -d '{"game":"nim","position":"12,13,14,15","stream":true,"deadline_ms":25000,"progress_ms":50}' \
+    -d '{"game":"nim","position":"20,30,40,50","stream":true,"deadline_ms":25000,"progress_ms":50}' \
     "$URL/v1/solve" >"$ART/cancelled-stream.ndjson" || true
 [ -s "$ART/cancelled-stream.ndjson" ] || {
     echo "solve_smoke: cancelled stream produced no frames"; exit 1; }
