@@ -53,7 +53,7 @@ func main() {
 		pos      = flag.String("pos", "", "instance spec for -game (see -game usage)")
 		workers  = flag.Int("workers", 4, "pooled PNS workers for -game")
 		pn2      = flag.Int64("pn2", 64, "PN² nested-search budget for -game")
-		maxNodes = flag.Int64("maxnodes", 0, "expansion budget for -game (0 = unbounded)")
+		maxNodes = flag.Int64("maxnodes", 0, "tree-node budget for -game (0 = unbounded)")
 		bench    = flag.Bool("bench", false, "run the proof-number benchmark suite")
 		reps     = flag.Int("reps", 3, "timed reps per -bench row")
 	)

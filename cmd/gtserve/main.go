@@ -103,7 +103,7 @@ func main() {
 	flag.DurationVar(&o.maxDeadline, "maxdeadline", 30*time.Second, "cap on client-requested deadlines")
 	flag.IntVar(&o.maxDepth, "maxdepth", 16, "maximum request depth")
 	flag.DurationVar(&o.drainGrace, "drain-grace", 10*time.Second, "how long to wait for in-flight requests on shutdown")
-	flag.Int64Var(&o.solveNodes, "solve-max-nodes", 0, "per-request /v1/solve expansion budget cap (0 = server default)")
+	flag.Int64Var(&o.solveNodes, "solve-max-nodes", 0, "cap on the nodes of one /v1/solve proof tree, resumed or not, and the default request budget (0 = server default)")
 	flag.IntVar(&o.solveStore, "solve-store", 0, "parked partial solvers kept for resume (0 = server default)")
 
 	flag.StringVar(&o.shardListen, "shard-listen", "127.0.0.1:0", "coordinator/worker: shard transport listen address")

@@ -528,7 +528,7 @@ const (
 // ProofOptions configures a proof-number solve: optional shared
 // TranspositionTable (proof/disproof numbers pack into the standard
 // entry layout, so solvers and alpha-beta searches share one table),
-// MaxNodes expansion budget, and PN2Budget enabling the two-level PN²
+// MaxNodes tree-node budget, and PN2Budget enabling the two-level PN²
 // variant in sequential solves.
 type ProofOptions = pns.Options
 

@@ -102,3 +102,40 @@ func FuzzConnect4(f *testing.F) {
 		}
 	})
 }
+
+// TestConnect4FastPathMatchesFold plays seeded random games on the two
+// four-in-a-row boards and, at every ply, diffs the Need = 4 pass of Won
+// and Evaluate against the general fold and squares code called
+// directly, so the general path stays covered on four-in-a-row boards
+// too. It also checks that Children into a buffer with room allocates
+// nothing.
+func TestConnect4FastPathMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	plies := 0
+	for _, sz := range [][3]int{{7, 6, 4}, {6, 5, 4}} {
+		for g := 0; g < 300; g++ {
+			p := *NewConnect4(sz[0], sz[1], sz[2])
+			var kids []Connect4
+			for {
+				if won := p.wonFold(p.lastDiscs()); p.Won() != won || p.Evaluate() != p.evaluateFold() {
+					t.Fatalf("%v: Won %v Evaluate %d, general path Won %v Evaluate %d\n%s",
+						sz, p.Won(), p.Evaluate(), won, p.evaluateFold(), p)
+				}
+				plies++
+				if kids = p.Children(kids[:0]); len(kids) == 0 {
+					break
+				}
+				p = kids[rng.Intn(len(kids))]
+			}
+		}
+	}
+	if plies < 10000 {
+		t.Fatalf("only %d plies", plies)
+	}
+
+	p := *StandardConnect4()
+	buf := make([]Connect4, 0, p.W)
+	if n := testing.AllocsPerRun(100, func() { buf = p.Children(buf[:0]) }); n != 0 {
+		t.Fatalf("Children allocated %v times per call into a sized buffer", n)
+	}
+}

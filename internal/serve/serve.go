@@ -67,9 +67,13 @@ type Config struct {
 	MaxDeadline     time.Duration
 	// MaxDepth clamps the request depth (0 = 16).
 	MaxDepth int
-	// SolveMaxNodes caps (and defaults) the expansion budget of one
-	// /v1/solve request (0 = 1<<21). Budget-stopped solves return a
-	// resumable partial response.
+	// SolveMaxNodes caps (and defaults) the node budget of one /v1/solve
+	// request, and caps the nodes of one proof tree however often it is
+	// resumed (0 = 1<<21). Budget-stopped solves return a resumable
+	// partial response. A tree node holds about 160 bytes on four-heap
+	// Nim and 175 on two-row Kayles (the node, its position and its
+	// parent's pointer to it), so a tree at the default cap holds about
+	// 350 MB, and each parked solver (SolveStoreEntries) keeps its tree.
 	SolveMaxNodes int64
 	// SolveStoreEntries bounds the store of parked partial solvers
 	// awaiting resume (0 = 32; negative disables parking).

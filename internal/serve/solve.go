@@ -41,8 +41,10 @@ type SolveRequest struct {
 	// the configured maximum. On expiry the response is a 200 partial,
 	// not a 504 — see Partial below.
 	DeadlineMs int `json:"deadline_ms,omitempty"`
-	// MaxNodes bounds the solve's expansions (0 = server cap; clamped to
-	// it otherwise). A budget-stopped solve returns partial=true.
+	// MaxNodes bounds the nodes the solve adds to its proof tree (0 =
+	// server cap; clamped to it otherwise). A budget-stopped solve
+	// returns partial=true. A resumed tree never grows past the server
+	// cap, however many requests resume it.
 	MaxNodes int64 `json:"max_nodes,omitempty"`
 	// Stream switches the response to newline-delimited JSON: progress
 	// frames every ProgressMs, then one result frame.
@@ -193,9 +195,9 @@ func (j *solveJob) run(ctx context.Context, pool *engine.Pool) (solveOutcome, er
 	solver, resumed := s.parked.take(j.posKey)
 	if resumed {
 		s.stats.solveResumed.Add(1)
-		// The request budget is incremental on resume: the parked tree
-		// already spent its previous budget.
-		solver.SetMaxNodes(solver.Progress().Expands + j.maxNodes)
+		// The request budget is incremental on resume, but the tree as a
+		// whole stays under the server cap: that bounds its memory.
+		solver.SetMaxNodes(min(solver.Progress().TreeNodes+j.maxNodes, s.cfg.SolveMaxNodes))
 	} else {
 		solver = pns.New(j.pos, pns.Options{Table: s.table, MaxNodes: j.maxNodes})
 	}
