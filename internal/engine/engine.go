@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"gametree/internal/telemetry"
@@ -41,7 +42,9 @@ type Position interface {
 	Moves() []Position
 	// Evaluate returns a static score from the perspective of the side
 	// to move (negamax convention). It is called at terminal positions
-	// and at the depth horizon.
+	// and at the depth horizon, and, in a table search, on each child of
+	// a node that keys the table, to order the children best first for
+	// the parent's mover (lowest score first).
 	Evaluate() int32
 }
 
@@ -154,6 +157,7 @@ type searcher struct {
 	pvs   bool        // null-window test + re-search on every child but the eldest
 	halt  bool        // latched by interrupted(): unwind every node, not 1-in-256
 	bufs  []bufferSet // child buffers, one *buffers[P] per position type searched
+	order []int64     // visiting orders of the table nodes on the recursion stack
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -193,8 +197,10 @@ func (e *searcher) root(pos Position, depth int, alpha, beta int64) (int64, int)
 // searched in place, by pointer; a leaf parent scores its leaves with
 // Evaluate in the same frame. When the searcher carries a transposition
 // table, the position may transpose (its Key reports ok) and the node is
-// above the split horizon, sufficient-depth entries cut off immediately
-// and the stored best move is tried first. The eldest
+// above the split horizon, sufficient-depth entries cut off immediately;
+// otherwise the stored best move is tried first and the other children
+// follow best static score first (orderKids). Everywhere else the children
+// go in the position's own order. The eldest
 // child is always searched in place; the younger brothers follow in place
 // too, unless this is a pool worker above the split horizon whose own
 // deque has drained, in which case they become one split point that idle
@@ -260,19 +266,22 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 	if e.table != nil && above { // a table-less search never asks for a key
 		hash, hashed = (*pos).Key()
 	}
-	first := 0 // the eldest child: the table's best move, else the leftmost
+	// order is the visiting order of a table node's children, eldest first;
+	// nil elsewhere, where the children are visited in the position's own
+	// order.
+	var order []int64
 	if hashed {
 		if e.tm != nil {
 			e.tm.TTProbes.Add(1)
 			e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
 		}
+		ttBest := -1
 		if v, d, flag, tb, hit := e.table.ProbeAt(hash, depth); hit {
 			if e.tm != nil {
 				e.tm.TTHits.Add(1)
 			}
-			ttBest := -1
 			if tb >= 0 && tb < len(kids) {
-				ttBest, first = tb, tb
+				ttBest = tb
 			}
 			if d >= depth {
 				switch flag {
@@ -289,6 +298,7 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 				}
 			}
 		}
+		order = orderKids(e, kids, ttBest)
 	}
 	alpha0 := alpha
 
@@ -317,20 +327,14 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 				break
 			}
 			if j == 1 && e.own.hungry(len(kids)-1) {
-				best, bestIdx = splitKids(e.own, kids, first, depth-1, alpha, beta, best)
+				best, bestIdx = splitKids(e.own, kids, order, depth-1, alpha, beta, best, bestIdx)
 				break
 			}
 		}
-		// Visit the eldest first, then the rest in the position's order.
 		// The mapping never reorders kids, which the position may own.
 		i := j
-		if first > 0 {
-			switch {
-			case j == 0:
-				i = first
-			case j <= first:
-				i = j - 1
-			}
+		if order != nil {
+			i = int(order[j])
 		}
 		lo := -beta
 		if e.pvs && j > 0 {
@@ -367,10 +371,49 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 			if evicted {
 				e.tm.TTEvictions.Add(1)
 			}
+			if flag == BoundLower {
+				e.tm.TableCuts.Add(1)
+				if bestIdx == int(order[0]) {
+					e.tm.EldestCuts.Add(1)
+				}
+			}
 		}
+	}
+	if hashed {
+		e.order = e.order[:len(e.order)-len(kids)]
 	}
 	b.put(buf, kids)
 	return best, bestIdx
+}
+
+// orderKids pushes onto e's order stack the visiting order of a table
+// node's children and returns it: the table's move first, when there is
+// one, then every other child in ascending order of its own Evaluate —
+// best first for the side to move at the node — ties in the position's
+// order. Each entry is packed as score<<32 | index while it sorts, so the
+// sort is stable without a second slice; the node pops its len(kids)
+// entries when it returns. A table search pays one Evaluate per child it
+// orders, which telemetry counts apart from nodes.
+func orderKids[P Game[P]](e *searcher, kids []P, ttBest int) []int64 {
+	base := len(e.order)
+	if ttBest >= 0 {
+		e.order = append(e.order, int64(ttBest))
+	}
+	from := len(e.order)
+	for i := range kids {
+		if i != ttBest {
+			e.order = append(e.order, int64(kids[i].Evaluate())<<32|int64(i))
+		}
+	}
+	rest := e.order[from:]
+	slices.Sort(rest)
+	for k := range rest {
+		rest[k] &= 1<<32 - 1
+	}
+	if e.tm != nil {
+		e.tm.OrderEvals.Add(int64(len(rest)))
+	}
+	return e.order[base:]
 }
 
 // Play returns the index of the best move at the root, or an error if the

@@ -23,7 +23,9 @@ type Game[P any] interface {
 	// and recycles it once the node is searched.
 	Children(dst []P) []P
 	// Evaluate returns a static score from the perspective of the side to
-	// move, as Position.Evaluate does.
+	// move, as Position.Evaluate does, and is called where it is: at
+	// terminal positions, at the horizon, and on the children of a table
+	// node to order them.
 	Evaluate() int32
 	// Key returns the position's identity hash, with ok true when the
 	// position may transpose: the search keys, probes and stores it in a

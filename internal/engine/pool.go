@@ -385,6 +385,7 @@ func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)
 		}
 		w.nodes = 0    // the pool outlives the search; counters are per search
 		w.halt = false // likewise the cancellation latch
+		w.order = w.order[:0]
 		for _, b := range w.bufs {
 			b.reset()
 		}
@@ -707,22 +708,23 @@ func (w *worker) hungry(brothers int) bool {
 }
 
 // splitKids searches every child of a node but its eldest (already
-// searched in place, with value best) as one split point under the current
-// task's abort scope, helps until the join drains, and returns the merged
-// best value and move index. The sibling tasks are pushed in reverse, so
-// the owner's LIFO pops visit them in the sequential move order while
-// thieves take the most speculative ones from the far end; each holds a
-// Node pointing into kids and the move index in the position's own order.
-func splitKids[P Game[P]](w *worker, kids []P, eldest, depth int, alpha, beta, best int64) (int64, int) {
+// searched in place, with value best at index eldest) as one split point
+// under the current task's abort scope, helps until the join drains, and
+// returns the merged best value and move index. The younger brothers are
+// kids[order[1:]] — kids[1:] when order is nil — and their tasks are
+// pushed in reverse, so the owner's LIFO pops visit them in that order
+// while thieves take the least promising ones from the far end; each
+// holds a Node pointing into kids and the move index in the position's
+// own order.
+func splitKids[P Game[P]](w *worker, kids []P, order []int64, depth int, alpha, beta, best int64, eldest int) (int64, int) {
 	sp := w.newSplit(alpha, beta, best, eldest, len(kids)-1)
-	k := len(sp.tasks)
-	for i := len(kids) - 1; i >= 0; i-- {
-		if i == eldest {
-			continue
+	for k := len(kids) - 1; k > 0; k-- {
+		i := k
+		if order != nil {
+			i = int(order[k])
 		}
-		k--
-		sp.tasks[k] = task{sp: sp, node: Node[P]{&kids[i]}, idx: i, depth: depth}
-		w.dq.push(&sp.tasks[k])
+		sp.tasks[k-1] = task{sp: sp, node: Node[P]{&kids[i]}, idx: i, depth: depth}
+		w.dq.push(&sp.tasks[k-1])
 	}
 	w.noteSplit(sp, depth)
 	w.join(sp)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -335,5 +336,110 @@ func TestTelemetryEventLog(t *testing.T) {
 	}
 	if evs, ok := doc["traceEvents"].([]any); !ok || len(evs) != len(events) {
 		t.Fatalf("event trace has %v entries for %d events", doc["traceEvents"], len(events))
+	}
+}
+
+// scoredPos is a keyed arena node whose interior nodes carry a static
+// score too, a hash of the node, so a table search really reorders their
+// children; a leaf scores as in the arena.
+type scoredPos struct{ KeyedPos }
+
+func (p scoredPos) Children(dst []scoredPos) []scoredPos {
+	n := p.T.Node(p.ID)
+	for i := int32(0); i < n.NumChildren; i++ {
+		dst = append(dst, scoredPos{KeyedPos{tree.Pos{T: p.T, ID: n.FirstChild + tree.NodeID(i)}, p.Salt}})
+	}
+	return dst
+}
+
+func (p scoredPos) Evaluate() int32 {
+	if p.T.Node(p.ID).NumChildren == 0 {
+		return p.KeyedPos.Evaluate()
+	}
+	h, _ := p.Key()
+	return int32(h%201) - 100
+}
+
+// orderCounts are the ordering counters of TestTelemetryOrderingExact.
+type orderCounts struct{ nodes, cuts, eldest, evals int64 }
+
+// orderedRef is textbook fail-soft negamax with the table search's child
+// order: above the split horizon the children go in ascending order of
+// their Evaluate, ties left to right. It counts what the telemetry
+// counts on a tree whose nodes each occur once, where one search's table
+// never answers a probe.
+func orderedRef(p scoredPos, depth int, alpha, beta int64, c *orderCounts) int64 {
+	c.nodes++
+	kids := p.Children(nil)
+	if depth == 0 || len(kids) == 0 {
+		return int64(p.Evaluate())
+	}
+	order := make([]int, len(kids))
+	for i := range order {
+		order[i] = i
+	}
+	above := depth > splitHorizon
+	if above {
+		c.evals += int64(len(kids))
+		sort.SliceStable(order, func(a, b int) bool { return kids[order[a]].Evaluate() < kids[order[b]].Evaluate() })
+	}
+	best, bestIdx := -scoreInf, -1
+	for _, i := range order {
+		if v := -orderedRef(kids[i], depth-1, -beta, -alpha, c); v > best {
+			best, bestIdx = v, i
+		}
+		alpha = max(alpha, best)
+		if alpha >= beta {
+			break
+		}
+	}
+	if above && best >= beta {
+		c.cuts++
+		if bestIdx == order[0] {
+			c.eldest++
+		}
+	}
+	return best
+}
+
+// TestTelemetryOrderingExact pins the ordering counters at one worker,
+// where they repeat exactly, against the reference: table nodes cut, cuts
+// by the eldest child, and evaluations spent on ordering, with the nodes
+// and value of the ordered search. The same search without a table
+// orders nothing and counts none of them.
+func TestTelemetryOrderingExact(t *testing.T) {
+	var total orderCounts
+	for seed := int64(1); seed <= 6; seed++ {
+		depth := 5 + int(seed)%3
+		root := scoredPos{KeyedPos{tree.Pos{T: RandomArena(seed, depth, 4)}, 0}}
+		var want orderCounts
+		v := orderedRef(root, depth, -scoreInf, scoreInf, &want)
+
+		for _, table := range []*Table{NewTable(1 << 16), nil} {
+			rec := telemetry.NewRecorder()
+			r, err := SearchOpt(context.Background(), NewNode(root), depth,
+				SearchOptions{Workers: 1, Table: table, Telemetry: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := rec.Snapshot().Total
+			got := orderCounts{r.Nodes, c.TableCuts, c.EldestCuts, c.OrderEvals}
+			if table == nil {
+				if got.cuts != 0 || got.eldest != 0 || got.evals != 0 {
+					t.Errorf("seed %d, no table: counted %+v", seed, got)
+				}
+				continue
+			}
+			if int64(r.Value) != v || got != want || c.Nodes != r.Nodes {
+				t.Errorf("seed %d depth %d: value %d, counts %+v (telemetry nodes %d); reference value %d, counts %+v",
+					seed, depth, r.Value, got, c.Nodes, v, want)
+			}
+			total.cuts += want.cuts
+			total.eldest += want.eldest
+			total.evals += want.evals
+		}
+	}
+	if total.cuts == 0 || total.eldest == 0 || total.eldest == total.cuts || total.evals == 0 {
+		t.Errorf("the reference counts %+v leave a counter untested", total)
 	}
 }

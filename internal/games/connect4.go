@@ -43,10 +43,15 @@ type c4Column struct {
 	c             int8
 }
 
-// c4Dir is one direction a line can run in.
+// c4Dir is one direction a line can run in. Evaluate steps along lines
+// of four by multiplying: x·2^(k·shift) is x moved k steps, and under
+// GOAMD64=v1 a multiply is one micro-op where a shift by a variable count
+// is two or three, after a move of the count into CX.
 type c4Dir struct {
-	shift uint   // bit distance of one step along a line
-	start uint64 // cells where a Need-long line in this direction starts and stays on the board
+	shift uint      // bit distance of one step along a line
+	start uint64    // cells where a Need-long line in this direction starts and stays on the board
+	end   uint64    // cells where such a line ends
+	step  [3]uint64 // 2^shift, 2^(2·shift), 2^(3·shift): one to three steps, for Need = 4
 }
 
 func newC4Geometry(w, h, need int) *c4Geometry {
@@ -74,6 +79,10 @@ func newC4Geometry(w, h, need int) *c4Geometry {
 			}
 		}
 		if d.start != 0 {
+			d.end = d.start << ((uint(need) - 1) * d.shift & 63)
+			for k := range d.step {
+				d.step[k] = 1 << ((uint(k) + 1) * d.shift & 63)
+			}
 			g.dirs = append(g.dirs, d)
 		}
 	}
@@ -229,13 +238,15 @@ func (p *Connect4) AppendMoves(dst []engine.Position) []engine.Position {
 // Need = 4, the standard game and the served one, takes one
 // straight-line pass per direction, kept for speed alone (EXPERIMENTS,
 // "E12 addendum (Connect-4 kernels)"); every other Need takes
-// evaluateFold. The opponent's discs (the last mover's) fold into "all
-// four set" by two shift-ANDs, which is the win test, and each side's
-// discs into "any set" by two shift-ORs, which closes a window to the
-// other side. squares4 then scores the open windows with four popcounts
-// per side where squares takes ten. The oracle tests check both paths
-// against the old board, and against each other on four-in-a-row
-// boards.
+// evaluateFold. Each side's discs are moved one, two and three steps
+// along the direction (c4Dir.step), so bit e of the four words holds the
+// window that ends at cell e: all four of the opponent's set is the win
+// test, and any set closes the window to the other side. count4 then sums
+// each side's four planes into the bit planes of every open window's disc
+// count, whose squares take four popcounts for the mover and three for
+// the opponent, none of whose open windows holds four discs once the win
+// test has failed. The oracle tests check both paths against the old
+// board, and against each other on four-in-a-row boards.
 func (p Connect4) Evaluate() int32 {
 	if p.Need != 4 {
 		return p.evaluateFold()
@@ -246,34 +257,32 @@ func (p Connect4) Evaluate() int32 {
 	}
 	var sum int
 	for _, d := range p.geo.dirs {
-		s, s2, s3 := d.shift&63, 2*d.shift&63, 3*d.shift&63
-		all := opp & (opp >> s)
-		if all&(all>>s2) != 0 {
+		o1, o2, o3 := opp*d.step[0], opp*d.step[1], opp*d.step[2]
+		if opp&o1&o2&o3 != 0 {
 			return -engine.WinScore()
 		}
-		anyMe, anyOpp := me|me>>s, opp|opp>>s
-		anyMe, anyOpp = anyMe|anyMe>>s2, anyOpp|anyOpp>>s2
+		m1, m2, m3 := me*d.step[0], me*d.step[1], me*d.step[2]
 
-		open := d.start &^ anyOpp
-		sum += squares4(open&me, open&(me>>s), open&(me>>s2), open&(me>>s3))
-		open = d.start &^ anyMe
-		sum -= squares4(open&opp, open&(opp>>s), open&(opp>>s2), open&(opp>>s3))
+		open := d.end &^ (opp | o1 | o2 | o3)
+		c0, c1, c2 := count4(open&me, open&m1, open&m2, open&m3)
+		sum += bits.OnesCount64(c0) + 4*bits.OnesCount64(c1) + 16*bits.OnesCount64(c2) + 4*bits.OnesCount64(c0&c1)
+		open = d.end &^ (me | m1 | m2 | m3)
+		c0, c1, _ = count4(open&opp, open&o1, open&o2, open&o3)
+		sum -= bits.OnesCount64(c0) + 4*bits.OnesCount64(c1) + 4*bits.OnesCount64(c0&c1)
 	}
 	return int32(sum)
 }
 
-// squares4 sums the squared disc counts of windows of four cells, given
-// the four bit planes t0..t3 of their cells (bit i of tk is the k-th
-// cell of the window starting at i). A carry-save adder sums the planes
-// into the bit planes c0, c1, c2 of each window's count c, whose square
+// count4 sums the four bit planes t0..t3 of windows of four cells (bit i
+// of tk is the k-th cell of the window at i) with a carry-save adder into
+// the bit planes c0, c1, c2 of each window's disc count c, whose square
 // is c0 + 4·c1 + 16·c2 + 4·c0·c1 (c2 is set only for c = 4). It is small
 // enough to inline, which Evaluate relies on.
-func squares4(t0, t1, t2, t3 uint64) int {
+func count4(t0, t1, t2, t3 uint64) (c0, c1, c2 uint64) {
 	x1, a1 := t0^t1, t0&t1
 	x2, a2 := t2^t3, t2&t3
 	c0, a3 := x1^x2, x1&x2
-	c1, c2 := a1^a2^a3, a1&a2
-	return bits.OnesCount64(c0) + 4*bits.OnesCount64(c1) + 16*bits.OnesCount64(c2) + 4*bits.OnesCount64(c0&c1)
+	return c0, a1 ^ a2 ^ a3, a1 & a2
 }
 
 // evaluateFold is Evaluate for any Need, by fold and squares.

@@ -1,8 +1,12 @@
 package games
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"gametree/internal/engine"
 )
 
 // c4Sample returns a fixed breadth-first sample of standard-board
@@ -71,4 +75,29 @@ func BenchmarkConnect4Kernels(b *testing.B) {
 		}
 		perNode(b)
 	})
+}
+
+// BenchmarkConnect4OrderedSearch reports ns/search and nodes/search for
+// depth-6 table searches, whose table nodes order their children by
+// Evaluate, on a resident pool of one and of two workers over one table,
+// as a server runs them. The searches walk c4Sample's 4,096 positions in
+// order, so a root is searched again only after 4,096 others.
+func BenchmarkConnect4OrderedSearch(b *testing.B) {
+	sample := c4Sample(4096)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			pool := engine.NewPool(w, engine.NewTable(1<<16), nil)
+			defer pool.Close()
+			var nodes int64
+			for i := range b.N {
+				r, err := pool.Search(context.Background(), engine.NewNode(sample[i%len(sample)]), 6)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += r.Nodes
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/search")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/search")
+		})
+	}
 }

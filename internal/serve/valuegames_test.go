@@ -96,7 +96,8 @@ func raceEnabled() bool {
 // makes a small constant number of allocations, however many nodes it
 // visits. The Connect-4 searches probe and store a table, so every search,
 // warm-up included, takes a different opening and the table never answers
-// at the root. Warming runs every worker through splits and nested joins,
+// at the root; they go to depth 8 because a table search orders its
+// children, and at depth 6 one visits only about 500 nodes. Warming runs every worker through splits and nested joins,
 // which size its buffer stack, split points and deque once.
 func TestWarmPoolSearchAllocations(t *testing.T) {
 	if raceEnabled() {
@@ -112,7 +113,7 @@ func TestWarmPoolSearchAllocations(t *testing.T) {
 	}{
 		{"connect4",
 			[]string{"540242", "062235", "224023", "102266", "431211", "510550", "612345", "036034", "350235"},
-			[]string{"541456", "451245", "006110", "614031", "551060", "206005", "545055"}, 6, true},
+			[]string{"541456", "451245", "006110", "614031", "551060", "206005", "545055"}, 8, true},
 		{"random",
 			[]string{"42:5", "43:5", "44:5", "45:5", "46:5", "47:5"},
 			[]string{"42:5", "43:5", "44:5", "45:5", "46:5", "47:5"}, 8, false},

@@ -45,6 +45,9 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		{"gametree_tt_hits_total", "Transposition-table probe hits.", s.Total.TTHits},
 		{"gametree_tt_stores_total", "Transposition-table stores.", s.Total.TTStores},
 		{"gametree_tt_evictions_total", "Stores that displaced a live entry.", s.Total.TTEvictions},
+		{"gametree_table_cuts_total", "Table nodes whose children raised alpha to beta.", s.Total.TableCuts},
+		{"gametree_eldest_cuts_total", "Table-node cuts that came from the eldest child.", s.Total.EldestCuts},
+		{"gametree_order_evals_total", "Evaluate calls spent ordering the children of table nodes.", s.Total.OrderEvals},
 		{"gametree_msgs_sent_total", "Message-passing messages sent.", s.Total.MsgsSent},
 		{"gametree_msgs_recv_total", "Message-passing messages received.", s.Total.MsgsRecv},
 		{"gametree_msgs_stale_total", "Message-passing messages dropped as stale.", s.Total.MsgsStale},

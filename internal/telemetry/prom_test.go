@@ -57,6 +57,15 @@ gametree_tt_stores_total 30
 # HELP gametree_tt_evictions_total Stores that displaced a live entry.
 # TYPE gametree_tt_evictions_total counter
 gametree_tt_evictions_total 1
+# HELP gametree_table_cuts_total Table nodes whose children raised alpha to beta.
+# TYPE gametree_table_cuts_total counter
+gametree_table_cuts_total 12
+# HELP gametree_eldest_cuts_total Table-node cuts that came from the eldest child.
+# TYPE gametree_eldest_cuts_total counter
+gametree_eldest_cuts_total 9
+# HELP gametree_order_evals_total Evaluate calls spent ordering the children of table nodes.
+# TYPE gametree_order_evals_total counter
+gametree_order_evals_total 70
 # HELP gametree_msgs_sent_total Message-passing messages sent.
 # TYPE gametree_msgs_sent_total counter
 gametree_msgs_sent_total 0
@@ -216,6 +225,10 @@ func buildPromFixture() *Recorder {
 	a.TTHits.Add(10)
 	a.TTStores.Add(30)
 	a.TTEvictions.Add(1)
+	a.TableCuts.Add(10)
+	b.TableCuts.Add(2)
+	a.EldestCuts.Add(9)
+	a.OrderEvals.Add(70)
 	a.Hist[HistAbortDrainNs].Observe(100)
 	b.Hist[HistAbortDrainNs].Observe(2000)
 	for i := 0; i < 8; i++ {

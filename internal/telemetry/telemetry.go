@@ -137,6 +137,15 @@ func HistHelp(i int) string {
 //	               transposition-table traffic issued by this worker;
 //	               an eviction is a store that displaced a live entry of
 //	               a different position
+//	TableCuts      table nodes (a table, above the split horizon, a
+//	               key) whose children raised alpha to beta: probe cuts
+//	               excluded
+//	EldestCuts     those of TableCuts whose cut came from the eldest
+//	               child, the one the table move and the static order
+//	               put first
+//	OrderEvals     Evaluate calls spent ordering the children of table
+//	               nodes; they are not nodes, so Nodes still counts the
+//	               positions visited
 //	DequeMax       high-water mark of this worker's deque depth
 //	Parks          times this pool helper blocked on the pool's condition
 //	               variable (worker 0 never parks)
@@ -179,6 +188,9 @@ type Shard struct {
 	TTHits        atomic.Int64
 	TTStores      atomic.Int64
 	TTEvictions   atomic.Int64
+	TableCuts     atomic.Int64
+	EldestCuts    atomic.Int64
+	OrderEvals    atomic.Int64
 	DequeMax      atomic.Int64
 	Parks         atomic.Int64
 	Nodes         atomic.Int64
@@ -227,6 +239,9 @@ type Counts struct {
 	TTHits        int64
 	TTStores      int64
 	TTEvictions   int64
+	TableCuts     int64
+	EldestCuts    int64
+	OrderEvals    int64
 	DequeMax      int64
 	Parks         int64
 	Nodes         int64
@@ -260,6 +275,9 @@ func (s *Shard) load() Counts {
 		TTHits:        s.TTHits.Load(),
 		TTStores:      s.TTStores.Load(),
 		TTEvictions:   s.TTEvictions.Load(),
+		TableCuts:     s.TableCuts.Load(),
+		EldestCuts:    s.EldestCuts.Load(),
+		OrderEvals:    s.OrderEvals.Load(),
 		DequeMax:      s.DequeMax.Load(),
 		Parks:         s.Parks.Load(),
 		Nodes:         s.Nodes.Load(),
@@ -293,6 +311,9 @@ func (c *Counts) add(o Counts) {
 	c.TTHits += o.TTHits
 	c.TTStores += o.TTStores
 	c.TTEvictions += o.TTEvictions
+	c.TableCuts += o.TableCuts
+	c.EldestCuts += o.EldestCuts
+	c.OrderEvals += o.OrderEvals
 	if o.DequeMax > c.DequeMax {
 		c.DequeMax = o.DequeMax
 	}
