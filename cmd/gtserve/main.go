@@ -21,7 +21,8 @@
 //	        -shard-peers 1=<w1>,2=<w2> -expand-depth 1
 //	                # the HTTP API with searches expanded at the root
 //	                # and fanned out to the workers by consistent hash
-//	                # with bounded loads
+//	                # with bounded loads while the ring has spare
+//	                # workers; a busy ring ships each root whole
 //
 // Endpoints:
 //
@@ -111,7 +112,7 @@ func main() {
 	flag.StringVar(&o.shardPeers, "shard-peers", "", "coordinator/worker: comma-separated proc=host:port shard peer table (proc 0 = coordinator)")
 	flag.IntVar(&o.shardProc, "shard-proc", 0, "worker: this process's shard processor id (> 0)")
 	flag.StringVar(&o.shardProcs, "shard-procs", "", "comma-separated worker processor ids forming the ring (default: derived from -shard-peers); must agree across all processes")
-	flag.IntVar(&o.expandDepth, "expand-depth", 1, "coordinator: plies expanded into frontier tasks; the cascade ships the eldest leaf first and its brothers on the window it leaves")
+	flag.IntVar(&o.expandDepth, "expand-depth", 1, "coordinator: plies expanded before the frontier is searched, eldest leaf first and its brothers on the window it leaves; the expansion happens at the coordinator when the ring has spare workers, otherwise at the worker the whole root ships to")
 	flag.DurationVar(&o.taskTimeout, "task-timeout", 2*time.Second, "coordinator: per-task reissue timeout (base of the retry backoff)")
 	flag.DurationVar(&o.deadAfter, "dead-after", 3*time.Second, "coordinator: declare a worker dead after this much ping silence")
 	flag.IntVar(&o.taskRetries, "task-retries", 6, "coordinator: reissues per task before it is quarantined")

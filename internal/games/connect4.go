@@ -43,10 +43,10 @@ type c4Column struct {
 	c             int8
 }
 
-// c4Dir is one direction a line can run in. Evaluate steps along lines
-// of four by multiplying: x·2^(k·shift) is x moved k steps, and under
-// GOAMD64=v1 a multiply is one micro-op where a shift by a variable count
-// is two or three, after a move of the count into CX.
+// c4Dir is one direction a line can run in. Evaluate and Won step along
+// lines of four by multiplying: x·2^(k·shift) is x moved k steps, and
+// under GOAMD64=v1 a multiply is one micro-op where a shift by a variable
+// count is two or three, after a move of the count into CX.
 type c4Dir struct {
 	shift uint      // bit distance of one step along a line
 	start uint64    // cells where a Need-long line in this direction starts and stays on the board
@@ -157,17 +157,17 @@ func (p *Connect4) Drop(c int) *Connect4 {
 // Won reports whether the player who made the last move has a line: the
 // game is over and the position has no successors. No position has
 // successors past a win, so that line runs through the last-dropped disc.
-// For Need = 4 a line is found by two shift-ANDs per direction; every
-// other Need takes wonFold.
+// For Need = 4 a line is found by two multiply-ANDs per direction, which
+// step along it as Evaluate does (c4Dir.step): bit e of l is set when the
+// cells e and one step back hold the last mover's discs, and bit e of
+// l & l·2^(2·shift) when the four cells ending at e do. Every other Need
+// takes wonFold.
 func (p Connect4) Won() bool {
 	last := p.lastDiscs()
 	if p.Need == 4 {
 		for _, d := range p.geo.dirs {
-			// Every shift is below 64 (a line fits on the board); the
-			// mask tells the compiler so, sparing its over-shift guard.
-			s := d.shift & 63
-			l := last & (last >> s)
-			if l&(l>>(2*s&63)) != 0 {
+			l := last & (last * d.step[0])
+			if l&(l*d.step[1]) != 0 {
 				return true
 			}
 		}

@@ -2,10 +2,12 @@ package shard
 
 // Section 7's cascade over the expansion tree above the task frontier,
 // as a plain function of where leaves run: the coordinator supplies a
-// dispatch over the ring, a test twin one over an in-process pool. No
-// lock, no clock and no transport live here.
+// dispatch over the ring, and evaluate one over a pool in this process
+// (a worker's task, the fallback pool's). No lock, no clock and no
+// transport live here.
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -16,11 +18,14 @@ import (
 // node is one position of the expansion tree: an interior node the
 // cascade folds here, or a leaf (no children) whose subtree dispatch
 // evaluates. expand sets a leaf's pos and depth, the cascade its window
-// (alpha, beta) just before dispatch, and dispatch its res.
+// (alpha, beta) just before dispatch, and dispatch its res. plies is
+// how many plies the leaf's evaluator expands before it searches: 0 on
+// a frontier leaf, the expansion depth on a root shipped whole.
 type node struct {
 	children    []*node
 	pos         string
 	depth       int
+	plies       int
 	alpha, beta int32
 	res         engine.Result
 }
@@ -146,4 +151,54 @@ func fold(n *node, alpha, beta int32, dispatch func(leaves []*node) error) (valu
 		}
 	}
 	return value, best, nodes, nil
+}
+
+// evaluate answers one task on pool in this process: how a worker
+// answers a task, and how the fallback pool computes one. A task with
+// Plies is expanded here and folded by cascade over local, so its value
+// and Best are those of a sequential alpha-beta over the expansion in
+// Children order — engine.Search's on the full window. A task without is
+// one windowed search.
+func evaluate(ctx context.Context, pool *engine.Pool, env *Envelope) (engine.Result, error) {
+	root, _, err := expand(env.Game, env.Pos, env.Depth, env.Plies)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	alpha, beta := env.window()
+	v, best, nodes, err := cascade(root, alpha, beta, local(ctx, pool, env.Game))
+	if err != nil {
+		return engine.Result{}, err
+	}
+	return engine.Result{Value: v, Best: best, Nodes: nodes}, nil
+}
+
+// local is the in-process dispatch: it searches a wave's leaves in turn
+// on pool, narrowing each brother's beta to the lowest value its elder
+// brothers in the wave returned. The cascade gives a wave's brothers the
+// window their eldest left; the narrowing makes the wave the rest of a
+// sequential alpha-beta over them. A lower value is what lets the parent
+// improve, so no later brother needs a window above it; once the window
+// closes (a brother refuted the parent), the rest are not searched and
+// report the closing bound, which cannot be a strict improvement in the
+// fold.
+func local(ctx context.Context, pool *engine.Pool, game string) func([]*node) error {
+	return func(wave []*node) error {
+		lowest := int32(inf)
+		for _, l := range wave {
+			beta := min(l.beta, lowest)
+			if beta <= l.alpha {
+				l.res = engine.Result{Value: beta, Best: -1}
+				continue
+			}
+			pos, _, err := serve.ParsePosition(game, l.pos)
+			if err != nil {
+				return err
+			}
+			if l.res, err = pool.SearchWindow(ctx, pos, l.depth, l.alpha, beta); err != nil {
+				return err
+			}
+			lowest = min(lowest, l.res.Value)
+		}
+		return nil
+	}
 }

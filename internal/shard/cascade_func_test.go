@@ -1,9 +1,10 @@
 package shard
 
 // The cascade as a plain function: a recording dispatch stands where the
-// ring would, so these tests need no network and no clock. The twin
-// dispatch searches every leaf on an in-process pool over its window —
-// the same expansion, windows and waves the ring runs.
+// ring would, so these tests need no network and no clock. The local
+// dispatch searches every leaf on an in-process pool over its window,
+// narrowed by its elder brothers — the same expansion and waves the ring
+// runs, evaluated the way a worker evaluates a root shipped whole.
 
 import (
 	"context"
@@ -19,23 +20,6 @@ import (
 	"gametree/internal/engine"
 	"gametree/internal/serve"
 )
-
-// twin returns the one-process dispatch: each leaf of a wave searched,
-// in order, on pool over the window the cascade gave it.
-func twin(pool *engine.Pool, game string) func([]*node) error {
-	return func(wave []*node) error {
-		for _, l := range wave {
-			pos, _, err := serve.ParsePosition(game, l.pos)
-			if err != nil {
-				return err
-			}
-			if l.res, err = pool.SearchWindow(context.Background(), pos, l.depth, l.alpha, l.beta); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
 
 // recorder wraps a dispatch and keeps every wave it saw, in call order;
 // next gets the wave's 0-based call number.
@@ -68,7 +52,7 @@ func through(d func([]*node) error) func(int, []*node) error {
 	return func(_ int, wave []*node) error { return d(wave) }
 }
 
-// TestCascadeFuncMatchesSearch: through the twin, (Value, Best) equals
+// TestCascadeFuncMatchesSearch: through local, (Value, Best) equals
 // the sequential engine on every game served, at expansion depths 1–3
 // and pool widths 1 and 2.
 func TestCascadeFuncMatchesSearch(t *testing.T) {
@@ -93,7 +77,7 @@ func TestCascadeFuncMatchesSearch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, best, _, err := cascade(root, -inf, inf, twin(pool, tc.game))
+				v, best, _, err := cascade(root, -inf, inf, local(context.Background(), pool, tc.game))
 				if err != nil {
 					t.Fatalf("W=%d expand %d %s %q: %v", w, plies, tc.game, tc.pos, err)
 				}
@@ -171,7 +155,7 @@ func TestCascadeFuncInteriorCutoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &recorder{next: through(twin(pool, "random"))}
+		rec := &recorder{next: through(local(context.Background(), pool, "random"))}
 		v, best, _, err := cascade(root, -inf, inf, rec.dispatch)
 		if err != nil {
 			t.Fatalf("%s: %v", pos, err)

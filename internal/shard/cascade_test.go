@@ -62,7 +62,7 @@ func TestCascadeEldestFirst(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Net:         fn,
 		Self:        0,
-		Workers:     []int{1},
+		Workers:     []int{1, 2},      // two: a lone search fans out only while a worker would idle
 		TaskTimeout: 10 * time.Second, // the test settles tasks by hand; never reissue
 		DeadAfter:   time.Minute,
 		HelloEvery:  time.Hour,

@@ -44,8 +44,11 @@ type Config struct {
 	// Workers lists the worker processor ids; they form the consistent-
 	// hash ring for both task routing and TT ownership.
 	Workers []int
-	// ExpandDepth is how many plies the coordinator expands before
-	// shipping the frontier as tasks (default 1: the root's children).
+	// ExpandDepth is how many plies a search is expanded before its
+	// frontier is searched (default 1: the root's children). The
+	// coordinator expands them and ships the frontier as tasks while the
+	// ring has spare workers; otherwise the worker the whole root ships
+	// to expands them on its own pool.
 	ExpandDepth int
 	// TaskTimeout is how long a dispatched task may stay unanswered
 	// before its first reissue to another live worker (default
@@ -117,9 +120,11 @@ func (e *QuarantineError) Error() string {
 // eldest first (routed by consistent hashing with bounded loads, each
 // task on the window its elder brothers left), reissues timed-out tasks
 // to another live worker by the same rule, and folds worker results back
-// into exact root values with the negamax rule. It implements the
-// serve.Backend contract (Search), so gtserve can swap it in for the
-// local pool set.
+// into exact root values with the negamax rule. It fans a search out so
+// only while fewer searches are in flight than workers are live; a busy
+// ring gets each root whole, as one task the worker expands and folds.
+// It implements the serve.Backend contract (Search), so gtserve can swap
+// it in for the local pool set.
 //
 // It is the I/O shell around the failure protocol (protocol.go): it reads
 // the transport and its timers, passes each event with the time to the
@@ -274,22 +279,17 @@ func (c *Coordinator) Alive(proc int) bool {
 	return c.proto.alive(proc, now)
 }
 
-// runLocal computes one leaf on the fallback pool and reports it to the
-// protocol, which settles it as degraded.
+// runLocal computes one task on the fallback pool, the way a worker
+// would, and reports it to the protocol, which settles it as degraded.
 func (c *Coordinator) runLocal(t *pendingTask) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		wall := time.Now().UnixNano()
 		res := &Envelope{Kind: KindResult, ID: t.env.ID}
-		pos, _, err := serve.ParsePosition(t.env.Game, t.env.Pos)
+		r, err := evaluate(c.localCtx, c.cfg.Fallback, t.env)
 		if err == nil {
-			var r engine.Result
-			alpha, beta := t.env.window()
-			r, err = c.cfg.Fallback.SearchWindow(c.localCtx, pos, t.env.Depth, alpha, beta)
-			if err == nil {
-				res.Value, res.Best, res.Nodes = r.Value, r.Best, r.Nodes
-			}
+			res.Value, res.Best, res.Nodes = r.Value, r.Best, r.Nodes
 		}
 		if t.env.Trace != "" {
 			c.cfg.Tracer.Record(reqtrace.Span{
@@ -303,14 +303,15 @@ func (c *Coordinator) runLocal(t *pendingTask) {
 }
 
 // dispatch ships one cascade wave: each leaf becomes a task on its
-// window, placed by the protocol, and dispatch waits until every one has
-// settled (the reissue tick handles retries meanwhile), then fills in the
-// leaves' results. With nobody alive and a fallback pool configured, a
+// window (with its plies to expand at the worker), placed by the
+// protocol, and dispatch waits until every one has settled (the reissue
+// tick handles retries meanwhile), then fills in the leaves' results. With nobody alive and a fallback pool configured, a
 // task skips the ring entirely and computes here — degraded, not hung —
 // and dispatch reports it. Cancelling the search or closing the
 // coordinator abandons the wave's outstanding tasks (workers finish and
-// their results are dropped as unknown IDs).
-func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves []*node) (degraded bool, err error) {
+// their results are dropped as unknown IDs). fanout names the search's
+// path in the route span.
+func (c *Coordinator) dispatch(ctx context.Context, game, trace, fanout string, leaves []*node) (degraded bool, err error) {
 	select {
 	case <-ctx.Done():
 		return false, engine.ErrCancelled
@@ -321,7 +322,7 @@ func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves [
 	tasks := make([]*pendingTask, len(leaves))
 	for i, l := range leaves {
 		t := &pendingTask{
-			env:  &Envelope{Kind: KindTask, ID: c.nextID.Add(1), Game: game, Pos: l.pos, Depth: l.depth, Trace: trace},
+			env:  &Envelope{Kind: KindTask, ID: c.nextID.Add(1), Game: game, Pos: l.pos, Depth: l.depth, Plies: l.plies, Trace: trace},
 			key:  game + "|" + l.pos,
 			done: make(chan struct{}),
 		}
@@ -333,7 +334,7 @@ func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves [
 		c.cfg.Tracer.Record(reqtrace.Span{
 			Trace: trace, Stage: reqtrace.StageRoute,
 			StartNs: start.UnixNano(), DurNs: time.Since(start).Nanoseconds(),
-			Note: fmt.Sprintf("tasks=%d", len(tasks)),
+			Note: fmt.Sprintf("fanout=%s tasks=%d", fanout, len(tasks)),
 		})
 	}
 
@@ -367,10 +368,12 @@ func (c *Coordinator) dispatch(ctx context.Context, game, trace string, leaves [
 
 // Search evaluates (game, position) to depth and returns the exact
 // sequential result: the root is expanded ExpandDepth plies, and the
-// cascade evaluates that tree eldest first, shipping each frontier leaf
-// to a worker on the window its elder brothers left. Cancelling ctx
-// abandons the outstanding tasks; no goroutine of the search outlives
-// it.
+// cascade evaluates that tree eldest first, each frontier leaf searched
+// on the window its elder brothers left. While the ring has a spare
+// worker (protocol.admit), the coordinator expands and ships each
+// frontier leaf as a task; otherwise the root ships as one task that the
+// worker expands and folds the same way. Cancelling ctx abandons the
+// outstanding tasks; no goroutine of the search outlives it.
 func (c *Coordinator) Search(ctx context.Context, game, position string, depth int) (engine.Result, error) {
 	_, key, err := serve.ParsePosition(game, position)
 	if err != nil {
@@ -378,24 +381,33 @@ func (c *Coordinator) Search(ctx context.Context, game, position string, depth i
 	}
 	canon := key[len(game)+1:]
 
+	var onRing bool
+	c.step(func(p *protocol, now time.Time) []action { onRing = p.admit(now); return nil })
+	defer c.step((*protocol).leave)
+
 	trace := reqtrace.FromContext(ctx)
-	wallExpand := time.Now().UnixNano()
-	root, leaves, err := expand(game, canon, depth, c.cfg.ExpandDepth)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	if trace != "" {
-		c.cfg.Tracer.Record(reqtrace.Span{
-			Trace: trace, Stage: reqtrace.StageExpand,
-			StartNs: wallExpand, DurNs: time.Now().UnixNano() - wallExpand,
-			Note: fmt.Sprintf("leaves=%d", leaves),
-		})
+	fanout := "worker"
+	root := &node{pos: canon, depth: depth, plies: min(c.cfg.ExpandDepth, max(depth, 0))}
+	if onRing {
+		fanout = "ring"
+		wallExpand := time.Now().UnixNano()
+		var leaves int
+		if root, leaves, err = expand(game, canon, depth, c.cfg.ExpandDepth); err != nil {
+			return engine.Result{}, err
+		}
+		if trace != "" {
+			c.cfg.Tracer.Record(reqtrace.Span{
+				Trace: trace, Stage: reqtrace.StageExpand,
+				StartNs: wallExpand, DurNs: time.Now().UnixNano() - wallExpand,
+				Note: fmt.Sprintf("leaves=%d", leaves),
+			})
+		}
 	}
 
 	var degraded atomic.Bool
 	var settledNs atomic.Int64 // when the latest wave settled: the fold span's start
 	value, best, nodes, err := cascade(root, -inf, inf, func(wave []*node) error {
-		d, err := c.dispatch(ctx, game, trace, wave)
+		d, err := c.dispatch(ctx, game, trace, fanout, wave)
 		if d {
 			degraded.Store(true)
 		}
@@ -471,10 +483,16 @@ func (c *Coordinator) PromSection() func(io.Writer) error {
 			{"gametree_shard_quarantined_total", "Tasks that exhausted their retry budget.", true, p.quarantined},
 			{"gametree_shard_degraded_tasks_total", "Leaves computed on the coordinator's local fallback pool.", true, p.degradedTasks},
 			{"gametree_shard_rerouted_tasks_total", "Tasks the bounded-load cap placed on a worker other than their live hash owner.", true, p.rerouted},
-			{"gametree_shard_degraded", "1 while the live ring is empty and leaves fall back to local compute.", false, b2i(!p.anyAlive(now))},
+			{"gametree_shard_degraded", "1 while the live ring is empty and leaves fall back to local compute.", false, b2i(p.live(now) == 0)},
 		}
+		fanned := [2]int64{p.fannedRing, p.fannedWorker}
 		c.mu.Unlock()
 		if err := writeRingMembership(w, procs); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "# HELP gametree_shard_requests_total Searches by where they fanned out: over the ring from the coordinator, or at the one worker the root shipped to whole.\n"+
+			"# TYPE gametree_shard_requests_total counter\n"+
+			"gametree_shard_requests_total{fanout=\"ring\"} %d\ngametree_shard_requests_total{fanout=\"worker\"} %d\n", fanned[0], fanned[1]); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "# HELP gametree_shard_worker_alive Per-worker liveness (1 = pings fresher than -shard-dead-after).\n# TYPE gametree_shard_worker_alive gauge\n"); err != nil {

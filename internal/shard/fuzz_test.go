@@ -21,6 +21,10 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		{Kind: KindTask, ID: 7, Game: "connect4", Pos: "3,3,4", Depth: 8, SentNs: 12, Trace: "tr-1", Epoch: 3},
 		{Kind: KindTask, ID: 9, Game: "random", Pos: "42:5", Depth: 7, Alpha: &lo, Beta: &hi, Epoch: 3},
 		{Kind: KindTask, ID: 10, Game: "random", Pos: "42:5", Depth: 7, Alpha: &hi, Beta: &lo}, // empty window: Decode rejects it
+		{Kind: KindTask, ID: 11, Game: "random", Pos: "42:5", Depth: 7, Plies: 1, SentNs: 15, Epoch: 3},
+		{Kind: KindTask, ID: 12, Game: "connect4", Pos: "33", Depth: 3, Plies: 3, Beta: &hi},
+		{Kind: KindTask, ID: 13, Game: "random", Pos: "42:5", Depth: 2, Plies: 3},  // plies past depth: Decode rejects it
+		{Kind: KindTask, ID: 14, Game: "random", Pos: "42:5", Depth: 2, Plies: -1}, // negative plies: Decode rejects it
 		{Kind: KindResult, ID: 7, Value: -5, Best: 2, Nodes: 4096, SentNs: 12, Trace: "tr-1", Epoch: 3},
 		{Kind: KindResult, ID: 8, Err: "shard: unknown game", Epoch: 3},
 		{Kind: KindPing, SentNs: 13, EchoNs: 11, Boot: 0xdeadbeef, Addr: "127.0.0.1:7002"},

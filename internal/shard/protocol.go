@@ -104,6 +104,10 @@ type protocol struct {
 	recovery  recoveryTracker
 	epoch     uint64 // membership epoch: bumps on every death edge and rejoin
 
+	searches int // searches in flight, between their admit and their leave
+
+	fannedRing    int64 // searches admitted to fan out over the ring
+	fannedWorker  int64 // searches admitted to ship whole to one worker
 	rejoins       int64 // workers admitted back (epoch bumps from pings)
 	fenced        int64 // stale-epoch results discarded
 	quarantined   int64 // tasks that exhausted their retry budget
@@ -154,15 +158,41 @@ func (p *protocol) alive(w int, now time.Time) bool {
 	return ok && now.Sub(last) < p.deadAfter
 }
 
-// anyAlive reports whether any worker is live; when none is, new leaves
-// go straight to the fallback pool.
-func (p *protocol) anyAlive(now time.Time) bool {
+// live counts the live workers; when none is, new leaves go straight
+// to the fallback pool.
+func (p *protocol) live(now time.Time) int {
+	n := 0
 	for _, w := range p.workers {
 		if p.alive(w, now) {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// admit is the event "a search arrives". It counts the search in flight
+// until its leave, and says where the search fans out: over the ring
+// (the coordinator expands and cascades the frontier) only while the
+// searches in flight, the new one counted, are fewer than the live
+// workers — only then would a worker otherwise idle. Otherwise the root
+// ships whole to one worker, which expands and cascades it on its own
+// pool. A one-worker ring never fans out; a lone search on an idle ring
+// of two or more always does.
+func (p *protocol) admit(now time.Time) (fanOut bool) {
+	p.searches++
+	fanOut = p.searches < p.live(now)
+	if fanOut {
+		p.fannedRing++
+	} else {
+		p.fannedWorker++
+	}
+	return fanOut
+}
+
+// leave is the event "a search returned", fanned out or not.
+func (p *protocol) leave(now time.Time) []action {
+	p.searches--
+	return nil
 }
 
 // place is the event "tasks placed": each task, already carrying its

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gametree/internal/engine"
-	"gametree/internal/serve"
 )
 
 // protoState is what tests read of a coordinator's protocol value.
@@ -27,6 +26,8 @@ type protoState struct {
 	pending                             int
 	rejoins, quarantined, degradedTasks int64
 	degradedMode                        bool // the live ring is empty: new leaves go to the fallback pool
+	searches                            int  // searches in flight
+	fannedRing, fannedWorker            int64
 }
 
 // state reads the coordinator's protocol value under its lock.
@@ -40,7 +41,10 @@ func state(c *Coordinator) protoState {
 		rejoins:       p.rejoins,
 		quarantined:   p.quarantined,
 		degradedTasks: p.degradedTasks,
-		degradedMode:  !p.anyAlive(now),
+		degradedMode:  p.live(now) == 0,
+		searches:      p.searches,
+		fannedRing:    p.fannedRing,
+		fannedWorker:  p.fannedWorker,
 	}
 }
 
@@ -59,9 +63,10 @@ type exploreCase struct {
 	want      engine.Result
 }
 
-// leafCache answers a task the way every worker would: the engine on the
-// task's window. Shared by all seeds; the explorer is single-threaded
-// apart from the search goroutines, which never touch it.
+// leafCache answers a task the way every worker would, by evaluate: the
+// engine on the task's window, after expanding its plies. Shared by all
+// seeds; the explorer is single-threaded apart from the search
+// goroutines, which never touch it.
 type leafCache struct {
 	pool *engine.Pool
 	memo map[string]engine.Result
@@ -69,15 +74,11 @@ type leafCache struct {
 
 func (lc *leafCache) eval(t *testing.T, env *Envelope) engine.Result {
 	alpha, beta := env.window()
-	k := fmt.Sprintf("%s|%s|%d|%d|%d", env.Game, env.Pos, env.Depth, alpha, beta)
+	k := fmt.Sprintf("%s|%s|%d|%d|%d|%d", env.Game, env.Pos, env.Depth, env.Plies, alpha, beta)
 	if r, ok := lc.memo[k]; ok {
 		return r
 	}
-	pos, _, err := serve.ParsePosition(env.Game, env.Pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := lc.pool.SearchWindow(context.Background(), pos, env.Depth, alpha, beta)
+	r, err := evaluate(context.Background(), lc.pool, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func (w *world) place(s *search, wave []*node) {
 	for i, l := range wave {
 		w.nextID++
 		t := &pendingTask{
-			env: &Envelope{Kind: KindTask, ID: w.nextID, Game: s.c.game, Pos: l.pos, Depth: l.depth},
+			env: &Envelope{Kind: KindTask, ID: w.nextID, Game: s.c.game, Pos: l.pos, Depth: l.depth, Plies: l.plies},
 			key: s.c.game + "|" + l.pos,
 		}
 		t.env.setWindow(l.alpha, l.beta)
@@ -324,9 +325,14 @@ func (w *world) sync(starting bool) {
 		c := w.cases[w.nextCase%len(w.cases)]
 		w.nextCase++
 		s := &search{c: c, req: make(chan []*node), resp: make(chan error), done: make(chan error, 1), running: true}
-		root, _, err := expand(c.game, c.pos, c.depth, 1)
-		if err != nil {
-			w.t.Fatal(err)
+		var fanOut bool
+		w.event("admit", func(now time.Time) []action { fanOut = w.p.admit(now); return nil })
+		root := &node{pos: c.pos, depth: c.depth, plies: min(1, c.depth)}
+		if fanOut {
+			var err error
+			if root, _, err = expand(c.game, c.pos, c.depth, 1); err != nil {
+				w.t.Fatal(err)
+			}
 		}
 		go func() {
 			v, best, nodes, err := cascade(root, -inf, inf, func(wave []*node) error {
@@ -347,6 +353,7 @@ func (w *world) sync(starting bool) {
 				w.place(s, wave)
 			case err := <-s.done:
 				w.finish(s, err)
+				w.event("leave", w.p.leave)
 				continue
 			}
 		}

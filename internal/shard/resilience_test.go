@@ -54,7 +54,7 @@ func TestEpochFencing(t *testing.T) {
 	coord := NewCoordinator(Config{
 		Net:         fn,
 		Self:        0,
-		Workers:     []int{1},
+		Workers:     []int{1, 2}, // two: a lone search fans out only while a worker would idle
 		TaskTimeout: 30 * time.Millisecond,
 		DeadAfter:   10 * time.Second,
 		HelloEvery:  time.Hour,

@@ -203,9 +203,14 @@ func TestShardClockOffsets(t *testing.T) {
 }
 
 // TestShardPromSections checks the ring/liveness/recovery gauges both
-// roles contribute to /metrics.
+// roles contribute to /metrics, and the coordinator's count of searches
+// by where they fanned out.
 func TestShardPromSections(t *testing.T) {
 	cl := newCluster(t, 2)
+	// A lone search on the idle two-worker ring fans out over it.
+	if _, err := cl.coord.Search(context.Background(), "ttt", "", 3); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := cl.coord.PromSection()(&buf); err != nil {
 		t.Fatal(err)
@@ -219,6 +224,9 @@ func TestShardPromSections(t *testing.T) {
 		"gametree_shard_worker_deaths_total 0",
 		"gametree_shard_recovering 0",
 		"gametree_shard_recovery_last_ns 0",
+		"# TYPE gametree_shard_requests_total counter\n" +
+			"gametree_shard_requests_total{fanout=\"ring\"} 1\n" +
+			"gametree_shard_requests_total{fanout=\"worker\"} 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("coordinator section missing %q in:\n%s", want, out)

@@ -24,7 +24,8 @@ const (
 	KindHello = "hello"
 	// KindTask is coordinator → worker: search Pos (canonical, in Game)
 	// to Depth on the window (Alpha, Beta) and reply with a result
-	// carrying the same ID.
+	// carrying the same ID. A task with Plies expands that many plies
+	// and cascades them at the worker.
 	KindTask = "task"
 	// KindResult is worker → coordinator: the fail-soft value of a task
 	// on its window — exact inside it, a bound at or beyond either side.
@@ -56,6 +57,11 @@ type Envelope struct {
 	// and its younger brothers on the window the eldest narrowed.
 	Alpha *int32 `json:"alpha,omitempty"`
 	Beta  *int32 `json:"beta,omitempty"`
+	// Plies is how many plies the worker expands the task before it
+	// searches the frontier, folding them by the cascade: a busy ring's
+	// whole request. Zero (and absent, as in older frames) is one plain
+	// windowed search.
+	Plies int `json:"plies,omitempty"`
 
 	// Result payload (result, ttreply/ttstore value carriage).
 	Value int32  `json:"value,omitempty"`
@@ -147,8 +153,9 @@ func (Codec) Encode(payload any) ([]byte, error) {
 }
 
 // Decode unmarshals an *Envelope, rejecting malformed or unknown-kind
-// frames, and tasks whose window is empty, so garbage off the wire never
-// reaches the dispatch switch.
+// frames, tasks whose window is empty, and tasks whose Plies is negative
+// or exceeds their Depth, so garbage off the wire never reaches the
+// dispatch switch nor makes a worker expand without bound.
 func (Codec) Decode(data []byte) (any, error) {
 	var e Envelope
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -158,6 +165,9 @@ func (Codec) Decode(data []byte) (any, error) {
 	case KindTask:
 		if alpha, beta := e.window(); alpha >= beta {
 			return nil, fmt.Errorf("shard: task %d has an empty window (%d, %d)", e.ID, alpha, beta)
+		}
+		if e.Plies < 0 || e.Plies > e.Depth {
+			return nil, fmt.Errorf("shard: task %d expands %d plies of depth %d", e.ID, e.Plies, e.Depth)
 		}
 		return &e, nil
 	case KindHello, KindResult, KindPing, KindTTProbe, KindTTReply, KindTTStore:

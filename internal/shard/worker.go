@@ -15,7 +15,6 @@ import (
 	"gametree/internal/engine"
 	"gametree/internal/faultnet"
 	"gametree/internal/reqtrace"
-	"gametree/internal/serve"
 	"gametree/internal/telemetry"
 )
 
@@ -380,20 +379,13 @@ func (w *Worker) runTask(qt queuedTask) {
 		}()
 	}
 	res := &Envelope{Kind: KindResult, ID: env.ID}
-	pos, _, err := serve.ParsePosition(env.Game, env.Pos)
-	if err != nil {
+	if r, err := evaluate(w.ctx, w.pool, env); err != nil {
+		if w.ctx.Err() != nil {
+			return // closing: no result, coordinator reissues elsewhere
+		}
 		res.Err = err.Error()
 	} else {
-		alpha, beta := env.window()
-		r, serr := w.pool.SearchWindow(w.ctx, pos, env.Depth, alpha, beta)
-		if serr != nil {
-			if w.ctx.Err() != nil {
-				return // closing: no result, coordinator reissues elsewhere
-			}
-			res.Err = serr.Error()
-		} else {
-			res.Value, res.Best, res.Nodes = r.Value, r.Best, r.Nodes
-		}
+		res.Value, res.Best, res.Nodes = r.Value, r.Best, r.Nodes
 	}
 	if w.tm != nil {
 		w.tm.ShardTasks.Add(1)

@@ -28,6 +28,7 @@
 package transport
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -476,9 +477,14 @@ func (t *TCP) readLoop(conn net.Conn) {
 	if t.writePreamble(conn) != nil {
 		return
 	}
+	// Buffered, a frame's length prefix and body usually come out of one
+	// read syscall instead of two. Only this loop reads the inbound
+	// stream, so no buffered byte can be stranded; the dialer side
+	// reads just the preamble, on the raw conn (readPreamble).
+	r := bufio.NewReader(conn)
 	var buf []byte
 	for {
-		body, err := readFrame(conn, buf)
+		body, err := readFrame(r, buf)
 		if err != nil {
 			return // EOF, reset, or a corrupt stream: drop the conn
 		}

@@ -7,10 +7,11 @@
 #   - ring agreement: every process must log the same [1 2] membership
 #     (divergent rings silently break two-level TT ownership);
 #   - exact values: a tic-tac-toe burst where every 200 must report the
-#     known draw value (0), fanned out across both workers;
+#     known draw value (0), spread across both workers;
 #   - a mixed random workload with duplicate traffic completes, and the
 #     coordinator's /metrics shows shard task dispatch;
-#   - distributed tracing: a burst of X-GT-Trace'd requests is fired and
+#   - distributed tracing: a one-client burst of X-GT-Trace'd requests
+#     (each fanned out over the idle ring) is fired and
 #     gtobs pulls the merged ring trace WHILE the burst is running; the
 #     merged view must contain spans from all three processes, at least
 #     one request must have left spans in the coordinator AND both
@@ -125,7 +126,10 @@ grep -q '^gametree_shard_tasks_total ' "$ART/worker1-metrics.prom"
 grep -q '^gametree_shard_rpc_ns_bucket' "$ART/coordinator-metrics.prom"
 
 echo "== distributed trace: merged ring view pulled mid-burst =="
-"$BIN/gtload" -url "$URL" -game random -depth 6 -dup 0 -clients 2 \
+# One client: a lone request on the idle two-worker ring always fans out
+# over it (a busy ring ships each request whole to one worker), so every
+# traced request can straddle both shards.
+"$BIN/gtload" -url "$URL" -game random -depth 6 -dup 0 -clients 1 \
     -duration 3s -trace smoke >"$ART/gtload-traced.txt" 2>&1 &
 LOAD=$!
 sleep 1.5
