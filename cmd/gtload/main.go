@@ -224,8 +224,8 @@ func (h *httpIssuer) issue(ctx context.Context, position string) outcome {
 
 // issueSolve drives POST /v1/solve. The recorded "value" is the verdict
 // (1 proven, 0 disproven), which is what -expect asserts against; a
-// partial (budget-stopped) answer is a completion for latency purposes
-// but records no verdict, since unknown is not a value.
+// partial (budget-stopped) or budget_exhausted answer is a completion for
+// latency purposes but records no verdict, since unknown is not a value.
 func (h *httpIssuer) issueSolve(ctx context.Context, position string) outcome {
 	body, _ := json.Marshal(serve.SolveRequest{
 		Game:       h.cfg.game,
@@ -256,7 +256,7 @@ func (h *httpIssuer) issueSolve(ctx context.Context, position string) outcome {
 		cached:    sr.Cached,
 		coalesced: sr.Coalesced,
 	}
-	if !sr.Partial {
+	if sr.Verdict != "unknown" {
 		out.key = sr.Game + "|" + sr.Position
 		if sr.Verdict == "proven" {
 			out.value = 1

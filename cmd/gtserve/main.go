@@ -98,14 +98,14 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "workers per engine pool (0 = GOMAXPROCS)")
 	flag.IntVar(&o.pools, "pools", 2, "resident engine pools (max concurrent searches)")
 	queue := flag.Int("queue", 64, "admission queue depth before 429 (-1 = no queue)")
-	flag.IntVar(&o.tableSize, "table", 1<<20, "shared transposition table entries")
+	flag.IntVar(&o.tableSize, "table", 1<<20, "shared transposition table entries; memory is taken on the first store")
 	cacheSize := flag.Int("cache", 4096, "result cache entries (-1 = disable)")
 	flag.DurationVar(&o.deadline, "deadline", 2*time.Second, "default per-request deadline")
 	flag.DurationVar(&o.maxDeadline, "maxdeadline", 30*time.Second, "cap on client-requested deadlines")
 	flag.IntVar(&o.maxDepth, "maxdepth", 16, "maximum request depth")
 	flag.DurationVar(&o.drainGrace, "drain-grace", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 	flag.Int64Var(&o.solveNodes, "solve-max-nodes", 0, "cap on the nodes of one /v1/solve proof tree, resumed or not, and the default request budget (0 = server default)")
-	flag.IntVar(&o.solveStore, "solve-store", 0, "parked partial solvers kept for resume (0 = server default)")
+	flag.IntVar(&o.solveStore, "solve-store", 0, "parked partial solvers kept for resume, their trees together within one tree at -solve-max-nodes (0 = server default)")
 
 	flag.StringVar(&o.shardListen, "shard-listen", "127.0.0.1:0", "coordinator/worker: shard transport listen address")
 	flag.StringVar(&o.shardPortFile, "shard-portfile", "", "coordinator/worker: write the bound shard transport address here")

@@ -390,8 +390,10 @@ type Hasher = engine.Hasher
 // own deque has drained.
 type EngineOptions = engine.SearchOptions
 
-// NewTranspositionTable allocates a table with at least the given number
-// of entries (rounded up to a power of two).
+// NewTranspositionTable sizes a table for at least the given number of
+// entries (rounded up to a power of two). The size is a capacity: the
+// table's memory, 16 bytes per entry, is allocated on its first store, so
+// a table searched only with positions that never transpose holds none.
 func NewTranspositionTable(entries int) *TranspositionTable { return engine.NewTable(entries) }
 
 // EnginePool is a resident work-stealing search pool: the worker set of

@@ -12,11 +12,16 @@ func SearchBare(pos Position, depth int, table *Table) Result {
 	return Result{Value: int32(v), Best: best, Nodes: e.nodes}
 }
 
-// TableEntries counts the live entries of t.
+// TableEntries counts the live entries of t; a table with no slab has
+// none.
 func TableEntries(t *Table) int {
+	sl := t.slab.Load()
+	if sl == nil {
+		return 0
+	}
 	n := 0
-	for i := 0; i < len(t.words); i += 2 {
-		if t.words[i].Load()|t.words[i+1].Load() != 0 {
+	for i := 0; i < len(sl.words); i += 2 {
+		if sl.words[i].Load()|sl.words[i+1].Load() != 0 {
 			n++
 		}
 	}

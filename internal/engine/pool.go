@@ -625,6 +625,9 @@ func (p *pool) fanout(ctx context.Context, fn func(w *worker)) error {
 			}
 			fn(w0)
 			w0.join(sp)
+			// The deques' stale slots still point at these tasks: drop fn,
+			// and with it whatever it holds (a solver's whole tree).
+			clear(sp.tasks)
 		} else {
 			fn(w0)
 		}

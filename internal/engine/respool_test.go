@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"gametree/internal/telemetry"
 	"gametree/internal/tree"
@@ -343,6 +344,30 @@ func everyWorker(t *testing.T, rp *Pool) {
 	}
 	if got := in.Load(); got != want {
 		t.Fatalf("%d of %d workers checked in", got, want)
+	}
+}
+
+// A returned Fanout keeps nothing its function held. The deque slots of
+// its tasks outlive the call, and a dropped proof-number solver's tree
+// must not live on through them (the serve layer's parked-solver byte
+// budget counts on it).
+func TestFanoutKeepsNothing(t *testing.T) {
+	rp := NewPool(2, nil, nil)
+	defer rp.Close()
+	held := new([1 << 10]byte)
+	ref := weak.Make(held)
+	fanoutHolding(t, rp, held)
+	held = nil
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("the fanout's function is still reachable after Fanout returned")
+	}
+}
+
+func fanoutHolding(t *testing.T, rp *Pool, held *[1 << 10]byte) {
+	t.Helper()
+	if err := rp.Fanout(context.Background(), func(int, *telemetry.Shard, func() bool) { _ = held[0] }); err != nil {
+		t.Fatal(err)
 	}
 }
 

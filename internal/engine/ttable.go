@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -81,22 +82,55 @@ const (
 // and stores only at nodes above its split horizon, more than two plies
 // from the depth horizon or with none, so entries stand for whole
 // subtrees.
+//
+// The entry memory (the slab) is taken on the first store, not by
+// NewTable, so a table whose searches never reach a position that
+// transposes holds none. Probes of a table without a slab miss without
+// touching memory.
 type Table struct {
-	words  []atomic.Uint64 // 2 per entry, bucketWays entries per bucket
-	mask   uint64          // bucket-index mask
-	gen    atomic.Uint32   // current generation (aging clock)
+	slab   atomic.Pointer[slab] // nil until the first store
+	grow   sync.Mutex           // serializes the slab's one allocation
+	mask   uint64               // bucket-index mask
+	gen    atomic.Uint32        // current generation (aging clock)
 	remote atomic.Pointer[remoteHook]
 }
 
-// NewTable allocates a table with at least the given number of entries
-// (rounded up so the bucket count is a power of two). Sizes below 1 panic.
+// slab is a table's entry memory: 2 words per entry, bucketWays entries
+// per bucket.
+type slab struct{ words []atomic.Uint64 }
+
+// NewTable sizes a table for at least the given number of entries
+// (rounded up so the bucket count is a power of two); its memory is
+// allocated on the first store. Sizes below 1 panic.
 func NewTable(entries int) *Table {
 	if entries < 1 {
 		panic("engine: table needs at least one entry")
 	}
 	buckets := (entries + bucketWays - 1) / bucketWays
 	n := 1 << bits.Len(uint(buckets-1))
-	return &Table{words: make([]atomic.Uint64, 2*bucketWays*n), mask: uint64(n - 1)}
+	return &Table{mask: uint64(n - 1)}
+}
+
+// words returns the slab's words, allocating the slab on the first call.
+func (t *Table) words() []atomic.Uint64 {
+	if s := t.slab.Load(); s != nil {
+		return s.words
+	}
+	return t.allocate()
+}
+
+// allocate makes the slab exactly once. The lock matters: first stores
+// racing on a compare-and-swap alone would each zero a slab of their own
+// before one of them won.
+func (t *Table) allocate() []atomic.Uint64 {
+	t.grow.Lock()
+	defer t.grow.Unlock()
+	s := t.slab.Load()
+	if s == nil {
+		s = &slab{words: make([]atomic.Uint64, 2*bucketWays*(t.mask+1))}
+		t.slab.Store(s)
+	}
+	return s.words
 }
 
 // Advance bumps the aging clock. Call it once per top-level search so
@@ -146,6 +180,7 @@ func (t *Table) Store(hash uint64, value int32, depth int, flag uint64, best int
 	if t == nil {
 		return false
 	}
+	words := t.words()
 	gen := int(t.gen.Load())
 	d := packEntry(value, depth, flag, best, gen)
 	base := (hash & t.mask) * (2 * bucketWays)
@@ -156,8 +191,8 @@ func (t *Table) Store(hash uint64, value int32, depth int, flag uint64, best int
 	minScore := 0
 	for s := uint64(0); s < bucketWays; s++ {
 		i := base + 2*s
-		k := t.words[i].Load()
-		e := t.words[i+1].Load()
+		k := words[i].Load()
+		e := words[i+1].Load()
 		if k^e == hash {
 			// Same position: always refresh.
 			slot = i
@@ -183,22 +218,27 @@ func (t *Table) Store(hash uint64, value int32, depth int, flag uint64, best int
 		evicted = true
 	}
 write:
-	t.words[slot].Store(hash ^ d)
-	t.words[slot+1].Store(d)
+	words[slot].Store(hash ^ d)
+	words[slot+1].Store(d)
 	return evicted
 }
 
 // Probe looks the position up across its bucket. ok is false on a miss
-// (or a torn entry).
+// (or a torn entry), and on a table that has never been stored into.
 func (t *Table) Probe(hash uint64) (value int32, depth int, flag uint64, best int, ok bool) {
 	if t == nil {
 		return 0, 0, 0, -1, false
 	}
+	sl := t.slab.Load()
+	if sl == nil {
+		return 0, 0, 0, -1, false
+	}
+	words := sl.words
 	base := (hash & t.mask) * (2 * bucketWays)
 	for s := uint64(0); s < bucketWays; s++ {
 		i := base + 2*s
-		k := t.words[i].Load()
-		d := t.words[i+1].Load()
+		k := words[i].Load()
+		d := words[i+1].Load()
 		if k|d == 0 {
 			continue // empty slot (also rejects phantom hash-0 hits)
 		}
@@ -210,8 +250,21 @@ func (t *Table) Probe(hash uint64) (value int32, depth int, flag uint64, best in
 	return 0, 0, 0, -1, false
 }
 
-// Len returns the capacity in entries.
-func (t *Table) Len() int { return len(t.words) / 2 }
+// Len returns the capacity in entries, whether or not the slab has been
+// allocated yet.
+func (t *Table) Len() int { return int(t.mask+1) * bucketWays }
+
+// Bytes returns the memory the table holds: 16 bytes per entry once the
+// first store has allocated the slab, 0 before (and on a nil table).
+func (t *Table) Bytes() int64 {
+	if t == nil {
+		return 0
+	}
+	if s := t.slab.Load(); s != nil {
+		return int64(len(s.words)) * 8
+	}
+	return 0
+}
 
 // Proof-number entries pack both numbers into the 32-bit value lane of
 // the standard entry layout: [pn:16 | dn:16], with 0xFFFF standing for

@@ -69,17 +69,23 @@ func (g *flights[R]) finish(key string, c *flight[R], res R, err error) {
 }
 
 // lru is a bounded least-recently-used map. A zero or negative capacity
-// disables it (get and take always miss, put is a no-op).
+// disables it (get and take always miss, put is a no-op). A weighed lru
+// (weigh) also bounds the sum of its values' sizes.
 type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
+
+	size   func(V) int64 // a value's bytes; nil = unweighed
+	budget int64         // bound on held
+	held   int64         // sum of the live entries' sizes
 }
 
 type lruEntry[V any] struct {
-	key string
-	val V
+	key  string
+	val  V
+	size int64 // size(val) when it was put
 }
 
 func newLRU[V any](capacity int) *lru[V] {
@@ -87,6 +93,13 @@ func newLRU[V any](capacity int) *lru[V] {
 		return &lru[V]{}
 	}
 	return &lru[V]{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+}
+
+// weigh makes put evict least-recently-used entries until the sizes of
+// the live ones sum to at most budget bytes, as well as to at most the
+// capacity in count. A value's size is read once, when it is put.
+func (c *lru[V]) weigh(size func(V) int64, budget int64) {
+	c.size, c.budget = size, budget
 }
 
 // get returns the value for key and marks it most recently used.
@@ -107,8 +120,7 @@ func (c *lru[V]) find(key string, remove bool) (v V, ok bool) {
 		return v, false
 	}
 	if remove {
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.remove(el)
 	} else {
 		c.ll.MoveToFront(el)
 	}
@@ -119,19 +131,33 @@ func (c *lru[V]) put(key string, v V) {
 	if c.cap == 0 {
 		return
 	}
+	var size int64
+	if c.size != nil {
+		size = c.size(v)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry[V]).val = v
+		e := el.Value.(*lruEntry[V])
+		c.held += size - e.size
+		e.val, e.size = v, size
 		c.ll.MoveToFront(el)
-		return
+	} else {
+		c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v, size: size})
+		c.held += size
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry[V]).key)
+	// An unweighed lru holds 0 bytes against a 0 budget.
+	for c.ll.Len() > c.cap || c.held > c.budget {
+		c.remove(c.ll.Back())
 	}
+}
+
+// remove unlinks one entry; the caller holds mu.
+func (c *lru[V]) remove(el *list.Element) {
+	e := el.Value.(*lruEntry[V])
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.held -= e.size
 }
 
 // len reports the live entry count (for tests, Stats and /healthz).
@@ -142,4 +168,11 @@ func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// bytes reports the summed sizes of the live entries (0 when unweighed).
+func (c *lru[V]) bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held
 }

@@ -83,3 +83,12 @@ func (s *serveStats) writeProm(w io.Writer) error {
 	return telemetry.PromHistogram(w, "gametree_serve_latency_ns",
 		"End-to-end request latency, nanoseconds.", s.latencyNs.Snapshot())
 }
+
+// writeMemory writes the gametree_memory_bytes family: the shared
+// table's slab (0 until its first store, and on a backend server, which
+// has no table) and the parked-solver store's estimated trees.
+func (s *Server) writeMemory(w io.Writer) error {
+	return telemetry.PromMemory(w,
+		telemetry.MemoryOwner{Owner: "table", Bytes: s.table.Bytes()},
+		telemetry.MemoryOwner{Owner: "solve_store", Bytes: s.parked.bytes()})
+}

@@ -168,7 +168,7 @@ type endpoint[R any] struct {
 	cache   *lru[R]
 	flights flights[R]
 	// keep reports whether a settled result may be cached (nil = always);
-	// /v1/solve caches only non-partial verdicts.
+	// /v1/solve caches only final answers, never a parked partial.
 	keep func(R) bool
 }
 

@@ -57,6 +57,9 @@ type Config struct {
 	// before new ones are shed with 429 (0 = 64; negative = no queue).
 	QueueDepth int
 	// TableEntries sizes the shared transposition table (0 = 1<<20).
+	// It is a capacity: the table's 16 bytes per entry are taken on its
+	// first store, so traffic that never transposes (random) leaves it
+	// empty.
 	TableEntries int
 	// CacheEntries bounds the LRU result cache (0 = 4096; negative
 	// disables caching).
@@ -69,14 +72,18 @@ type Config struct {
 	MaxDepth int
 	// SolveMaxNodes caps (and defaults) the node budget of one /v1/solve
 	// request, and caps the nodes of one proof tree however often it is
-	// resumed (0 = 1<<21). Budget-stopped solves return a resumable
-	// partial response. A tree node holds about 160 bytes on four-heap
-	// Nim and 175 on two-row Kayles (the node, its position and its
-	// parent's pointer to it), so a tree at the default cap holds about
-	// 350 MB, and each parked solver (SolveStoreEntries) keeps its tree.
+	// resumed (0 = 1<<21). Solves stopped below the cap return a
+	// resumable partial response; a tree that reaches the cap answers
+	// budget_exhausted and is dropped. A tree node holds about 160 bytes
+	// on four-heap Nim and 175 on two-row Kayles (the node, its position
+	// and its parent's pointer to it), so a tree at the default cap holds
+	// about 350 MB. The parked-solver store is bounded by one such tree:
+	// its trees' nodes, at solveNodeBytes each, sum to at most
+	// SolveMaxNodes × solveNodeBytes.
 	SolveMaxNodes int64
-	// SolveStoreEntries bounds the store of parked partial solvers
-	// awaiting resume (0 = 32; negative disables parking).
+	// SolveStoreEntries bounds how many parked partial solvers await
+	// resume (0 = 32; negative disables parking), inside the store's
+	// byte budget (see SolveMaxNodes).
 	SolveStoreEntries int
 	// RetryAfter is the hint attached to 429/503 responses (0 = 1s).
 	RetryAfter time.Duration
@@ -101,6 +108,11 @@ type Config struct {
 	// Writes are serialized by the server.
 	AccessLog io.Writer
 }
+
+// solveNodeBytes is the bytes one proof-tree node is charged in the
+// parked-solver store: the measured ≈160 (four-heap Nim) and ≈175
+// (two-row Kayles), rounded up.
+const solveNodeBytes = 176
 
 // Backend runs one search to completion and returns the exact result.
 // Implementations must honour ctx cancellation. The shard tier's
@@ -227,6 +239,8 @@ func New(cfg Config) *Server {
 	s.solve = endpoint[solveOutcome]{noun: "solve", cache: newLRU[solveOutcome](cfg.CacheEntries),
 		keep: func(out solveOutcome) bool { return !out.partial }}
 	s.parked = newLRU[*pns.Solver](cfg.SolveStoreEntries)
+	s.parked.weigh(func(sv *pns.Solver) int64 { return sv.Progress().TreeNodes * solveNodeBytes },
+		cfg.SolveMaxNodes*solveNodeBytes)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.free = make(chan *engine.Pool, cfg.Pools)
 	if cfg.Backend != nil {
@@ -245,6 +259,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	cfg.Telemetry.AddPromSection(s.stats.writeProm)
+	cfg.Telemetry.AddPromSection(s.writeMemory)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/search", s.handleSearch)
 	s.mux.HandleFunc("/v1/solve", s.handleSolve)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -552,6 +553,9 @@ func TestMetricsEndpointHasServeFamilies(t *testing.T) {
 		"gametree_serve_latency_ns_count",
 		"gametree_serve_queue_wait_ns_count",
 		"gametree_nodes_total", // engine telemetry shares the endpoint
+		// A random search never transposes: the table takes no memory.
+		"gametree_memory_bytes{owner=\"table\"} 0\n",
+		"gametree_memory_bytes{owner=\"solve_store\"} 0\n",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %q", family)
@@ -605,5 +609,102 @@ func TestParsePositionKeys(t *testing.T) {
 		if key != tc.wantKey {
 			t.Errorf("%s/%s: key %q, want %q", tc.game, tc.pos, key, tc.wantKey)
 		}
+	}
+}
+
+// TestLRUByteBudget: a weighed lru evicts least-recently-used entries
+// until the sizes of the live ones fit the budget, and a take gives the
+// taken value's bytes back.
+func TestLRUByteBudget(t *testing.T) {
+	c := newLRU[int64](8)
+	c.weigh(func(v int64) int64 { return v }, 10)
+	c.put("a", 4)
+	c.put("b", 4)
+	if _, ok := c.get("a"); !ok || c.bytes() != 8 {
+		t.Fatalf("two entries of 4 under a budget of 10: a present=%v, %d bytes", ok, c.bytes())
+	}
+	c.put("c", 4) // 12 > 10: evicts b, a was just used
+	if _, ok := c.get("b"); ok || c.bytes() != 8 {
+		t.Fatalf("b should have been evicted (%d bytes held)", c.bytes())
+	}
+	c.put("a", 6) // refresh in place: 10 fits
+	if c.len() != 2 || c.bytes() != 10 {
+		t.Fatalf("refresh: %d entries, %d bytes", c.len(), c.bytes())
+	}
+	if v, ok := c.take("a"); !ok || v != 6 || c.bytes() != 4 {
+		t.Fatalf("take: %d %v, %d bytes held", v, ok, c.bytes())
+	}
+	c.put("d", 11) // larger than the whole budget: kept by nobody
+	if c.len() != 0 || c.bytes() != 0 {
+		t.Fatalf("an entry over the budget: %d entries, %d bytes", c.len(), c.bytes())
+	}
+}
+
+// metricValue scrapes /metrics and returns the value of one sample line.
+func metricValue(t *testing.T, url, sample string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), sample+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", sample, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", sample)
+	return 0
+}
+
+// TestMemoryGauges: a server that has answered only random searches holds
+// no table memory; one search of a game that transposes, or one solve,
+// takes the whole slab, 16 bytes per entry. The parked-solver store
+// reports its trees at solveNodeBytes a node.
+func TestMemoryGauges(t *testing.T) {
+	const entries = 1 << 12
+	table, store := `gametree_memory_bytes{owner="table"}`, `gametree_memory_bytes{owner="solve_store"}`
+	for _, first := range []struct{ kind, game, pos string }{{"search", "connect4", ""}, {"solve", "nim", "3,5,7"}} {
+		t.Run(first.kind, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 2, Pools: 1, TableEntries: entries})
+			for seed := 1; seed <= 3; seed++ {
+				if code, _, fail, _ := postSearch(t, ts.URL, SearchRequest{Game: "random", Position: strconv.Itoa(seed), Depth: 6}); code != http.StatusOK {
+					t.Fatalf("random search: status %d (%+v)", code, fail)
+				}
+			}
+			if got := metricValue(t, ts.URL, table); got != 0 {
+				t.Fatalf("after random searches only: table holds %d bytes", got)
+			}
+			if got := metricValue(t, ts.URL, store); got != 0 {
+				t.Fatalf("solve store holds %d bytes before any solve", got)
+			}
+			if first.kind == "search" {
+				if code, _, fail, _ := postSearch(t, ts.URL, SearchRequest{Game: first.game, Position: first.pos, Depth: 5}); code != http.StatusOK {
+					t.Fatalf("%s search: status %d (%+v)", first.game, code, fail)
+				}
+			} else if code, resp, fail := postSolve(t, ts.URL, SolveRequest{Game: first.game, Position: first.pos}); code != http.StatusOK || resp.Verdict != "proven" {
+				t.Fatalf("solve: status %d verdict %q (%+v)", code, resp.Verdict, fail)
+			}
+			if got := metricValue(t, ts.URL, table); got != 16*entries || got != s.Table().Bytes() {
+				t.Fatalf("after one %s %s: table holds %d bytes, want %d", first.game, first.kind, got, 16*entries)
+			}
+		})
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, Pools: 1})
+	if code, resp, fail := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "9,10,11,12", MaxNodes: 50}); code != http.StatusOK || !resp.Partial {
+		t.Fatalf("budget-stopped solve: status %d partial=%v (%+v)", code, resp.Partial, fail)
+	}
+	_, key, _ := ParsePosition("nim", "9,10,11,12")
+	solver, ok := s.parked.get(key)
+	if !ok {
+		t.Fatal("the partial solve was not parked")
+	}
+	if got, want := metricValue(t, ts.URL, store), solver.Progress().TreeNodes*solveNodeBytes; got != want {
+		t.Fatalf("solve store holds %d bytes, want %d", got, want)
 	}
 }

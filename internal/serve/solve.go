@@ -14,10 +14,13 @@ package serve
 //     promptly (the solve-smoke CI job asserts exactly this via the
 //     pns counters on /metrics).
 //   - A deadline does not produce a 504: the solver's partial tree is
-//     parked in a bounded store keyed by canonical position and the
-//     response is a 200 with partial=true and the best-so-far numbers.
-//     A later request for the same position checks the parked solver
-//     out and resumes where it stopped. Only verdicts are cached.
+//     parked in a store keyed by canonical position, bounded in bytes,
+//     and the response is a 200 with partial=true and the best-so-far
+//     numbers. A later request for the same position checks the parked
+//     solver out and resumes where it stopped. A tree that reached the
+//     server's node cap could not grow on resume: it is dropped, and the
+//     answer, status budget_exhausted, is final. Only final answers
+//     (verdicts and budget_exhausted) are cached.
 //
 // Solving requires the local pool substrate; a Backend (shard
 // coordinator) deployment answers 501.
@@ -79,7 +82,19 @@ type SolveResponse struct {
 	// Resumed marks a solve that continued a previously parked partial
 	// tree rather than starting fresh.
 	Resumed bool `json:"resumed,omitempty"`
+	// Status is set when the solve ended for good without a verdict:
+	// SolveBudgetExhausted.
+	Status SolveStatus `json:"status,omitempty"`
 }
+
+// SolveStatus types a final solve answer that carries no verdict.
+type SolveStatus string
+
+// SolveBudgetExhausted: the proof tree reached the server's node cap
+// (Config.SolveMaxNodes) without a verdict. A resume could not grow it,
+// so the tree is dropped rather than parked, and repeats of the position
+// get this answer from the result cache.
+const SolveBudgetExhausted SolveStatus = "budget_exhausted"
 
 // SolveProgress is one streaming progress frame (wrapped as
 // {"progress": {...}} on the wire; the final frame is {"result": {...}}).
@@ -94,10 +109,11 @@ type SolveProgress struct {
 
 // solveOutcome is the settled state of one solve flight.
 type solveOutcome struct {
-	verdict  pns.Verdict
-	progress pns.Progress
-	partial  bool
-	resumed  bool
+	verdict   pns.Verdict
+	progress  pns.Progress
+	partial   bool // parked for resume
+	exhausted bool // at the node cap without a verdict, dropped
+	resumed   bool
 }
 
 // solveProgressInterval is the default streaming frame cadence.
@@ -148,8 +164,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.respondErr(w, "solve", stream, err)
 			return
 		}
-		if out.partial && !coalesced {
-			rq.log.Outcome = "partial"
+		if !coalesced {
+			switch {
+			case out.partial:
+				rq.log.Outcome = "partial"
+			case out.exhausted:
+				rq.log.Outcome = string(SolveBudgetExhausted)
+			}
 		}
 	}
 	s.stats.completed.Add(1)
@@ -160,6 +181,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ElapsedMs: float64(time.Since(rq.start).Nanoseconds()) / 1e6,
 		QueueMs:   float64(rq.log.QueueNs) / 1e6,
 		Cached:    cached, Coalesced: coalesced, Partial: out.partial, Resumed: out.resumed,
+	}
+	if out.exhausted {
+		resp.Status = SolveBudgetExhausted
 	}
 	if stream != nil {
 		_ = stream.frame("result", resp) // a failed write means nobody is reading
@@ -180,11 +204,12 @@ type solveJob struct {
 }
 
 // run checks out (or creates) the solver for the position, runs it on
-// pool, and re-parks it when it stops without a verdict — for unary and
-// streaming solves alike. A deadline expiry is not an error here: the
-// caller answers 200 with the partial state — that is the /v1/solve
-// contract. Nor is any cancellation that lands after the root was
-// decided: a verdict is final however its request ended, so it is
+// pool, and re-parks it when it stops without a verdict below the node
+// cap — for unary and streaming solves alike. A tree at the cap is
+// dropped: it could never grow again. A deadline expiry is not an error
+// here: the caller answers 200 with the partial state — that is the
+// /v1/solve contract. Nor is any cancellation that lands after the root
+// was decided: a verdict is final however its request ended, so it is
 // returned (and cached) rather than lost. Other failures (drain, pool
 // close, panic) surface as errors.
 func (j *solveJob) run(ctx context.Context, pool *engine.Pool) (solveOutcome, error) {
@@ -196,7 +221,8 @@ func (j *solveJob) run(ctx context.Context, pool *engine.Pool) (solveOutcome, er
 	if resumed {
 		s.stats.solveResumed.Add(1)
 		// The request budget is incremental on resume, but the tree as a
-		// whole stays under the server cap: that bounds its memory.
+		// whole stays under the server cap: that bounds its memory. A
+		// parked tree is below the cap, so the resume can grow it.
 		solver.SetMaxNodes(min(solver.Progress().TreeNodes+j.maxNodes, s.cfg.SolveMaxNodes))
 	} else {
 		solver = pns.New(j.pos, pns.Options{Table: s.table, MaxNodes: j.maxNodes})
@@ -204,7 +230,11 @@ func (j *solveJob) run(ctx context.Context, pool *engine.Pool) (solveOutcome, er
 	j.solver.Store(solver)
 	res, err := solver.SolveParallel(ctx, pool)
 	out := solveOutcome{verdict: res.Verdict, progress: solver.Progress(), resumed: resumed}
-	if res.Verdict == pns.Unknown {
+	switch {
+	case res.Verdict != pns.Unknown:
+	case out.progress.TreeNodes >= s.cfg.SolveMaxNodes:
+		out.exhausted = true
+	default:
 		out.partial = true
 		s.parked.put(j.posKey, solver)
 		s.stats.solvePartial.Add(1)

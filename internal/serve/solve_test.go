@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -157,9 +159,10 @@ func TestSolveDeadlinePartialResume(t *testing.T) {
 
 // TestSolveTreeCap: SolveMaxNodes caps the nodes of one proof tree, not
 // each request's share of it. A solve of a position far too big to
-// finish stops within the cap plus one fan-out per worker, and the
-// requests that resume its parked tree, with or without a budget of
-// their own, leave it there.
+// finish stops within the cap plus one fan-out per worker. A tree at the
+// cap could not grow on resume, so it is dropped, not parked, and its
+// answer, budget_exhausted, is final: the repeats, with or without a
+// budget of their own, get it from the result cache.
 func TestSolveTreeCap(t *testing.T) {
 	const capNodes, workers = 3000, 2
 	s, ts := newTestServer(t, Config{Workers: workers, Pools: 1, SolveMaxNodes: capNodes})
@@ -170,18 +173,61 @@ func TestSolveTreeCap(t *testing.T) {
 	limit := int64(capNodes + workers*len(pos.Moves()))
 	for i, budget := range []int64{0, 0, capNodes} {
 		code, resp, fail := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "20,30,40,50", MaxNodes: budget})
-		if code != http.StatusOK || !resp.Partial || resp.Resumed != (i > 0) {
-			t.Fatalf("request %d: status %d partial=%v resumed=%v (%+v)", i, code, resp.Partial, resp.Resumed, fail)
+		if code != http.StatusOK || resp.Partial || resp.Resumed || resp.Status != SolveBudgetExhausted || resp.Cached != (i > 0) {
+			t.Fatalf("request %d: status %d partial=%v resumed=%v status=%q cached=%v (%+v)",
+				i, code, resp.Partial, resp.Resumed, resp.Status, resp.Cached, fail)
 		}
-		solver, ok := s.parked.take(key)
+		if _, ok := s.parked.take(key); ok {
+			t.Fatalf("request %d: the capped tree was parked", i)
+		}
+		out, ok := s.solve.cache.get(key)
 		if !ok {
-			t.Fatalf("request %d: no parked solver", i)
+			t.Fatalf("request %d: the capped answer is not cached", i)
 		}
-		if tree := solver.Progress().TreeNodes; tree < capNodes || tree > limit {
-			t.Fatalf("request %d: parked tree has %d nodes, cap %d, limit %d", i, tree, capNodes, limit)
+		if tree := out.progress.TreeNodes; tree < capNodes || tree > limit {
+			t.Fatalf("request %d: capped tree has %d nodes, cap %d, limit %d", i, tree, capNodes, limit)
 		}
-		s.parked.put(key, solver)
 	}
+}
+
+// TestSolveStoreByteBudget: a flood of distinct deep solves, each
+// stopped by its own budget below the cap and parked, keeps the store
+// within its byte budget (one tree at SolveMaxNodes), where a count
+// bound alone would keep all 32. The heap is checked too, after a GC:
+// it may grow by the budget plus 2 MiB of slack for the runtime, the
+// HTTP connection and the table.
+func TestSolveStoreByteBudget(t *testing.T) {
+	const capNodes, perSolve, solves = 20000, 5000, 40
+	s, ts := newTestServer(t, Config{Workers: 2, Pools: 1, SolveMaxNodes: capNodes, TableEntries: 1 << 10})
+	budget := int64(capNodes * solveNodeBytes)
+	if code, _, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "1,2,3"}); code != http.StatusOK {
+		t.Fatalf("warm-up status %d", code)
+	}
+	base := liveHeap()
+	for i := 0; i < solves; i++ {
+		pos := fmt.Sprintf("20,30,%d,%d", 40+i%20, 50+i/20)
+		code, resp, fail := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: pos, MaxNodes: perSolve})
+		if code != http.StatusOK || !resp.Partial {
+			t.Fatalf("%s: status %d partial=%v (%+v)", pos, code, resp.Partial, fail)
+		}
+		if held := s.parked.bytes(); held > budget {
+			t.Fatalf("after %d solves the store holds %d bytes, budget %d", i+1, held, budget)
+		}
+	}
+	if n := s.parked.len(); n < 2 || n >= solves {
+		t.Fatalf("%d trees parked, want more than one and fewer than %d", n, solves)
+	}
+	if grew := int64(liveHeap()) - int64(base); grew > budget+2<<20 {
+		t.Fatalf("live heap grew %d bytes over the flood, budget %d + 2 MiB slack", grew, budget)
+	}
+}
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // TestSolveStream reads the newline-delimited streaming response: zero

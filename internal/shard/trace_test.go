@@ -240,6 +240,7 @@ func TestShardPromSections(t *testing.T) {
 	for _, want := range []string{
 		"gametree_shard_ring_size 2",
 		"gametree_shard_self_proc 1",
+		"# TYPE gametree_memory_bytes gauge\ngametree_memory_bytes{owner=\"table\"} ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("worker section missing %q in:\n%s", want, out)

@@ -33,7 +33,8 @@ type WorkerConfig struct {
 	// PoolWorkers sizes the resident search pool (0 = GOMAXPROCS).
 	PoolWorkers int
 	// TableEntries sizes the local transposition table (0 disables it,
-	// which also disables the remote tier).
+	// which also disables the remote tier). Its memory is taken on the
+	// first store, local or remote.
 	TableEntries int
 	// PingEvery paces liveness pings to the coordinator (default 500ms).
 	PingEvery time.Duration
@@ -440,7 +441,8 @@ func (w *Worker) Epoch() uint64 { return w.epoch.Load() }
 
 // PromSection publishes this worker's view of the ring (membership plus
 // its own id) for telemetry.Recorder.AddPromSection, so every role's
-// /metrics answers "who is in the ring" without asking the coordinator.
+// /metrics answers "who is in the ring" without asking the coordinator,
+// and the bytes its table holds (0 until the first store).
 func (w *Worker) PromSection() func(io.Writer) error {
 	return func(out io.Writer) error {
 		procs := append([]int(nil), w.cfg.Workers...)
@@ -452,8 +454,11 @@ func (w *Worker) PromSection() func(io.Writer) error {
 			"Latest coordinator membership epoch seen by this process.", int64(w.epoch.Load())); err != nil {
 			return err
 		}
-		return telemetry.PromGauge(out, "gametree_shard_self_proc",
-			"This process's shard processor id.", int64(w.cfg.Self))
+		if err := telemetry.PromGauge(out, "gametree_shard_self_proc",
+			"This process's shard processor id.", int64(w.cfg.Self)); err != nil {
+			return err
+		}
+		return telemetry.PromMemory(out, telemetry.MemoryOwner{Owner: "table", Bytes: w.table.Bytes()})
 	}
 }
 

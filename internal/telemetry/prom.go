@@ -157,6 +157,28 @@ func PromGauge(w io.Writer, name, help string, v int64) error {
 	return err
 }
 
+// MemoryOwner is one sample of the gametree_memory_bytes gauge family:
+// the bytes one owner of memory (the transposition table, the
+// parked-solver store) holds.
+type MemoryOwner struct {
+	Owner string
+	Bytes int64
+}
+
+// PromMemory writes the gametree_memory_bytes family, one sample per
+// owner in the order given.
+func PromMemory(w io.Writer, owners ...MemoryOwner) error {
+	if err := promHeader(w, "gametree_memory_bytes", "Bytes held, by owner.", "gauge"); err != nil {
+		return err
+	}
+	for _, o := range owners {
+		if _, err := fmt.Fprintf(w, "gametree_memory_bytes{owner=%q} %d\n", o.Owner, o.Bytes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // PromHistogram writes one histogram family with the recorder's
 // cumulative log₂ bucket scheme.
 func PromHistogram(w io.Writer, name, help string, s metrics.HistSnapshot) error {

@@ -379,3 +379,19 @@ func TestPromHandler(t *testing.T) {
 		t.Fatal("nil recorder exposition incomplete")
 	}
 }
+
+// TestPromMemory pins the per-owner memory family byte-for-byte.
+func TestPromMemory(t *testing.T) {
+	var sb strings.Builder
+	if err := PromMemory(&sb, MemoryOwner{"table", 16 << 20}, MemoryOwner{"solve_store", 0}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP gametree_memory_bytes Bytes held, by owner.
+# TYPE gametree_memory_bytes gauge
+gametree_memory_bytes{owner="table"} 16777216
+gametree_memory_bytes{owner="solve_store"} 0
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+}

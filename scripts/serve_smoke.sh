@@ -8,6 +8,8 @@
 #   - a mixed random workload completes against the same process;
 #   - /metrics exposes the serve families next to the engine families
 #     (scrape saved as a CI artifact);
+#   - the table takes its memory on the first store: 0 table bytes on
+#     /metrics right after boot, 16 per entry after the ttt burst;
 #   - overload: an open-loop arrival rate far above capacity must be
 #     shed with 429/503, not absorbed or crashed on;
 #   - SIGTERM drains cleanly: in-flight answered, exit code 0.
@@ -30,8 +32,9 @@ go build -race -o "$BIN/gtserve" ./cmd/gtserve
 go build -race -o "$BIN/gtload" ./cmd/gtload
 
 PORTFILE="$BIN/port"
+TABLE=65536
 "$BIN/gtserve" -addr 127.0.0.1:0 -portfile "$PORTFILE" \
-    -pools 2 -workers 2 -queue 2 -cache 256 2>"$ART/gtserve.log" &
+    -pools 2 -workers 2 -queue 2 -cache 256 -table "$TABLE" 2>"$ART/gtserve.log" &
 SRV=$!
 for _ in $(seq 1 100); do [ -s "$PORTFILE" ] && break; sleep 0.1; done
 [ -s "$PORTFILE" ] || { echo "serve_smoke: server never bound"; exit 1; }
@@ -39,9 +42,20 @@ URL="http://$(tr -d '\n' <"$PORTFILE")"
 
 curl -fsS "$URL/healthz" >"$ART/healthz.json"
 
+table_bytes() { # table_bytes <scrape file> -> the table's memory sample
+    awk '/^gametree_memory_bytes\{owner="table"\} /{print $2}' "$1"
+}
+echo "== table memory at boot (none before the first store) =="
+curl -fsS "$URL/metrics" >"$ART/metrics-boot.prom"
+[ "$(table_bytes "$ART/metrics-boot.prom")" = "0" ] || {
+    echo "serve_smoke: table holds memory at boot: $(table_bytes "$ART/metrics-boot.prom")"; exit 1; }
+
 echo "== exact-value burst (ttt, depth 9: every answer must be the draw) =="
 "$BIN/gtload" -url "$URL" -game ttt -depth 9 -clients 4 -duration 2s \
     -expect 0 | tee "$ART/gtload-ttt.txt"
+curl -fsS "$URL/metrics" >"$ART/metrics-ttt.prom"
+[ "$(table_bytes "$ART/metrics-ttt.prom")" = "$((16 * TABLE))" ] || {
+    echo "serve_smoke: table after the ttt burst holds $(table_bytes "$ART/metrics-ttt.prom") bytes, want $((16 * TABLE))"; exit 1; }
 
 echo "== mixed random workload (closed loop) =="
 "$BIN/gtload" -url "$URL" -game random -depth 7 -dup 0.75 -hot 8 \
