@@ -55,9 +55,11 @@ chaos:
 	$(GO) test -race -short -count=1 -run 'ShardChaosMatrix|ProtocolExplorer|EpochFencing|ReissueStaleDeadRing|Quarantine|WorkerCrashReissue|WorkerRejoin|PeerRestart|DegradedEmptyRing|Injector|Seed|Lane|Validate|Panic|YBWC|Park|Close|Horizon|Cascade' \
 		./internal/faultnet/ ./internal/shard/ ./internal/engine/
 
-# Fuzzing on a bounded budget, split evenly between the three decoders
-# of outside input, the Connect-4 bitboard, the canonical Nim and Kayles
-# positions, the table's entry word and its proof-number entries:
+# Fuzzing on a bounded budget, split evenly between ten targets: the
+# three decoders of outside input, the explicit-tree S-expression parser
+# and binary decoder, the tic-tac-toe board parser, the Connect-4
+# bitboard, the canonical Nim and Kayles positions, the table's entry
+# word and its proof-number entries:
 # the length-prefixed TCP frame reader must never panic or over-allocate
 # on arbitrary bytes, the shard envelope codec must never panic, must
 # refuse a task with an empty window and must round-trip whatever it
@@ -72,15 +74,20 @@ chaos:
 # best move and generation clamped or wrapped to their fields, and a
 # proof-number pair must read back exact up to 0xFFFE (and infinity),
 # saturated above it, from an entry alpha-beta sees as BoundPN only.
-# The seeded unit forms of all seven already ride in `test` and `race`;
+# The explicit-tree parser and decoder and the board parser must never
+# panic, and accept only valid trees and plausible boards.
+# The seeded unit forms of all ten already ride in `test` and `race`;
 # this throws randomized mutations at them for FUZZTIME in total (whole
 # seconds, default 30s) and is wired into the CI race matrix.
 FUZZTIME ?= 30s
 fuzz:
-	each=$$(( $(FUZZTIME:s=) / 7 ))s; \
+	each=$$(( $(FUZZTIME:s=) / 10 ))s; \
 	$(GO) test -race -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=$$each ./internal/transport/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzEnvelopeCodec -fuzztime=$$each ./internal/shard/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzParsePosition -fuzztime=$$each ./internal/serve/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzParseSExpr -fuzztime=$$each ./internal/tree/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=$$each ./internal/tree/ && \
+	$(GO) test -race -run='^$$' -fuzz=FuzzParseTTT -fuzztime=$$each ./internal/games/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzConnect4 -fuzztime=$$each ./internal/games/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzImpartialMoves -fuzztime=$$each ./internal/games/ && \
 	$(GO) test -race -run='^$$' -fuzz=FuzzTTEntryPacking -fuzztime=$$each ./internal/engine/ && \

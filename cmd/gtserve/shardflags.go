@@ -53,7 +53,8 @@ func parsePeers(spec string) (map[int]string, error) {
 // workerProcs resolves the ring membership. The explicit -shard-procs
 // list wins (and is mandatory for workers that learn their peers from
 // hellos rather than flags — every process must agree on the ring, or
-// the consistent-hash owners diverge); otherwise membership is derived
+// a worker reports a membership the coordinator does not route by);
+// otherwise membership is derived
 // from the peer table: every proc id above 0 (0 is the coordinator by
 // convention), plus self when self is a worker.
 func workerProcs(spec string, peers map[int]string, self int) ([]int, error) {

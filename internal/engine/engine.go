@@ -276,7 +276,7 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 			e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
 		}
 		ttBest := -1
-		if v, d, flag, tb, hit := e.table.ProbeAt(hash, depth); hit {
+		if v, d, flag, tb, hit := e.table.Probe(hash); hit {
 			if e.tm != nil {
 				e.tm.TTHits.Add(1)
 			}
@@ -365,7 +365,7 @@ func search[P Game[P]](e *searcher, b *buffers[P], pos *P, depth int, alpha, bet
 		case best >= beta:
 			flag = BoundLower
 		}
-		evicted := e.table.StoreShared(hash, int32(best), depth, flag, bestIdx)
+		evicted := e.table.Store(hash, int32(best), depth, flag, bestIdx)
 		if e.tm != nil {
 			e.tm.TTStores.Add(1)
 			if evicted {

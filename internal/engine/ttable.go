@@ -14,41 +14,17 @@ type Hasher interface {
 	Hash() uint64
 }
 
-// Bound flags for table entries. Exported so the shard tier can carry
-// entries between processes in the two-level table. BoundPN marks a
-// proof-number entry: the value lane carries packed proof/disproof
-// numbers instead of a negamax score. Alpha-beta probes fall through
-// every case of their bound switch on it (and PN probes ignore the other
-// three), so the two engines share one table without misreading each
-// other's entries.
+// Bound flags for table entries. BoundPN marks a proof-number entry:
+// the value lane carries packed proof/disproof numbers instead of a
+// negamax score. Alpha-beta probes fall through every case of their
+// bound switch on it (and PN probes ignore the other three), so the two
+// engines share one table without misreading each other's entries.
 const (
 	BoundExact uint64 = iota
 	BoundLower
 	BoundUpper
 	BoundPN
 )
-
-// RemoteTT is the remote half of a two-level transposition table: a
-// client that forwards traffic to the shard owning a hash. Both methods
-// MUST be non-blocking and asynchronous — they run on the search hot
-// path. A remote probe does not return the entry; the remote layer
-// installs any reply into the local table (Store), so it pays off on the
-// NEXT probe of the same position. That keeps the hot path free of
-// network latency while still sharing deep results between shards.
-type RemoteTT interface {
-	// Probe asks the owning shard for its entry of hash, on behalf of a
-	// local probe at the given remaining depth.
-	Probe(hash uint64, depth int)
-	// Store forwards a locally stored entry to the owning shard.
-	Store(hash uint64, value int32, depth int, flag uint64, best int)
-}
-
-// remoteHook pairs a remote client with its depth gate. Swapped
-// atomically so SetRemote is safe against concurrent searches.
-type remoteHook struct {
-	r        RemoteTT
-	minDepth int
-}
 
 // Entry packing: [ value:32 | depth:10 | gen:6 | flag:2 | best:14 ].
 const (
@@ -88,11 +64,10 @@ const (
 // transposes holds none. Probes of a table without a slab miss without
 // touching memory.
 type Table struct {
-	slab   atomic.Pointer[slab] // nil until the first store
-	grow   sync.Mutex           // serializes the slab's one allocation
-	mask   uint64               // bucket-index mask
-	gen    atomic.Uint32        // current generation (aging clock)
-	remote atomic.Pointer[remoteHook]
+	slab atomic.Pointer[slab] // nil until the first store
+	grow sync.Mutex           // serializes the slab's one allocation
+	mask uint64               // bucket-index mask
+	gen  atomic.Uint32        // current generation (aging clock)
 }
 
 // slab is a table's entry memory: 2 words per entry, bucketWays entries
@@ -145,8 +120,8 @@ func (t *Table) Advance() {
 // into one word. Negative depths (depth-unlimited searches, which carry
 // exact-to-terminal results) and depths beyond the field width clamp to
 // ttDepthMax, so a later `stored >= wanted` probe comparison stays sound
-// instead of wrapping around. The flag keeps its two bits only: a flag
-// off the wire (ttstore, ttreply) cannot spill into the generation.
+// instead of wrapping around. The flag keeps its two bits only, so it
+// cannot spill into the generation.
 func packEntry(value int32, depth int, flag uint64, best, gen int) uint64 {
 	if depth < 0 || depth > ttDepthMax {
 		depth = ttDepthMax
@@ -302,80 +277,24 @@ func unpackPNHalf(h uint64) uint32 {
 // StorePN records proof/disproof numbers for the position with the given
 // hash. Solved entries (pn or dn zero: a decided subtree, exact forever)
 // are stored at the maximum depth, so the depth-preferred replacement
-// keeps them ahead of unsolved hints and the two-level remote tier
-// forwards them to the owning shard; unsolved snapshots stay at depth 1 —
-// local move-ordering fuel, too volatile to ship. The eviction return
-// matches Store.
+// keeps them ahead of unsolved hints; unsolved snapshots stay at depth 1,
+// move-ordering fuel only. The eviction return matches Store.
 func (t *Table) StorePN(hash uint64, pn, dn uint32) bool {
 	depth := 1
 	if pn == 0 || dn == 0 {
 		depth = ttDepthMax
 	}
 	value := int32(packPNHalf(pn)<<16 | packPNHalf(dn))
-	return t.StoreShared(hash, value, depth, BoundPN, -1)
+	return t.Store(hash, value, depth, BoundPN, -1)
 }
 
 // ProbePN looks up proof/disproof numbers, ignoring entries of any other
-// bound kind (ok false). On a complete miss an asynchronous remote probe
-// is issued at the solved-entry depth, so shards cross-seed solved
-// subtrees; a live local entry — even an unsolved hint — suppresses the
-// remote traffic, which would otherwise fire on every expansion.
+// bound kind (ok false).
 func (t *Table) ProbePN(hash uint64) (pn, dn uint32, ok bool) {
 	value, _, flag, _, hit := t.Probe(hash)
-	if t != nil && !hit {
-		if h := t.remote.Load(); h != nil {
-			h.r.Probe(hash, ttDepthMax)
-		}
-	}
 	if !hit || flag != BoundPN {
 		return 0, 0, false
 	}
 	v := uint64(uint32(value))
 	return unpackPNHalf(v >> 16), unpackPNHalf(v & 0xFFFF), true
-}
-
-// SetRemote attaches (or, with nil, detaches) the remote half of a
-// two-level table. Probes and stores at remaining depth >= minDepth are
-// mirrored to the remote client: shallow traffic — the overwhelming bulk,
-// and the least valuable — stays local, so the remote window never
-// saturates on leaf-adjacent positions.
-func (t *Table) SetRemote(r RemoteTT, minDepth int) {
-	if t == nil {
-		return
-	}
-	if r == nil {
-		t.remote.Store(nil)
-		return
-	}
-	t.remote.Store(&remoteHook{r: r, minDepth: minDepth})
-}
-
-// ProbeAt is Probe plus the remote tier: on a local miss (or a local
-// entry too shallow for depth) it issues an asynchronous remote probe and
-// returns the local result immediately. The remote reply, if one comes,
-// lands in this table for later probes of the same position.
-func (t *Table) ProbeAt(hash uint64, depth int) (value int32, d int, flag uint64, best int, ok bool) {
-	value, d, flag, best, ok = t.Probe(hash)
-	if t == nil {
-		return
-	}
-	if h := t.remote.Load(); h != nil && depth >= h.minDepth && (!ok || d < depth) {
-		h.r.Probe(hash, depth)
-	}
-	return
-}
-
-// StoreShared is Store plus the remote tier: entries deep enough for the
-// depth gate are also forwarded (asynchronously) to the owning shard.
-// The remote layer itself installs replies and remote stores via plain
-// Store, which never forwards — that asymmetry is what prevents echo.
-func (t *Table) StoreShared(hash uint64, value int32, depth int, flag uint64, best int) bool {
-	evicted := t.Store(hash, value, depth, flag, best)
-	if t == nil {
-		return false
-	}
-	if h := t.remote.Load(); h != nil && depth >= h.minDepth {
-		h.r.Store(hash, value, depth, flag, best)
-	}
-	return evicted
 }

@@ -248,9 +248,8 @@ func TestSearchParallelTTMatchesPlain(t *testing.T) {
 }
 
 // FuzzTTEntryPacking holds the entry word to its packing contract over
-// arbitrary fields — windowed searches, local and forwarded over the
-// shard ring's ttstore, store lower and upper bounds as well as exact
-// values. The value and flag round-trip; a negative or oversized depth
+// arbitrary fields — windowed searches store lower and upper bounds as
+// well as exact values. The value and flag round-trip; a negative or oversized depth
 // clamps to ttDepthMax; a best index outside [0, ttNoMove) maps to the
 // no-move sentinel; the generation wraps to its field; and no field's
 // out-of-range input leaks into another.
@@ -281,7 +280,7 @@ func FuzzTTEntryPacking(f *testing.F) {
 // FuzzPNEntry holds a proof-number entry to its contract over any pair of
 // numbers: a StorePN → ProbePN round trip returns 0 and PNInf exactly,
 // every finite number up to 0xFFFE exactly, and any larger finite number
-// as 0xFFFE; and the alpha-beta view of the same entry (ProbeAt) reads it
+// as 0xFFFE; and the alpha-beta view of the same entry (Probe) reads it
 // as BoundPN with no best move, so the search body's bound switch, which
 // cuts only on BoundExact, BoundLower and BoundUpper, can never cut on it.
 func FuzzPNEntry(f *testing.F) {
@@ -304,9 +303,9 @@ func FuzzPNEntry(f *testing.F) {
 			t.Fatalf("StorePN(%#x, %d, %d) probes as (%d, %d, %v), want (%d, %d, true)",
 				hash, pn, dn, gotPN, gotDN, ok, want(pn), want(dn))
 		}
-		_, _, flag, best, hit := tab.ProbeAt(hash, 1)
+		_, _, flag, best, hit := tab.Probe(hash)
 		if !hit || flag != BoundPN || best != -1 {
-			t.Fatalf("ProbeAt of a PN entry: flag %d, best %d, hit %v; want BoundPN, -1, true", flag, best, hit)
+			t.Fatalf("Probe of a PN entry: flag %d, best %d, hit %v; want BoundPN, -1, true", flag, best, hit)
 		}
 	})
 }

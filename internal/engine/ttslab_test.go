@@ -5,19 +5,14 @@ import (
 	"testing"
 )
 
-// A table that is only probed — plainly, through the remote tier, or by
-// the proof-number solver — misses and never takes its slab.
+// A table that is only probed — plainly or by the proof-number solver —
+// misses and never takes its slab.
 func TestTableProbeOnlyTakesNoMemory(t *testing.T) {
 	tab := NewTable(1 << 16)
 	capacity := tab.Len()
-	rem := &fakeRemote{}
-	tab.SetRemote(rem, 0)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, _, _, ok := tab.Probe(7); ok {
 			t.Fatal("Probe hit an empty table")
-		}
-		if _, _, _, _, ok := tab.ProbeAt(7, 9); ok {
-			t.Fatal("ProbeAt hit an empty table")
 		}
 		if _, _, ok := tab.ProbePN(7); ok {
 			t.Fatal("ProbePN hit an empty table")
@@ -28,9 +23,6 @@ func TestTableProbeOnlyTakesNoMemory(t *testing.T) {
 	}
 	if tab.slab.Load() != nil || tab.Bytes() != 0 {
 		t.Fatalf("probes took the slab: %d bytes", tab.Bytes())
-	}
-	if len(rem.probes) == 0 {
-		t.Error("a miss at the remote gate no longer asks the remote tier")
 	}
 	if tab.Len() != capacity {
 		t.Errorf("Len %d before any store, want %d", tab.Len(), capacity)
@@ -48,13 +40,11 @@ func TestTableProbeOnlyTakesNoMemory(t *testing.T) {
 	}
 }
 
-// Every store path takes the slab: Store (which the remote tier uses to
-// install replies and remote stores), StoreShared and StorePN.
+// Every store path takes the slab: Store and StorePN.
 func TestTableEveryStorePathAllocates(t *testing.T) {
 	for name, store := range map[string]func(*Table){
-		"Store":       func(tab *Table) { tab.Store(9, 1, 4, BoundLower, 0) },
-		"StoreShared": func(tab *Table) { tab.StoreShared(9, 1, 4, BoundLower, 0) },
-		"StorePN":     func(tab *Table) { tab.StorePN(9, 0, PNInf) },
+		"Store":   func(tab *Table) { tab.Store(9, 1, 4, BoundLower, 0) },
+		"StorePN": func(tab *Table) { tab.StorePN(9, 0, PNInf) },
 	} {
 		tab := NewTable(64)
 		store(tab)

@@ -25,8 +25,8 @@
 //
 // Solved subtrees are shared through the engine's transposition table:
 // proof/disproof numbers pack into the standard entry layout under the
-// BoundPN flag (see engine.StorePN), so PN solvers, alpha-beta searches
-// and the two-level remote table all trade work through one structure.
+// BoundPN flag (see engine.StorePN), so PN solvers and alpha-beta
+// searches trade work through one structure.
 package pns
 
 import (
@@ -486,8 +486,8 @@ func recompute(n *node) (phi, delta uint32) {
 }
 
 // storePN shares a node's current numbers through the transposition
-// table (solved entries travel to the remote tier; unsolved ones stay
-// local hints — see engine.StorePN).
+// table (solved entries are kept deep, unsolved ones are move-ordering
+// hints — see engine.StorePN).
 func (s *Solver) storePN(n *node) {
 	if n.hashed {
 		phi, delta := n.numbers()

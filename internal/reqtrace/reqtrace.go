@@ -5,10 +5,9 @@
 // ring: gtserve mints a trace ID per sampled request (or adopts an
 // inbound X-GT-Trace header), the ID rides the serve context into the
 // shard coordinator, crosses the wire in every task envelope, survives
-// reissue to a ring successor, and stamps the worker's compute,
-// done-cache and remote-TT activity — so the question "where did this
-// request's 80ms go?" has a per-stage answer instead of a histogram
-// shrug.
+// reissue to a ring successor, and stamps the worker's queue, compute
+// and done-cache activity — so the question "where did this request's
+// 80ms go?" has a per-stage answer instead of a histogram shrug.
 //
 // Design points, in the spirit of the PR 2 telemetry layer:
 //
@@ -51,19 +50,18 @@ import (
 // Stage names. Stable strings: they are the JSON schema, the Chrome
 // trace event names and the Prometheus stage label values.
 const (
-	StageRequest     = "request"      // serve: whole HTTP request, admission to response
-	StageQueue       = "queue"        // serve: leader's wait for a pool token; worker: task queue residence
-	StageSearch      = "search"       // serve: leader's backend/pool search, start to settle
-	StageExpand      = "expand"       // coordinator: root expansion to the task frontier
-	StageRoute       = "route"        // coordinator: consistent-hash routing + dispatch of one cascade wave
-	StageRPC         = "rpc"          // coordinator: one task in flight, first dispatch to result
-	StageFold        = "fold"         // coordinator: the cascade's last folds, latest wave settled to root value
-	StageCompute     = "compute"      // worker: one task's pool search
-	StageDoneCache   = "done-cache"   // worker: a reissued duplicate re-answered from the result cache
-	StageRemoteProbe = "remote-probe" // worker: remote TT probe, send to reply
-	StageReissue     = "reissue"      // coordinator: a stale task re-sent to a ring successor
-	StageRejoin      = "rejoin"       // coordinator: a worker admitted back; DurNs is the outage when one preceded
-	StageLocal       = "local"        // coordinator: a leaf computed on the fallback pool (degraded mode)
+	StageRequest   = "request"    // serve: whole HTTP request, admission to response
+	StageQueue     = "queue"      // serve: leader's wait for a pool token; worker: task queue residence
+	StageSearch    = "search"     // serve: leader's backend/pool search, start to settle
+	StageExpand    = "expand"     // coordinator: root expansion to the task frontier
+	StageRoute     = "route"      // coordinator: consistent-hash routing + dispatch of one cascade wave
+	StageRPC       = "rpc"        // coordinator: one task in flight, first dispatch to result
+	StageFold      = "fold"       // coordinator: the cascade's last folds, latest wave settled to root value
+	StageCompute   = "compute"    // worker: one task's pool search
+	StageDoneCache = "done-cache" // worker: a reissued duplicate re-answered from the result cache
+	StageReissue   = "reissue"    // coordinator: a stale task re-sent to a ring successor
+	StageRejoin    = "rejoin"     // coordinator: a worker admitted back; DurNs is the outage when one preceded
+	StageLocal     = "local"      // coordinator: a leaf computed on the fallback pool (degraded mode)
 )
 
 // stageIndex maps a stage name onto its histogram slot. Unknown stages
@@ -71,7 +69,7 @@ const (
 // recorded as spans but not histogrammed.
 var stageNames = [...]string{
 	StageRequest, StageQueue, StageSearch, StageExpand, StageRoute,
-	StageRPC, StageFold, StageCompute, StageDoneCache, StageRemoteProbe,
+	StageRPC, StageFold, StageCompute, StageDoneCache,
 	StageReissue, StageRejoin, StageLocal,
 }
 

@@ -1,7 +1,7 @@
 package shard
 
 // The shard-protocol chaos matrix: the whole tier — coordinator, two
-// workers, task/result/ping/hello/TT traffic — runs over one shared
+// workers, task/result/ping/hello traffic — runs over one shared
 // faultnet.Injector, and every fault kind the injector knows must leave
 // root values bit-identical to the sequential engine, with membership
 // converging back to a full ring (same epoch everywhere) once the fault

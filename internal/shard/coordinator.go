@@ -42,7 +42,7 @@ type Config struct {
 	// Self is this coordinator's processor id (conventionally 0).
 	Self int
 	// Workers lists the worker processor ids; they form the consistent-
-	// hash ring for both task routing and TT ownership.
+	// hash ring tasks are routed on.
 	Workers []int
 	// ExpandDepth is how many plies a search is expanded before its
 	// frontier is searched (default 1: the root's children). The
@@ -73,7 +73,8 @@ type Config struct {
 	// HelloEvery paces the peer-table broadcast (default 1s).
 	HelloEvery time.Duration
 	// PeerAddrs maps processor ids to transport addresses; announced in
-	// hellos so workers can open worker-to-worker TT streams. Optional.
+	// hellos so a worker started without peer addresses learns the
+	// coordinator's. Optional.
 	PeerAddrs map[int]string
 	// Telemetry records ShardTasks/ShardReissues and the shard_rpc_ns
 	// round-trip histogram on its shard 0. Optional.

@@ -8,8 +8,11 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -235,5 +238,53 @@ func TestLocalEvaluatorNodes(t *testing.T) {
 	t.Logf("%d roots at depth %d: local %d nodes, pool %d (%+.2f%%)", roots, depth, folded, plain, 100*excess)
 	if excess > 0.01 {
 		t.Errorf("the local evaluator visited %+.2f%% nodes over a plain pool search, want within 1%%", 100*excess)
+	}
+}
+
+// TestTiedBestIsOptimal: on the three Connect-4 roots whose depth-5
+// value several moves reach, a tabled local server and a two-worker ring
+// return the same value, and each returns as best one of the optimal
+// moves — one whose depth-4 value is the negation of the root's. Which
+// tied move it is depends on the backend: the table orders the children
+// of table nodes, the ring returns engine.Search's move.
+func TestTiedBestIsOptimal(t *testing.T) {
+	cl := newCluster(t, 2)
+	backends := []struct {
+		name string
+		srv  *serve.Server
+	}{
+		{"local", serve.New(serve.Config{Workers: 2})},
+		{"ring", serve.New(serve.Config{Backend: cl.coord, CacheEntries: -1})},
+	}
+	for _, b := range backends {
+		t.Cleanup(func() { _ = b.srv.Drain(context.Background()) })
+	}
+	for _, tc := range fanOutCases[:3] {
+		p, _, err := serve.ParsePosition(tc.game, tc.pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kids := p.Moves()
+		var values []int32
+		for _, b := range backends {
+			rec := httptest.NewRecorder()
+			body := fmt.Sprintf(`{"game":%q,"position":%q,"depth":%d}`, tc.game, tc.pos, tc.depth)
+			b.srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(body)))
+			var resp serve.SearchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+				t.Fatalf("%s %q: status %d, %v: %s", b.name, tc.pos, rec.Code, err, rec.Body)
+			}
+			if resp.Best < 0 || resp.Best >= len(kids) {
+				t.Fatalf("%s %q: best %d outside the %d moves", b.name, tc.pos, resp.Best, len(kids))
+			}
+			if v := engine.Search(kids[resp.Best], tc.depth-1).Value; v != -resp.Value {
+				t.Errorf("%s %q: best %d is worth %d to the mover, the root %d", b.name, tc.pos, resp.Best, -v, resp.Value)
+			}
+			t.Logf("%s %q d=%d: value %d best %d", b.name, tc.pos, tc.depth, resp.Value, resp.Best)
+			values = append(values, resp.Value)
+		}
+		if values[0] != values[1] {
+			t.Errorf("%q: local value %d, ring value %d", tc.pos, values[0], values[1])
+		}
 	}
 }

@@ -28,9 +28,6 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		{Kind: KindResult, ID: 7, Value: -5, Best: 2, Nodes: 4096, SentNs: 12, Trace: "tr-1", Epoch: 3},
 		{Kind: KindResult, ID: 8, Err: "shard: unknown game", Epoch: 3},
 		{Kind: KindPing, SentNs: 13, EchoNs: 11, Boot: 0xdeadbeef, Addr: "127.0.0.1:7002"},
-		{Kind: KindTTProbe, Hash: 0x9e3779b97f4a7c15, SentNs: 14},
-		{Kind: KindTTReply, Hash: 0x9e3779b97f4a7c15, Flag: 2, Value: 1, Best: 0, Depth: 9, SentNs: 14},
-		{Kind: KindTTStore, Hash: 1, Flag: 1, Value: -3, Best: 4, Depth: 10},
 	} {
 		b, err := c.Encode(e)
 		if err != nil {
@@ -38,6 +35,11 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// Frames of the retired remote-table kinds, which Decode rejects as
+	// unknown.
+	f.Add([]byte(`{"kind":"ttprobe","hash":11400714819323198485,"sent_ns":14}`))
+	f.Add([]byte(`{"kind":"ttreply","hash":11400714819323198485,"value":1,"depth":9,"flag":2,"sent_ns":14}`))
+	f.Add([]byte(`{"kind":"ttstore","hash":1,"value":-3,"best":4,"depth":10,"flag":1}`))
 	f.Add([]byte(`{"kind":"hello","peers":{}}`))
 	f.Add([]byte(`{"kind":"nope"}`))
 	f.Add([]byte(`{{`))

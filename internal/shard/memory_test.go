@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"gametree/internal/faultnet"
 )
 
 // workerTableBytes reads the worker's table sample off its /metrics
@@ -46,29 +44,5 @@ func TestWorkerTableMemory(t *testing.T) {
 	}
 	if got, want := workerTableBytes(t, w), fmt.Sprint(16*w.table.Len()); got != want {
 		t.Fatalf("after a connect4 search: worker table holds %s bytes, want %s", got, want)
-	}
-}
-
-// TestRemoteInstallTakesSlab: an entry the shard tier installs — a
-// ttstore from a peer, or the reply to this worker's own remote probe —
-// is a store, and takes the table's slab.
-func TestRemoteInstallTakesSlab(t *testing.T) {
-	for _, kind := range []string{KindTTStore, KindTTReply} {
-		w := NewWorker(WorkerConfig{Self: 1, Workers: []int{1, 2}, PoolWorkers: 1, TableEntries: 1 << 10})
-		defer w.pool.Close() // never started: no network to close
-		const hash = 0x9e3779b97f4a7c15
-		if kind == KindTTReply {
-			w.outstanding[hash] = probeSent{}
-		}
-		if w.table.Bytes() != 0 {
-			t.Fatalf("%s: a new worker's table holds %d bytes", kind, w.table.Bytes())
-		}
-		w.deliver(faultnet.Packet{From: 2, To: 1, Payload: &Envelope{Kind: kind, Hash: hash, Value: 7, Depth: 9}})
-		if got, want := w.table.Bytes(), int64(16*w.table.Len()); got != want {
-			t.Fatalf("%s: table holds %d bytes after the install, want %d", kind, got, want)
-		}
-		if v, _, _, _, ok := w.table.Probe(hash); !ok || v != 7 {
-			t.Fatalf("%s: installed entry reads back ok=%v v=%d", kind, ok, v)
-		}
 	}
 }

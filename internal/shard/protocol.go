@@ -260,8 +260,7 @@ func (p *protocol) result(now time.Time, from int, env *Envelope) []action {
 // DeadAfter — bumps the membership epoch: tasks issued from here on carry
 // the new epoch, and anything the previous incarnation still answers is
 // fenced. A changed address re-routes the worker, and a rejoin
-// re-announces the peer table at once so the worker can rebuild its
-// worker-to-worker TT streams without waiting a tick.
+// re-announces the peer table and epoch at once, without waiting a tick.
 func (p *protocol) ping(now time.Time, from int, env *Envelope) []action {
 	if !slices.Contains(p.workers, from) {
 		return nil // not a ring member

@@ -4,15 +4,13 @@
 // (a task goes to the first live worker in ring order from its key's
 // hash whose in-flight count is under an even share, so an idle ring
 // keeps each key on its hash owner), each worker running a resident
-// engine.Pool over its own transposition table, with deep entries shared
-// between workers through a two-level table (local bucketed probe first,
-// asynchronous remote probe to the hash's owning shard on a miss; table
-// entries always go to their plain hash owner). Everything crosses
-// processes over the internal/transport TCP realization of
-// faultnet.Network, so the tier inherits the transport's lossy contract
-// and supplies its own reliability: task timeout plus reissue to another
-// live worker at the coordinator, result dedup at the workers, liveness
-// via worker pings.
+// engine.Pool over its own transposition table. Workers share nothing
+// but the values they return: a worker sends frames to the coordinator
+// only. Everything crosses processes over the internal/transport TCP
+// realization of faultnet.Network, so the tier inherits the transport's
+// lossy contract and supplies its own reliability: task timeout plus
+// reissue to another live worker at the coordinator, result dedup at the
+// workers, liveness via worker pings.
 package shard
 
 import (

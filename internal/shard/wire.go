@@ -3,11 +3,11 @@ package shard
 // The shard tier's wire protocol: a single JSON envelope for every
 // message kind, carried as transport payloads via Codec. JSON (rather
 // than a hand-packed binary layout) because shard messages are low-rate
-// — tasks, results, liveness and deep-TT traffic, not per-node search
-// messages — and the operational win of being able to read a capture
-// with jq outweighs the bytes. Codec.Decode is the only payload decoder
-// that reads socket bytes, so FuzzEnvelopeCodec holds it to never
-// panicking and to round-tripping whatever it accepts.
+// — tasks, results and liveness, not per-node search messages — and the
+// operational win of being able to read a capture with jq outweighs the
+// bytes. Codec.Decode is the only payload decoder that reads socket
+// bytes, so FuzzEnvelopeCodec holds it to never panicking and to
+// round-tripping whatever it accepts.
 
 import (
 	"encoding/json"
@@ -17,9 +17,10 @@ import (
 
 // Message kinds.
 const (
-	// KindHello is coordinator → worker: announces the full peer address
-	// table so workers can open worker-to-worker TT streams, and doubles
-	// as the coordinator's own liveness beacon. Sent at startup and
+	// KindHello is coordinator → worker: carries the membership epoch
+	// and the peer address table, from which a worker started without
+	// peer addresses learns where the coordinator is, and doubles as the
+	// coordinator's own liveness beacon. Sent at startup and
 	// periodically.
 	KindHello = "hello"
 	// KindTask is coordinator → worker: search Pos (canonical, in Game)
@@ -32,13 +33,6 @@ const (
 	KindResult = "result"
 	// KindPing is worker → coordinator liveness.
 	KindPing = "ping"
-	// KindTTProbe is worker → worker: ask the owner of Hash for its
-	// entry. Answered (with KindTTReply) only on a hit.
-	KindTTProbe = "ttprobe"
-	// KindTTReply is the owner's entry for a probed hash.
-	KindTTReply = "ttreply"
-	// KindTTStore is worker → worker: install a deep entry at its owner.
-	KindTTStore = "ttstore"
 )
 
 // Envelope is the one message shape of the shard protocol; Kind selects
@@ -63,15 +57,11 @@ type Envelope struct {
 	// windowed search.
 	Plies int `json:"plies,omitempty"`
 
-	// Result payload (result, ttreply/ttstore value carriage).
+	// Result payload (result).
 	Value int32  `json:"value,omitempty"`
 	Best  int    `json:"best,omitempty"`
 	Nodes int64  `json:"nodes,omitempty"`
 	Err   string `json:"err,omitempty"`
-
-	// Transposition-table traffic (ttprobe/ttreply/ttstore).
-	Hash uint64 `json:"hash,omitempty"`
-	Flag uint64 `json:"flag,omitempty"`
 
 	// Topology (hello): processor id → transport address.
 	Peers map[string]string `json:"peers,omitempty"`
@@ -170,7 +160,7 @@ func (Codec) Decode(data []byte) (any, error) {
 			return nil, fmt.Errorf("shard: task %d expands %d plies of depth %d", e.ID, e.Plies, e.Depth)
 		}
 		return &e, nil
-	case KindHello, KindResult, KindPing, KindTTProbe, KindTTReply, KindTTStore:
+	case KindHello, KindResult, KindPing:
 		return &e, nil
 	}
 	return nil, fmt.Errorf("shard: unknown envelope kind %q", e.Kind)

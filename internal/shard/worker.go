@@ -4,7 +4,6 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -27,14 +26,13 @@ type WorkerConfig struct {
 	Self int
 	// Coordinator is the coordinator's processor id (conventionally 0).
 	Coordinator int
-	// Workers lists every worker id; the ring must match the
-	// coordinator's so both sides agree on TT ownership.
+	// Workers lists every worker id, as the coordinator's Config does;
+	// the worker publishes it as its view of ring membership.
 	Workers []int
 	// PoolWorkers sizes the resident search pool (0 = GOMAXPROCS).
 	PoolWorkers int
-	// TableEntries sizes the local transposition table (0 disables it,
-	// which also disables the remote tier). Its memory is taken on the
-	// first store, local or remote.
+	// TableEntries sizes the worker's transposition table (0 disables
+	// it). Its memory is taken on the first store.
 	TableEntries int
 	// PingEvery paces liveness pings to the coordinator (default 500ms).
 	PingEvery time.Duration
@@ -43,25 +41,14 @@ type WorkerConfig struct {
 	// without a portfile round trip. Optional.
 	AdvertiseAddr string
 	// Telemetry records pool counters on shards 0..PoolWorkers-1 and the
-	// worker's remote-TT counters on shard PoolWorkers. Optional.
+	// worker's task count on shard PoolWorkers. Optional.
 	Telemetry *telemetry.Recorder
-	// Tracer records request-scoped spans (queue/compute/done-cache/
-	// remote-probe) for envelopes carrying a trace ID. Optional.
+	// Tracer records request-scoped spans (queue/compute/done-cache) for
+	// envelopes carrying a trace ID. Optional.
 	Tracer *reqtrace.Tracer
 }
 
 const (
-	// remoteMinDepth gates the two-level table: probes and stores with
-	// remaining depth below it stay local. Every interior node above the
-	// engine's 2-ply split horizon probes and stores, so the gate is what
-	// keeps remote traffic rare: an envelope costs ~10µs of codec and
-	// socket work on each side, which is under 1% of a subtree only once
-	// that subtree runs to milliseconds — depth 8 on the cheapest game
-	// served (the hash-mix random tree, ~70ns/node).
-	remoteMinDepth = 8
-	// remoteWindow bounds in-flight remote probes; beyond it probes are
-	// skipped, never queued.
-	remoteWindow = 256
 	// taskQueueLen bounds the inbound task queue; overflow tasks are
 	// dropped for the coordinator to reissue.
 	taskQueueLen = 128
@@ -78,14 +65,11 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // Worker runs a resident search pool behind the shard protocol: tasks
 // arrive from the coordinator, results go back with the same ID
-// (re-answered from a bounded cache when a reissued duplicate arrives),
-// and the local transposition table participates in the two-level tier —
-// serving ttprobe/ttstore for hashes it owns, forwarding deep local
-// traffic to the owning shard through a bounded in-flight window that
-// never blocks the search hot path.
+// (re-answered from a bounded cache when a reissued duplicate arrives).
+// The worker's transposition table is its own: a worker sends frames to
+// the coordinator only.
 type Worker struct {
 	cfg   WorkerConfig
-	ring  *Ring
 	table *engine.Table
 	pool  *engine.Pool
 	tm    *telemetry.Shard
@@ -100,11 +84,6 @@ type Worker struct {
 	// hello — the worker never authors epochs, only echoes them.
 	epoch atomic.Uint64
 
-	// curTrace is the trace ID of the task the (single) runLoop is
-	// executing, read by remote-TT probes issued from inside the search.
-	// Always holds a string; empty when idle or the task is unsampled.
-	curTrace atomic.Value
-
 	mu sync.Mutex
 	// inflight maps a queued-or-running task ID to the epoch of the
 	// latest issuance seen for it. A reissued duplicate updates the epoch
@@ -112,10 +91,9 @@ type Worker struct {
 	// stamped with an epoch the coordinator will accept — stamping the
 	// original issue epoch instead would fence every result whose task
 	// was reissued across a membership change, livelocking the retry.
-	inflight    map[uint64]uint64
-	doneCache   map[uint64]*Envelope
-	doneOrder   []uint64
-	outstanding map[uint64]probeSent // remote probes in flight, by hash
+	inflight  map[uint64]uint64
+	doneCache map[uint64]*Envelope
+	doneOrder []uint64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -131,15 +109,6 @@ type Worker struct {
 type queuedTask struct {
 	env    *Envelope
 	recvNs int64
-}
-
-// probeSent is one in-flight remote-TT probe's send-side state: the
-// monotonic stamp feeds the RPC histogram, the wall stamp and trace (set
-// only for probes issued under a traced task) feed the remote-probe span.
-type probeSent struct {
-	at     time.Time
-	wallNs int64
-	trace  string
 }
 
 // randBoot draws a random nonzero boot nonce. Zero is reserved for "no
@@ -164,25 +133,18 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	pool := engine.NewPool(cfg.PoolWorkers, table, cfg.Telemetry)
 	ctx, cancel := context.WithCancel(context.Background())
-	w := &Worker{
-		cfg:         cfg,
-		ring:        NewRing(cfg.Workers),
-		table:       table,
-		pool:        pool,
-		tm:          cfg.Telemetry.Shard(pool.Workers()),
-		tasks:       make(chan queuedTask, taskQueueLen),
-		boot:        randBoot(),
-		inflight:    make(map[uint64]uint64),
-		doneCache:   make(map[uint64]*Envelope),
-		outstanding: make(map[uint64]probeSent),
-		ctx:         ctx,
-		cancel:      cancel,
+	return &Worker{
+		cfg:       cfg,
+		table:     table,
+		pool:      pool,
+		tm:        cfg.Telemetry.Shard(pool.Workers()),
+		tasks:     make(chan queuedTask, taskQueueLen),
+		boot:      randBoot(),
+		inflight:  make(map[uint64]uint64),
+		doneCache: make(map[uint64]*Envelope),
+		ctx:       ctx,
+		cancel:    cancel,
 	}
-	w.curTrace.Store("")
-	if table != nil {
-		table.SetRemote(remoteClient{w}, remoteMinDepth)
-	}
-	return w
 }
 
 // Start installs the delivery callback, announces itself with a ping,
@@ -206,17 +168,14 @@ func (w *Worker) Close() {
 	w.isClose = true
 	w.closeMu.Unlock()
 	w.cancel()
-	if w.table != nil {
-		w.table.SetRemote(nil, 0)
-	}
 	w.pool.Close()
 	w.wg.Wait()
 	w.cfg.Net.Close()
 }
 
 // deliver runs on transport reader goroutines: every branch is bounded
-// work — map updates, a lock-free table probe, a non-blocking Send —
-// never a search and never a blocking queue put.
+// work — map updates and a non-blocking Send — never a search and never
+// a blocking queue put.
 func (w *Worker) deliver(pkt faultnet.Packet) {
 	env, ok := pkt.Payload.(*Envelope)
 	if !ok {
@@ -227,42 +186,6 @@ func (w *Worker) deliver(pkt faultnet.Packet) {
 		w.acceptTask(env)
 	case KindHello:
 		w.applyHello(env)
-	case KindTTProbe:
-		if w.table == nil {
-			return
-		}
-		if v, d, f, b, hit := w.table.Probe(env.Hash); hit {
-			w.cfg.Net.Send(faultnet.Packet{From: w.cfg.Self, To: pkt.From, Payload: &Envelope{
-				Kind: KindTTReply, Hash: env.Hash,
-				Value: v, Depth: d, Flag: f, Best: b,
-				SentNs: env.SentNs,
-			}})
-		}
-	case KindTTReply:
-		w.mu.Lock()
-		sent, waiting := w.outstanding[env.Hash]
-		delete(w.outstanding, env.Hash)
-		w.mu.Unlock()
-		if !waiting {
-			return // late or duplicate reply; window already recycled
-		}
-		// Plain Store: installing a reply must not re-forward it.
-		w.table.Store(env.Hash, env.Value, env.Depth, env.Flag, env.Best)
-		if w.tm != nil {
-			w.tm.RemoteHits.Add(1)
-			w.tm.Hist[telemetry.HistShardRPCNs].Observe(time.Since(sent.at).Nanoseconds())
-		}
-		if sent.trace != "" {
-			w.cfg.Tracer.Record(reqtrace.Span{
-				Trace: sent.trace, Stage: reqtrace.StageRemoteProbe,
-				StartNs: sent.wallNs, DurNs: time.Now().UnixNano() - sent.wallNs,
-				Note: fmt.Sprintf("hash=%x", env.Hash),
-			})
-		}
-	case KindTTStore:
-		if w.table != nil {
-			w.table.Store(env.Hash, env.Value, env.Depth, env.Flag, env.Best)
-		}
 	}
 }
 
@@ -334,6 +257,8 @@ func (w *Worker) applyHello(env *Envelope) {
 			Boot: w.boot, Addr: w.cfg.AdvertiseAddr,
 		}})
 	}
+	// Adopt the hello's address table: a worker started without peer
+	// addresses learns from it where to send its results and pings.
 	ps, ok := w.cfg.Net.(PeerSetter)
 	if !ok {
 		return
@@ -369,9 +294,7 @@ func (w *Worker) runTask(qt queuedTask) {
 			Trace: env.Trace, Stage: reqtrace.StageQueue,
 			StartNs: qt.recvNs, DurNs: startWall - qt.recvNs, Task: env.ID,
 		})
-		w.curTrace.Store(env.Trace)
 		defer func() {
-			w.curTrace.Store("")
 			w.cfg.Tracer.Record(reqtrace.Span{
 				Trace: env.Trace, Stage: reqtrace.StageCompute,
 				StartNs: startWall, DurNs: time.Now().UnixNano() - startWall,
@@ -460,70 +383,4 @@ func (w *Worker) PromSection() func(io.Writer) error {
 		}
 		return telemetry.PromMemory(out, telemetry.MemoryOwner{Owner: "table", Bytes: w.table.Bytes()})
 	}
-}
-
-// remoteWindowTTL ages out probe-window slots whose replies never came
-// (owner down, frame dropped), so losses cannot wedge the window shut.
-const remoteWindowTTL = time.Second
-
-// remoteClient is the engine.RemoteTT half of the two-level table: it
-// forwards deep probes and stores to the hash's owning shard. Both
-// methods run on the search hot path and are strictly non-blocking — a
-// brief mutex for the window map, then a non-blocking transport send.
-type remoteClient struct{ w *Worker }
-
-func (r remoteClient) Probe(hash uint64, depth int) {
-	w := r.w
-	owner := w.ring.Owner(hash)
-	if owner == w.cfg.Self {
-		return
-	}
-	now := time.Now()
-	w.mu.Lock()
-	if _, dup := w.outstanding[hash]; dup {
-		w.mu.Unlock()
-		return
-	}
-	if len(w.outstanding) >= remoteWindow {
-		// Window full: purge aged slots, and if still full, skip.
-		for h, sent := range w.outstanding {
-			if now.Sub(sent.at) > remoteWindowTTL {
-				delete(w.outstanding, h)
-			}
-		}
-		if len(w.outstanding) >= remoteWindow {
-			w.mu.Unlock()
-			if w.tm != nil {
-				w.tm.RemoteSkips.Add(1)
-			}
-			return
-		}
-	}
-	sent := probeSent{at: now}
-	if trace, _ := w.curTrace.Load().(string); trace != "" {
-		sent.trace = trace
-		sent.wallNs = now.UnixNano()
-	}
-	w.outstanding[hash] = sent
-	w.mu.Unlock()
-	if w.tm != nil {
-		w.tm.RemoteProbes.Add(1)
-	}
-	w.cfg.Net.Send(faultnet.Packet{From: w.cfg.Self, To: owner, Payload: &Envelope{
-		Kind: KindTTProbe, Hash: hash, Depth: depth, SentNs: now.UnixNano(),
-	}})
-}
-
-func (r remoteClient) Store(hash uint64, value int32, depth int, flag uint64, best int) {
-	w := r.w
-	owner := w.ring.Owner(hash)
-	if owner == w.cfg.Self {
-		return
-	}
-	if w.tm != nil {
-		w.tm.RemoteStores.Add(1)
-	}
-	w.cfg.Net.Send(faultnet.Packet{From: w.cfg.Self, To: owner, Payload: &Envelope{
-		Kind: KindTTStore, Hash: hash, Value: value, Depth: depth, Flag: flag, Best: best,
-	}})
 }

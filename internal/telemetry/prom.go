@@ -53,10 +53,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		{"gametree_msgs_stale_total", "Message-passing messages dropped as stale.", s.Total.MsgsStale},
 		{"gametree_shard_tasks_total", "Root tasks dispatched to shard workers.", s.Total.ShardTasks},
 		{"gametree_shard_reissues_total", "Tasks reissued after a shard worker timed out or died.", s.Total.ShardReissues},
-		{"gametree_remote_probes_total", "Transposition-table probes sent to the owning shard.", s.Total.RemoteProbes},
-		{"gametree_remote_hits_total", "Remote TT probes answered with a usable entry.", s.Total.RemoteHits},
-		{"gametree_remote_stores_total", "Transposition-table stores forwarded to the owning shard.", s.Total.RemoteStores},
-		{"gametree_remote_skips_total", "Remote TT probes skipped because the in-flight window was full.", s.Total.RemoteSkips},
 		{"gametree_pn_nodes_total", "Nodes traversed during proof-number most-proving descents.", s.Total.PNNodes},
 		{"gametree_pn_expands_total", "Leaves expanded by the proof-number solver.", s.Total.PNExpands},
 		{"gametree_pn_updates_total", "Ancestor proof/disproof-number recomputations.", s.Total.PNUpdates},

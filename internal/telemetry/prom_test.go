@@ -81,18 +81,6 @@ gametree_shard_tasks_total 9
 # HELP gametree_shard_reissues_total Tasks reissued after a shard worker timed out or died.
 # TYPE gametree_shard_reissues_total counter
 gametree_shard_reissues_total 1
-# HELP gametree_remote_probes_total Transposition-table probes sent to the owning shard.
-# TYPE gametree_remote_probes_total counter
-gametree_remote_probes_total 20
-# HELP gametree_remote_hits_total Remote TT probes answered with a usable entry.
-# TYPE gametree_remote_hits_total counter
-gametree_remote_hits_total 5
-# HELP gametree_remote_stores_total Transposition-table stores forwarded to the owning shard.
-# TYPE gametree_remote_stores_total counter
-gametree_remote_stores_total 15
-# HELP gametree_remote_skips_total Remote TT probes skipped because the in-flight window was full.
-# TYPE gametree_remote_skips_total counter
-gametree_remote_skips_total 2
 # HELP gametree_pn_nodes_total Nodes traversed during proof-number most-proving descents.
 # TYPE gametree_pn_nodes_total counter
 gametree_pn_nodes_total 50
@@ -245,10 +233,6 @@ func buildPromFixture() *Recorder {
 	b.Hist[HistSplitDepth].Observe(4)
 	a.ShardTasks.Add(9)
 	a.ShardReissues.Add(1)
-	a.RemoteProbes.Add(20)
-	a.RemoteHits.Add(5)
-	a.RemoteStores.Add(15)
-	a.RemoteSkips.Add(2)
 	a.Hist[HistShardRPCNs].Observe(30000)
 	a.PNNodes.Add(50)
 	a.PNExpands.Add(14)

@@ -54,7 +54,7 @@ const (
 	HistTTProbeDepth          // remaining search depth at each TT probe: >2, or <0 for no horizon
 	HistMsgResidenceNs        // msgpass mailbox residence (send→drain), ns
 	HistSplitDepth            // remaining search depth at each opened split point
-	HistShardRPCNs            // shard RPC round trip (task dispatch→result, probe→reply), ns
+	HistShardRPCNs            // shard RPC round trip (task dispatch→result), ns
 	HistPNMPNDepth            // tree depth of each most-proving node a solver worker descended to
 	NumHists
 )
@@ -162,11 +162,6 @@ func HistHelp(i int) string {
 //	               root tasks dispatched to shard workers, and tasks
 //	               reissued to a successor after a worker timed out or
 //	               died
-//	RemoteProbes/RemoteHits/RemoteStores/RemoteSkips
-//	               two-level transposition table: probes sent to the
-//	               owning shard, replies that carried a usable entry,
-//	               stores forwarded to the owner, and probes skipped
-//	               because the bounded in-flight window was full
 //
 //	proof-number solver (internal/pns)
 //	PNNodes/PNExpands/PNUpdates
@@ -199,10 +194,6 @@ type Shard struct {
 	MsgsStale     atomic.Int64
 	ShardTasks    atomic.Int64
 	ShardReissues atomic.Int64
-	RemoteProbes  atomic.Int64
-	RemoteHits    atomic.Int64
-	RemoteStores  atomic.Int64
-	RemoteSkips   atomic.Int64
 	PNNodes       atomic.Int64
 	PNExpands     atomic.Int64
 	PNUpdates     atomic.Int64
@@ -250,10 +241,6 @@ type Counts struct {
 	MsgsStale     int64
 	ShardTasks    int64
 	ShardReissues int64
-	RemoteProbes  int64
-	RemoteHits    int64
-	RemoteStores  int64
-	RemoteSkips   int64
 	PNNodes       int64
 	PNExpands     int64
 	PNUpdates     int64
@@ -286,10 +273,6 @@ func (s *Shard) load() Counts {
 		MsgsStale:     s.MsgsStale.Load(),
 		ShardTasks:    s.ShardTasks.Load(),
 		ShardReissues: s.ShardReissues.Load(),
-		RemoteProbes:  s.RemoteProbes.Load(),
-		RemoteHits:    s.RemoteHits.Load(),
-		RemoteStores:  s.RemoteStores.Load(),
-		RemoteSkips:   s.RemoteSkips.Load(),
 		PNNodes:       s.PNNodes.Load(),
 		PNExpands:     s.PNExpands.Load(),
 		PNUpdates:     s.PNUpdates.Load(),
@@ -324,10 +307,6 @@ func (c *Counts) add(o Counts) {
 	c.MsgsStale += o.MsgsStale
 	c.ShardTasks += o.ShardTasks
 	c.ShardReissues += o.ShardReissues
-	c.RemoteProbes += o.RemoteProbes
-	c.RemoteHits += o.RemoteHits
-	c.RemoteStores += o.RemoteStores
-	c.RemoteSkips += o.RemoteSkips
 	c.PNNodes += o.PNNodes
 	c.PNExpands += o.PNExpands
 	c.PNUpdates += o.PNUpdates
@@ -486,16 +465,9 @@ type Report struct {
 	MsgsRecv       int64   `json:"msgs_recv,omitempty"`
 	MsgsStale      int64   `json:"msgs_stale,omitempty"`
 	// Distributed serving tier (shard runs only; zero and omitted on
-	// single-process runs): task routing, crash reissues, and the remote
-	// half of the two-level transposition table.
+	// single-process runs): task routing and crash reissues.
 	ShardTasks    int64 `json:"shard_tasks,omitempty"`
 	ShardReissues int64 `json:"shard_reissues,omitempty"`
-	RemoteProbes  int64 `json:"remote_probes,omitempty"`
-	RemoteHits    int64 `json:"remote_hits,omitempty"`
-	RemoteStores  int64 `json:"remote_stores,omitempty"`
-	RemoteSkips   int64 `json:"remote_skips,omitempty"`
-	// RemoteHitRate is RemoteHits/RemoteProbes; 0 when no remote probes.
-	RemoteHitRate float64 `json:"remote_hit_rate,omitempty"`
 	// Shard RPC round-trip quantiles (HistShardRPCNs).
 	ShardRPCP50Us float64 `json:"shard_rpc_p50_us,omitempty"`
 	ShardRPCP99Us float64 `json:"shard_rpc_p99_us,omitempty"`
@@ -579,13 +551,6 @@ func (s Snapshot) Report() Report {
 	rep.MsgsStale = t.MsgsStale
 	rep.ShardTasks = t.ShardTasks
 	rep.ShardReissues = t.ShardReissues
-	rep.RemoteProbes = t.RemoteProbes
-	rep.RemoteHits = t.RemoteHits
-	rep.RemoteStores = t.RemoteStores
-	rep.RemoteSkips = t.RemoteSkips
-	if t.RemoteProbes > 0 {
-		rep.RemoteHitRate = float64(t.RemoteHits) / float64(t.RemoteProbes)
-	}
 	if rpc := s.Hist[HistShardRPCNs]; rpc.Count > 0 {
 		rep.ShardRPCP50Us = rpc.P50() / 1e3
 		rep.ShardRPCP99Us = rpc.P99() / 1e3

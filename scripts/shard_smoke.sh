@@ -5,7 +5,8 @@
 # the coordinator with its HTTP API — and asserts the distributed
 # contract end to end:
 #   - ring agreement: every process must log the same [1 2] membership
-#     (divergent rings silently break two-level TT ownership);
+#     (a worker configured with another ring reports a membership the
+#     coordinator does not route by);
 #   - exact values: a tic-tac-toe burst where every 200 must report the
 #     known draw value (0), spread across both workers;
 #   - a mixed random workload with duplicate traffic completes, and the
